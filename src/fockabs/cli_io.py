@@ -14,6 +14,7 @@ printed with 12 significant digits, newline-separated rows.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 import warnings
@@ -22,15 +23,14 @@ from dataclasses import dataclass, field as dataclass_field
 import yaml
 
 from .fock_core import Statistics
-from .field_ops import ModeBasis, Wavepacket, position_amplitude
+from .field_ops import ModeBasis, Wavepacket
 from .medium import MediumChannel, MediumModel, ResonanceError
 from .oracle import verify_closed_forms
 from .perturbation import (
+    OneParticleInput,
     TwoParticleInput,
-    log_log_slope,
+    evaluate_rates,
     proportionality_exponent,
-    rate_first_order,
-    rate_second_order,
 )
 
 NORMALIZE_WARN_LIMIT = 1e-6
@@ -137,7 +137,13 @@ def _no_leftovers(section: dict, path: str) -> None:
 def _as_float(value: object, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a real number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value: object, path: str) -> int:
@@ -150,16 +156,19 @@ def _as_complex(value: object, path: str) -> complex:
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_as_float(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(
             _as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]")
         )
     if isinstance(value, str):
         try:
-            return complex(value.replace(" ", ""))
+            number = complex(value.replace(" ", ""))
         except ValueError as exc:
             raise ConfigError(f"{path}: cannot parse complex {value!r}") from exc
+        if not cmath.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     raise ConfigError(
         f"{path}: expected a number, [re, im] pair or complex string"
     )
@@ -459,9 +468,15 @@ def build_model(config: ExperimentConfig) -> MediumModel:
     return MediumModel(spec.coupling, channels, spec.first_order_element)
 
 
-def build_packet(config: ExperimentConfig, name: str, basis: ModeBasis) -> Wavepacket:
-    spec = config.packets[name]
-    return Wavepacket(basis, spec.amplitudes, spec.spin)
+def build_input(
+    config: ExperimentConfig, basis: ModeBasis
+) -> OneParticleInput | TwoParticleInput:
+    run = config.run
+    specs = [config.packets[name] for name in run.packet_names]
+    packets = [Wavepacket(basis, spec.amplitudes, spec.spin) for spec in specs]
+    if run.order == 2:
+        return TwoParticleInput(*packets, run.detector_spin, run.statistics)
+    return OneParticleInput(packets[0], run.detector_spin)
 
 
 def run_scan(config: ExperimentConfig) -> RateTable:
@@ -472,31 +487,21 @@ def run_scan(config: ExperimentConfig) -> RateTable:
     evaluated.
     """
     basis = build_basis(config)
-    model = build_model(config)
-    run = config.run
-    packet_a = build_packet(config, run.packet_names[0], basis)
-    pair = None
-    if run.order == 2:
-        packet_b = build_packet(config, run.packet_names[1], basis)
-        pair = TwoParticleInput(packet_a, packet_b, run.detector_spin, run.statistics)
-    rows = []
-    for coords in config.positions:
-        q = basis.position(coords)
-        try:
-            first = rate_first_order(packet_a, run.detector_spin, q, model)
-            density_a = abs(position_amplitude(packet_a, q)) ** 2
-            if pair is None:
-                second_value = 0.0
-                density_b = 0.0
-            else:
-                second_value = rate_second_order(pair, q, model).value
-                density_b = abs(position_amplitude(pair.packet_b, q)) ** 2
-        except ResonanceError as exc:
-            raise ResonanceError(f"at position {q.coords}: {exc}") from exc
-        rows.append(
-            RateRow(q.coords, first.value, second_value, density_a, density_b)
-        )
-    return RateTable(basis.dim, tuple(rows))
+    inp = build_input(config, basis)
+    try:
+        batch = evaluate_rates(inp, build_model(config), config.positions)
+    except ResonanceError as exc:
+        first = basis.position(config.positions[0])
+        raise ResonanceError(f"at position {first.coords}: {exc}") from exc
+    columns = (
+        batch.coords.tolist(),
+        batch.rate_order1.tolist(),
+        batch.rate_order2.tolist(),
+        batch.density_a.tolist(),
+        batch.density_b.tolist(),
+    )
+    rows = tuple(RateRow(tuple(q), *values) for q, *values in zip(*columns))
+    return RateTable(basis.dim, rows)
 
 
 def emit_csv(table: RateTable) -> str:
@@ -547,22 +552,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_exponent(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     basis = build_basis(config)
-    model = build_model(config)
-    run = config.run
     positions = [basis.position(c) for c in config.positions]
-    packet_a = build_packet(config, run.packet_names[0], basis)
-    if run.order == 2:
-        packet_b = build_packet(config, run.packet_names[1], basis)
-        pair = TwoParticleInput(packet_a, packet_b, run.detector_spin, run.statistics)
-        value = proportionality_exponent(pair, model, positions)
-    else:
-        rates = [
-            rate_first_order(packet_a, run.detector_spin, q, model).value
-            for q in positions
-        ]
-        densities = [abs(position_amplitude(packet_a, q)) ** 2 for q in positions]
-        value = log_log_slope(densities, rates)
-    print(f"order={run.order} exponent={value:.9f}")
+    value = proportionality_exponent(
+        build_input(config, basis), build_model(config), positions
+    )
+    print(f"order={config.run.order} exponent={value:.9f}")
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -169,21 +170,35 @@ class ModeBasis:
     def volume(self) -> float:
         return math.prod(self.box_lengths)
 
+    @cached_property
+    def momentum_array(self) -> np.ndarray:
+        """The momenta as an (n_modes, dim) array."""
+        return np.array(self.momenta)
+
+    @cached_property
+    def kinetic_energies(self) -> tuple[float, ...]:
+        """|p|^2 / 2m of every mode, in mode order."""
+        return tuple(self.kinetic_energy(i) for i in range(self.n_modes))
+
     def kinetic_energy(self, mode_index: int) -> float:
         """|p|^2 / 2m for one mode."""
         p = self.momenta[mode_index]
         return sum(c * c for c in p) / (2 * self.mass)
 
+    def wrap(self, coords: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+        """Wrap rows of coordinates into [0, L) per axis; one row per position."""
+        rows = np.asarray(coords, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, self.dim)
+        if rows.shape[1:] != (self.dim,):
+            raise ValueError(
+                f"expected rows of {self.dim} coordinates, got shape {rows.shape}"
+            )
+        return np.mod(rows, self.box_lengths)
+
     def position(self, coords: Sequence[float]) -> Position:
         """Wrap coordinates into [0, L) per axis and return a Position."""
-        if len(coords) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} coordinates, got {len(coords)}"
-            )
-        wrapped = tuple(
-            float(c) % self.box_lengths[ax] for ax, c in enumerate(coords)
-        )
-        return Position(wrapped)
+        return Position(tuple(self.wrap([coords])[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -203,7 +218,8 @@ class Wavepacket:
         if self.spin not in self.basis.spins:
             raise ValueError(f"spin {self.spin} not in basis spin set")
         norm_sq = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(norm_sq - 1.0) > NORMALIZATION_TOLERANCE:
+        # written so that a nan norm fails the gate too
+        if not abs(norm_sq - 1.0) <= NORMALIZATION_TOLERANCE:
             raise ValueError(
                 f"wavepacket norm^2 = {norm_sq!r} is not 1 within "
                 f"{NORMALIZATION_TOLERANCE}"
@@ -220,12 +236,17 @@ def mode_wavefunction(basis: ModeBasis, mode_index: int, q: Position) -> complex
     return complex(np.exp(1j * phase / basis.hbar) / math.sqrt(basis.volume))
 
 
+def phase_matrix(basis: ModeBasis, coords: np.ndarray) -> np.ndarray:
+    """Mode wavefunctions exp(i p_k.Q_r / hbar) / sqrt(V): row r at the wrapped
+    position ``coords[r]`` (see ``ModeBasis.wrap``), column k for mode k."""
+    phase = np.dot(coords, basis.momentum_array.T)
+    return np.exp(phase * (1j / basis.hbar)) / math.sqrt(basis.volume)
+
+
 def position_amplitude(packet: Wavepacket, q: Position) -> complex:
     """Position-space amplitude: the mode sum of amplitude * wavefunction."""
-    values = np.array(
-        [mode_wavefunction(packet.basis, i, q) for i in range(packet.basis.n_modes)]
-    )
-    return complex(np.dot(np.array(packet.amplitudes), values))
+    row = phase_matrix(packet.basis, packet.basis.wrap([q.coords]))
+    return complex(np.dot(row, np.array(packet.amplitudes))[0])
 
 
 def overlap(f: Wavepacket, g: Wavepacket) -> complex:
@@ -238,8 +259,8 @@ def overlap(f: Wavepacket, g: Wavepacket) -> complex:
 def mean_kinetic_energy(packet: Wavepacket) -> float:
     """Expectation of |p|^2 / 2m in the packet."""
     return sum(
-        abs(a) ** 2 * packet.basis.kinetic_energy(i)
-        for i, a in enumerate(packet.amplitudes)
+        abs(a) ** 2 * energy
+        for a, energy in zip(packet.amplitudes, packet.basis.kinetic_energies)
     )
 
 

@@ -18,12 +18,17 @@ ordering's mode sum (``energy_convention="mean"``).  With
 which reproduces the brute-force enumeration exactly; both conventions
 coincide for sharp packets and for packets whose occupied modes share one
 kinetic energy.
+
+Every rate goes through ``evaluate_rates``, batched over positions; the
+scalar functions ``rate_first_order``, ``rate_second_order`` and
+``w_terms`` are its one-row case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,12 +38,16 @@ from .field_ops import (
     Position,
     Wavepacket,
     mean_kinetic_energy,
-    mode_wavefunction,
-    position_amplitude,
+    phase_matrix,
 )
 from .medium import MediumModel, channel_weight, efficiency_factor
 
 MIN_FIT_DENSITY = 1e-12
+
+# Largest positions x modes phase matrix built at once (2**13 complex
+# entries, 128 KB): big enough that numpy, not Python, sets the pace, small
+# enough that a long scan does not raise the peak memory.
+CHUNK_ELEMENTS = 2**13
 
 
 class IndistinguishableFermionsError(ValueError):
@@ -70,9 +79,19 @@ class TwoParticleInput:
                 "fermionic pair with identical packets and equal spins"
             )
 
-    @property
-    def basis(self) -> ModeBasis:
-        return self.packet_a.basis
+
+@dataclass(frozen=True)
+class OneParticleInput:
+    """One packet and the detector spin, for first-order rates."""
+
+    packet: Wavepacket
+    detector_spin: int
+
+    def __post_init__(self) -> None:
+        if self.detector_spin not in self.packet.basis.spins:
+            raise ValueError(
+                f"detector spin {self.detector_spin} not in basis spin set"
+            )
 
 
 @dataclass(frozen=True)
@@ -91,54 +110,125 @@ class RateResult:
     terms: tuple[complex, ...] | None = None
 
 
+class RateBatch(NamedTuple):
+    """Closed-form results at many positions: row r of every array is position r.
+
+    ``coords`` are the wrapped positions and ``terms`` the ordering
+    amplitudes of ``RateResult.terms``; second-order columns are zero for
+    one-particle input.
+    """
+
+    coords: np.ndarray
+    psi_a: np.ndarray
+    psi_b: np.ndarray
+    density_a: np.ndarray
+    density_b: np.ndarray
+    rate_order1: np.ndarray
+    rate_order2: np.ndarray
+    terms: np.ndarray
+
+
+def _channel_sum(
+    packet: Wavepacket, model: MediumModel, convention: str
+) -> complex | list[complex]:
+    """Channel weight sum_ch M_out M_in / (E - eps_ch) of the packet absorbed first.
+
+    E is the packet's mean kinetic energy (one number) or each occupied
+    mode's own kinetic energy (one number per mode, 0 on unoccupied modes).
+    """
+    if convention == "mean":
+        energy = mean_kinetic_energy(packet)
+        return sum(channel_weight(ch, energy - ch.energy) for ch in model.channels)
+    if convention == "per_mode":
+        energies = packet.basis.kinetic_energies
+        occupied = [i for i, amp in enumerate(packet.amplitudes) if amp != 0]
+        weights = [0j] * len(energies)
+        for ch in model.channels:
+            for i in occupied:
+                weights[i] += channel_weight(ch, energies[i] - ch.energy)
+        return weights
+    raise ValueError(f"unknown energy convention {convention!r}")
+
+
+def evaluate_rates(
+    inp: OneParticleInput | TwoParticleInput,
+    model: MediumModel,
+    coords: Sequence[Sequence[float]] | np.ndarray,
+    energy_convention: str = "mean",
+) -> RateBatch:
+    """Closed-form amplitudes, densities and rates at every position.
+
+    Both second-order orderings carry Kronecker deltas forcing each packet
+    spin to equal the detector spin; the packet_b-first term carries the
+    statistics sign (+ bosons, - fermions) inherited from commuting the
+    field operator through the first-created packet.  Channel weights do
+    not depend on position and are computed once per packet, before any
+    position, so a resonant denominator raises ResonanceError even where
+    the spin deltas zero the rate.  Positions go through the phase matrix
+    in chunks of at most CHUNK_ELEMENTS entries.
+    """
+    pair = isinstance(inp, TwoParticleInput)
+    packets = (inp.packet_a, inp.packet_b) if pair else (inp.packet,)
+    basis = packets[0].basis
+    wrapped = basis.wrap(coords)
+    rows = len(wrapped)
+    # one column per mode sum: each packet's amplitudes (a zero packet_b for
+    # one particle) and, with per-mode weights, each packet's weighted
+    # amplitudes.  There are always at least two: BLAS hands a one-column
+    # product to threaded matrix-vector code that ran 100-1000x slower on a
+    # 2-core machine.
+    columns = [p.amplitudes for p in packets]
+    if not pair:
+        columns.append((0,) * basis.n_modes)
+    else:
+        if not model.channels:
+            raise ValueError("second-order rates require at least one medium channel")
+        weights = [_channel_sum(p, model, energy_convention) for p in packets]
+        per_mode = energy_convention == "per_mode"
+        if per_mode:
+            columns += [
+                [a * w for a, w in zip(p.amplitudes, ws)]
+                for p, ws in zip(packets, weights)
+            ]
+    modes = np.array(columns, dtype=complex).T
+    step = max(1, CHUNK_ELEMENTS // basis.n_modes)
+    # at least one chunk, so that no positions give empty columns
+    chunks = [
+        phase_matrix(basis, wrapped[start : start + step]) @ modes
+        for start in range(0, max(rows, 1), step)
+    ]
+    sums = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    psi = sums[:, :2]
+    density = np.abs(psi) ** 2
+    hbar = basis.hbar
+    if packets[0].spin == inp.detector_spin:
+        rate_order1 = efficiency_factor(model, hbar) * density[:, 0]
+    else:
+        rate_order1 = np.zeros(rows)
+    if not (pair and all(p.spin == inp.detector_spin for p in packets)):
+        terms, rate_order2 = np.zeros((rows, 2), dtype=complex), np.zeros(rows)
+    else:
+        # each packet's amplitude with its channel weight, absorbed first: a
+        # mean-energy weight is a common factor of the packet's mode sum
+        first = sums[:, 2:] if per_mode else psi * weights
+        sign = 1.0 if inp.statistics is Statistics.BOSE else -1.0
+        # (packet_b first, packet_a first): each times the other's amplitude
+        terms = first[:, ::-1] * psi
+        terms[:, 0] *= sign
+        prefactor = 2.0 * math.pi / hbar**2 * abs(model.coupling) ** 4
+        rate_order2 = prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2
+    return RateBatch(
+        wrapped, psi[:, 0], psi[:, 1], density[:, 0], density[:, 1],
+        rate_order1, rate_order2, terms,
+    )
+
+
 def rate_first_order(
     packet: Wavepacket, detector_spin: int, q: Position, model: MediumModel
 ) -> RateResult:
     """One-particle absorption rate efficiency * |psi(Q)|^2 at matching spin."""
-    basis = packet.basis
-    if detector_spin not in basis.spins:
-        raise ValueError(f"detector spin {detector_spin} not in basis spin set")
-    if packet.spin != detector_spin:
-        return RateResult(0.0, 1, q)
-    amp = position_amplitude(packet, q)
-    value = efficiency_factor(model, basis.hbar) * abs(amp) ** 2
-    return RateResult(value, 1, q)
-
-
-def _ordering_amplitude(
-    first_absorbed: Wavepacket,
-    remaining_amp: complex,
-    q: Position,
-    model: MediumModel,
-    convention: str,
-) -> complex:
-    """Channel-summed amplitude for one absorption ordering.
-
-    The energy denominator uses the kinetic energy of the packet absorbed
-    first: its mean over the packet, or the exact per-mode values.
-    """
-    basis = first_absorbed.basis
-    if convention == "mean":
-        psi = position_amplitude(first_absorbed, q)
-        energy = mean_kinetic_energy(first_absorbed)
-        weight = sum(
-            channel_weight(ch, energy - ch.energy) for ch in model.channels
-        )
-        return psi * weight * remaining_amp
-    if convention == "per_mode":
-        total = 0.0 + 0.0j
-        for ch in model.channels:
-            for i, amp in enumerate(first_absorbed.amplitudes):
-                if abs(amp) == 0.0:
-                    continue
-                energy = basis.kinetic_energy(i)
-                total += (
-                    amp
-                    * mode_wavefunction(basis, i, q)
-                    * channel_weight(ch, energy - ch.energy)
-                )
-        return total * remaining_amp
-    raise ValueError(f"unknown energy convention {convention!r}")
+    batch = evaluate_rates(OneParticleInput(packet, detector_spin), model, [q.coords])
+    return RateResult(batch.rate_order1.item(0), 1, q)
 
 
 def w_terms(
@@ -147,45 +237,17 @@ def w_terms(
     model: MediumModel,
     energy_convention: str = "mean",
 ) -> tuple[complex, complex]:
-    """The two ordering amplitudes (packet_b first, packet_a first).
-
-    Both carry Kronecker deltas forcing each packet spin to equal the
-    detector spin; the packet_b-first term carries the statistics sign
-    (+ bosons, - fermions) inherited from commuting the field operator
-    through the first-created packet.
-    """
-    if not model.channels:
-        raise ValueError("second-order rates require at least one medium channel")
-    a, b = inp.packet_a, inp.packet_b
-    spin_ok = a.spin == inp.detector_spin and b.spin == inp.detector_spin
-    sign = 1.0 if inp.statistics is Statistics.BOSE else -1.0
-    if not spin_ok:
-        # Denominators are still validated: resonance is an input defect
-        # regardless of the spin selection outcome.
-        for packet in (a, b):
-            _ordering_amplitude(packet, 1.0, q, model, energy_convention)
-        return (0.0 + 0.0j, 0.0 + 0.0j)
-    psi_a = position_amplitude(a, q)
-    psi_b = position_amplitude(b, q)
-    a_first = _ordering_amplitude(a, psi_b, q, model, energy_convention)
-    b_first = sign * _ordering_amplitude(b, psi_a, q, model, energy_convention)
-    return (b_first, a_first)
+    """The two ordering amplitudes (packet_b first, packet_a first)."""
+    b_first, a_first = evaluate_rates(inp, model, [q.coords], energy_convention).terms[0]
+    return (b_first.item(), a_first.item())
 
 
 def rate_second_order(
     inp: TwoParticleInput, q: Position, model: MediumModel
 ) -> RateResult:
     """Two-particle absorption rate (2 pi / hbar^2)|coupling|^4 |sum of terms|^2."""
-    terms = w_terms(inp, q, model, energy_convention="mean")
-    hbar = inp.basis.hbar
-    value = (
-        2.0
-        * math.pi
-        / hbar**2
-        * abs(model.coupling) ** 4
-        * abs(sum(terms)) ** 2
-    )
-    return RateResult(value, 2, q, terms)
+    batch = evaluate_rates(inp, model, [q.coords])
+    return RateResult(batch.rate_order2.item(0), 2, q, tuple(batch.terms[0].tolist()))
 
 
 def log_log_slope(densities: list[float], rates: list[float]) -> float:
@@ -215,16 +277,21 @@ def log_log_slope(densities: list[float], rates: list[float]) -> float:
 
 
 def proportionality_exponent(
-    inp: TwoParticleInput, model: MediumModel, positions: list[Position]
+    inp: OneParticleInput | TwoParticleInput,
+    model: MediumModel,
+    positions: list[Position],
 ) -> float:
     """Fit rate ~ density**k over positions and return k.
 
-    For identical bosonic packets the second-order rate scales as the
-    squared density, so the fit returns 2; the first-order rate run through
-    the same fit returns 1.
+    The first-order rate goes as |psi_a|^2 and the second-order rate as
+    |psi_a psi_b|^2, so a pair is fitted against the geometric mean density
+    sqrt(|psi_a|^2 |psi_b|^2): the fit returns 1 for one particle and 2 for
+    any pair of packets.
     """
-    rates = [rate_second_order(inp, q, model).value for q in positions]
-    densities = [
-        abs(position_amplitude(inp.packet_a, q)) ** 2 for q in positions
-    ]
-    return log_log_slope(densities, rates)
+    batch = evaluate_rates(inp, model, [q.coords for q in positions])
+    if isinstance(inp, TwoParticleInput):
+        density = np.sqrt(batch.density_a * batch.density_b)
+        rates = batch.rate_order2
+    else:
+        density, rates = batch.density_a, batch.rate_order1
+    return log_log_slope(density.tolist(), rates.tolist())

@@ -261,6 +261,37 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "'h'" in capsys.readouterr().err
 
 
+AMPS = "amplitudes: [[1.0, 0.0]]"
+POSITIONS = "positions: [[0.0], [1.0], [2.0]]"
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        pytest.param(AMPS, "amplitudes: [[.nan, 0.0]]",
+                     "packets.beam.amplitudes[0][0]", id="nan-pair"),
+        pytest.param(AMPS, "amplitudes: [.nan]",
+                     "packets.beam.amplitudes[0]", id="nan-real"),
+        pytest.param(AMPS, "amplitudes: ['nan+1j']",
+                     "packets.beam.amplitudes[0]", id="nan-string"),
+        pytest.param(POSITIONS, "positions: [[0.0], [.nan], [2.0]]",
+                     "scan.positions[1][0]", id="nan-position"),
+        pytest.param("spins: [0]", "spins: [0]\n  hbar: .inf",
+                     "basis.hbar", id="inf-hbar"),
+        pytest.param("spins: [0]", "spins: [0]\n  mass: 1" + "0" * 400,
+                     "basis.mass", id="overflowing-int"),
+    ],
+)
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, old, new, key):
+    path = tmp_path / "bad.yaml"
+    assert old in MINIMAL_ORDER1
+    path.write_text(MINIMAL_ORDER1.replace(old, new))
+    assert main(["scan", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert key in err
+    assert "finite" in err
+
+
 def test_cli_verify_subcommand(capsys):
     assert main(["verify", "--trials", "5", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -273,6 +304,13 @@ def test_cli_exponent_subcommand(tmp_path, capsys):
     assert main(["exponent", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "order=2 exponent=2.000000000" in out
+
+
+def test_cli_exponent_two_different_packets(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(ORDER2_TEMPLATE % ("bose", "partner"))
+    assert main(["exponent", "--config", str(path)]) == 0
+    assert "order=2 exponent=2.000000000" in capsys.readouterr().out
 
 
 def test_cli_exponent_first_order(tmp_path, capsys):

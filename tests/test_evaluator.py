@@ -1,0 +1,271 @@
+"""The batched closed-form evaluator against a literal per-position sum."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fockabs import (
+    MediumChannel,
+    MediumModel,
+    ModeBasis,
+    OneParticleInput,
+    ResonanceError,
+    Statistics,
+    TwoParticleInput,
+    Wavepacket,
+    evaluate_rates,
+    mode_wavefunction,
+    rate_first_order,
+    rate_second_order,
+    w_terms,
+)
+from fockabs import perturbation
+
+BOSE = Statistics.BOSE
+FERMI = Statistics.FERMI
+TWO_PI = 2 * math.pi
+REL_TOL = 1e-12
+
+
+def literal_rows(inp, model, positions, convention):
+    """Rates, amplitudes and terms position by position, mode by mode."""
+    pair = isinstance(inp, TwoParticleInput)
+    packets = (inp.packet_a, inp.packet_b) if pair else (inp.packet,)
+    basis = packets[0].basis
+    out = {"psi_a": [], "psi_b": [], "rate_order1": [], "rate_order2": [], "terms": []}
+    uncancelled = []
+    for q in positions:
+        waves = [mode_wavefunction(basis, i, q) for i in range(basis.n_modes)]
+        psi = [
+            sum(amp * wave for amp, wave in zip(p.amplitudes, waves))
+            for p in packets
+        ]
+        out["psi_a"].append(psi[0])
+        rate1 = 0.0
+        if packets[0].spin == inp.detector_spin:
+            element = model.coupling * model.first_order_element
+            rate1 = TWO_PI / basis.hbar**2 * abs(element) ** 2 * abs(psi[0]) ** 2
+        out["rate_order1"].append(rate1)
+        terms = [0.0, 0.0]
+        if pair:
+            out["psi_b"].append(psi[1])
+            if all(p.spin == inp.detector_spin for p in packets):
+                first = []
+                for packet, amp_q in zip(packets, psi):
+                    mean = sum(
+                        abs(a) ** 2 * basis.kinetic_energy(i)
+                        for i, a in enumerate(packet.amplitudes)
+                    )
+                    total = 0.0
+                    for ch in model.channels:
+                        product = ch.element_out * ch.element_in
+                        if convention == "mean":
+                            total += amp_q * product / (mean - ch.energy)
+                            continue
+                        for i, a in enumerate(packet.amplitudes):
+                            energy = basis.kinetic_energy(i)
+                            total += a * waves[i] * product / (energy - ch.energy)
+                    first.append(total)
+                sign = 1.0 if inp.statistics is BOSE else -1.0
+                terms = [sign * first[1] * psi[0], first[0] * psi[1]]
+        else:
+            out["psi_b"].append(0.0)
+        out["terms"].append(terms)
+        prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
+        out["rate_order2"].append(prefactor * abs(sum(terms)) ** 2)
+        uncancelled.append(prefactor * (abs(terms[0]) + abs(terms[1])) ** 2)
+    reference = {key: np.array(value) for key, value in out.items()}
+    return reference, column_scales(reference, uncancelled)
+
+
+def column_scales(columns, uncancelled):
+    """Size of each column's values, the yardstick for its round-off.
+
+    The second-order rate is measured before its two orderings cancel, so a
+    Pauli-cancelled column of round-off is not its own yardstick.
+    """
+    scales = {key: np.max(np.abs(value), initial=0.0) for key, value in columns.items()}
+    scales["rate_order2"] = max(scales["rate_order2"], np.max(uncancelled, initial=0.0))
+    return scales
+
+
+def assert_rows_match(batch, reference, scales, tol=REL_TOL, rows=slice(None)):
+    for key, expected in reference.items():
+        got = getattr(batch, key)
+        expected = expected[rows]
+        assert got.shape == expected.shape, key
+        assert np.all(np.abs(got - expected) <= tol * scales[key]), key
+
+
+def random_basis(rng, dim, n_modes, hbar, mass):
+    lengths = rng.uniform(2.0, 8.0, size=dim)
+    grid = np.stack(
+        np.meshgrid(*[np.arange(-2, 3)] * dim, indexing="ij"), axis=-1
+    ).reshape(-1, dim)
+    picks = rng.choice(len(grid), size=min(n_modes, len(grid)), replace=False)
+    return ModeBasis.from_mode_numbers(
+        lengths, [tuple(int(n) for n in grid[k]) for k in picks], hbar, mass
+    )
+
+
+def random_packet(rng, basis, spin):
+    raw = rng.normal(size=basis.n_modes) + 1j * rng.normal(size=basis.n_modes)
+    if basis.n_modes > 1:
+        raw[rng.random(basis.n_modes) < 0.3] = 0.0  # some unoccupied modes
+    if not np.any(raw):
+        raw[0] = 1.0
+    return Wavepacket(basis, tuple(raw / np.linalg.norm(raw)), spin)
+
+
+def random_model(rng, basis):
+    # channel energies kept clear of every kinetic energy: below zero or
+    # above the largest one
+    top = max(basis.kinetic_energy(i) for i in range(basis.n_modes))
+    scale = max(top, 1.0)
+    channels = []
+    for k in range(int(rng.integers(1, 4))):
+        offset = rng.uniform(0.2, 2.0) * scale
+        energy = -offset if rng.random() < 0.5 else top + offset
+        channels.append(
+            MediumChannel(
+                f"ch{k}",
+                complex(*rng.normal(size=2)),
+                complex(*rng.normal(size=2)),
+                float(energy),
+            )
+        )
+    return MediumModel(complex(*rng.normal(size=2)), tuple(channels))
+
+
+def random_input(rng, basis, order, statistics):
+    detector = 0
+    spins = [0 if rng.random() < 0.8 else 1 for _ in range(order)]
+    packets = [random_packet(rng, basis, s) for s in spins]
+    if order == 1:
+        return OneParticleInput(packets[0], detector)
+    return TwoParticleInput(packets[0], packets[1], detector, statistics)
+
+
+def random_coords(rng, basis, rows):
+    # spans [-L, 2L) per axis so that wrapping is exercised too
+    return [
+        tuple(rng.uniform(-1.0, 2.0) * length for length in basis.box_lengths)
+        for _ in range(rows)
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    n_modes=st.integers(1, 7),
+    hbar=st.sampled_from([1.0, 0.37, 2.5]),
+    mass=st.sampled_from([1.0, 0.6, 3.2]),
+    order=st.integers(1, 2),
+    statistics=st.sampled_from([BOSE, FERMI]),
+    convention=st.sampled_from(["mean", "per_mode"]),
+    rows_per_chunk=st.integers(1, 4),
+    chunks=st.integers(1, 4),
+    past_boundary=st.sampled_from([-1, 0, 1]),
+)
+def test_batched_rows_match_literal_sum(
+    seed, dim, n_modes, hbar, mass, order, statistics, convention,
+    rows_per_chunk, chunks, past_boundary,
+):
+    rng = np.random.default_rng(seed)
+    basis = random_basis(rng, dim, n_modes, hbar, mass)
+    model = random_model(rng, basis)
+    inp = random_input(rng, basis, order, statistics)
+    rows = max(1, rows_per_chunk * chunks + past_boundary)
+    coords = random_coords(rng, basis, rows)
+    # chunk limit between rows_per_chunk and rows_per_chunk + 1 rows
+    limit = rows_per_chunk * basis.n_modes + int(rng.integers(0, basis.n_modes))
+    with mock.patch.object(perturbation, "CHUNK_ELEMENTS", limit):
+        batch = evaluate_rates(inp, model, coords, convention)
+    positions = [basis.position(c) for c in coords]
+    assert np.array_equal(batch.coords, [q.coords for q in positions])
+    assert_rows_match(batch, *literal_rows(inp, model, positions, convention))
+
+
+def test_default_chunking_matches_literal_sum_on_and_past_boundaries():
+    rng = np.random.default_rng(11)
+    basis = ModeBasis.lowest_modes_1d(64, 5.0, hbar=0.8, mass=1.7)
+    model = random_model(rng, basis)
+    inp = TwoParticleInput(
+        random_packet(rng, basis, 0), random_packet(rng, basis, 0), 0, FERMI
+    )
+    step = perturbation.CHUNK_ELEMENTS // basis.n_modes
+    coords = random_coords(rng, basis, 2 * step + 1)
+    positions = [basis.position(c) for c in coords]
+    for convention in ("mean", "per_mode"):
+        reference, scales = literal_rows(inp, model, positions, convention)
+        for rows in (2 * step, 2 * step + 1):
+            batch = evaluate_rates(inp, model, coords[:rows], convention)
+            assert_rows_match(batch, reference, scales, rows=slice(rows))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    n_modes=st.integers(1, 6),
+    statistics=st.sampled_from([BOSE, FERMI]),
+    convention=st.sampled_from(["mean", "per_mode"]),
+    rows=st.integers(1, 6),
+)
+def test_scalar_calls_are_rows_of_one_batch(
+    seed, dim, n_modes, statistics, convention, rows
+):
+    rng = np.random.default_rng(seed)
+    basis = random_basis(rng, dim, n_modes, 1.3, 0.7)
+    model = random_model(rng, basis)
+    inp = random_input(rng, basis, 2, statistics)
+    positions = [basis.position(c) for c in random_coords(rng, basis, rows)]
+    batch = evaluate_rates(inp, model, [q.coords for q in positions], convention)
+    scalar = {
+        "rate_order1": [
+            rate_first_order(inp.packet_a, inp.detector_spin, q, model).value
+            for q in positions
+        ],
+        "terms": [w_terms(inp, q, model, convention) for q in positions],
+    }
+    if convention == "mean":
+        results = [rate_second_order(inp, q, model) for q in positions]
+        assert [r.terms for r in results] == scalar["terms"]
+        scalar["rate_order2"] = [r.value for r in results]
+    scalar = {key: np.array(value) for key, value in scalar.items()}
+    prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
+    uncancelled = prefactor * np.abs(batch.terms).sum(axis=1) ** 2
+    scales = column_scales(
+        {key: getattr(batch, key) for key in ("rate_order1", "rate_order2", "terms")},
+        uncancelled,
+    )
+    # one-row and many-row BLAS kernels may round the last bit differently
+    assert_rows_match(batch, scalar, scales, tol=1e-14)
+
+
+def test_per_mode_weights_skip_unoccupied_modes():
+    basis = ModeBasis.lowest_modes_1d(3, TWO_PI)
+    # mode n=1 has kinetic energy 0.5, resonant with the channel, but is empty
+    model = MediumModel(1.0, (MediumChannel("res", 1.0, 1.0, 0.5),))
+    a = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
+    inp = TwoParticleInput(a, a, 0, BOSE)
+    q = basis.position((0.3,))
+    exact = w_terms(inp, q, model, "per_mode")
+    mean = w_terms(inp, q, model)
+    assert all(abs(x - y) <= REL_TOL * abs(y) for x, y in zip(exact, mean))
+    b = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
+    with pytest.raises(ResonanceError):
+        w_terms(TwoParticleInput(a, b, 0, BOSE), q, model, "per_mode")
+
+
+def test_evaluator_rejects_positions_of_wrong_dimension():
+    basis = ModeBasis.lowest_modes_1d(3, TWO_PI)
+    inp = OneParticleInput(Wavepacket(basis, (1.0, 0.0, 0.0), 0), 0)
+    model = MediumModel(1.0, (), first_order_element=1.0)
+    with pytest.raises(ValueError):
+        evaluate_rates(inp, model, [(0.1, 0.2)])
+    assert evaluate_rates(inp, model, []).rate_order1.shape == (0,)

@@ -193,6 +193,8 @@ def test_wavepacket_normalization_gate():
     Wavepacket(basis, (ok, math.sqrt(0.5)), 0)
     with pytest.raises(ValueError):
         Wavepacket(basis, (1.0, 0.1), 0)
+    with pytest.raises(ValueError):
+        Wavepacket(basis, (math.nan, 0.0), 0)
 
 
 def test_wavepacket_spin_must_be_declared():

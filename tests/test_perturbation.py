@@ -332,6 +332,19 @@ def test_exponent_two_for_same_state_bosons():
     assert abs(proportionality_exponent(inp, model, qs) - 2.0) < 1e-6
 
 
+def test_exponent_two_for_any_boson_pair():
+    # the rate goes as |psi_a|^2 |psi_b|^2, so a pair of different packets
+    # is fitted against the geometric mean of their densities
+    basis = cos_basis()
+    model = safe_model()
+    rng = np.random.default_rng(8)
+    a = random_packet(rng, basis)
+    b = random_packet(rng, basis)
+    inp = TwoParticleInput(a, b, 0, BOSE)
+    qs = [basis.position((x,)) for x in (0.2, 0.5, 0.8, 1.1, 1.35, 2.1, 2.6, 2.9)]
+    assert abs(proportionality_exponent(inp, model, qs) - 2.0) < 1e-6
+
+
 def test_exponent_one_for_first_order():
     basis = cos_basis()
     model = safe_model()
