@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 import yaml
 
 from .fock_core import Statistics
-from .field_ops import ModeBasis, Wavepacket
+from .field_ops import ModeBasis, Wavepacket, lowest_mode_numbers
 from .medium import MediumChannel, MediumModel, ResonanceError
 from .oracle import verify_closed_forms
 from .perturbation import (
@@ -194,14 +194,7 @@ def _parse_basis(section: object) -> BasisSpec:
         count = _as_int(data.pop("lowest_modes"), "basis.lowest_modes")
         if count < 1:
             raise ConfigError("basis.lowest_modes: must be at least 1")
-        numbers: list[tuple[int, ...]] = [(0,)]
-        k = 1
-        while len(numbers) < count:
-            numbers.append((k,))
-            if len(numbers) < count:
-                numbers.append((-k,))
-            k += 1
-        modes = tuple(numbers)
+        modes = lowest_mode_numbers(count)
     else:
         raw_modes = _require_list(data.pop("modes"), "basis.modes")
         modes = []

@@ -29,8 +29,13 @@ from .fock_core import (
 )
 
 NORMALIZATION_TOLERANCE = 1e-10
-_INTEGER_GRID_TOLERANCE = 1e-9
-_ORTHONORMALITY_TOLERANCE = 1e-8
+
+
+def lowest_mode_numbers(count: int) -> tuple[tuple[int], ...]:
+    """The ``count`` lowest 1D mode numbers in the order 0, 1, -1, 2, -2, ..."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    return tuple(((i + 1) // 2 if i % 2 else -(i // 2),) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -48,13 +53,15 @@ class Position:
 class ModeBasis:
     """Finite plane-wave basis on a periodic box.
 
-    Each momentum component must be an integer multiple of 2*pi*hbar/L for
-    its axis, which makes the mode set orthonormal under the box inner
-    product; that is re-checked numerically at construction.
+    Mode k is given by its integer mode numbers ``mode_numbers[k]``, one per
+    axis, and has momentum 2*pi*hbar*n/L per axis.  Distinct integer modes
+    are orthonormal under the box inner product by construction: the
+    overlap of two modes is a product over axes of the box average of
+    exp(2*pi*i*dn*x/L), which is 0 for every nonzero integer dn.
     """
 
     box_lengths: tuple[float, ...]
-    momenta: tuple[tuple[float, ...], ...]
+    mode_numbers: tuple[tuple[int, ...], ...]
     hbar: float = 1.0
     mass: float = 1.0
     spins: tuple[int, ...] = (0, 1)
@@ -63,11 +70,15 @@ class ModeBasis:
         dim = len(self.box_lengths)
         if dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-        if any(length <= 0 for length in self.box_lengths):
-            raise ValueError("box lengths must be positive")
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be positive")
-        if not self.momenta:
+        if not all(math.isfinite(v) and v > 0 for v in self.box_lengths):
+            raise ValueError(
+                f"box_lengths must be finite and positive, got {self.box_lengths!r}"
+            )
+        for name in ("hbar", "mass"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not self.mode_numbers:
             raise ValueError("at least one mode is required")
         if len(self.spins) == 0:
             raise ValueError("spin label set must be nonempty")
@@ -75,51 +86,12 @@ class ModeBasis:
             raise ValueError("spin labels must be unique")
         if any((not isinstance(s, int)) or s < 0 for s in self.spins):
             raise ValueError("spin labels must be nonnegative integers")
-        for p in self.momenta:
-            if len(p) != dim:
-                raise ValueError(f"momentum {p} does not match dim {dim}")
-        numbers = self._mode_numbers()
-        if len(set(numbers)) != len(numbers):
-            raise ValueError("momentum vectors must be distinct")
-        self._check_orthonormality(numbers)
-
-    def _mode_numbers(self) -> tuple[tuple[int, ...], ...]:
-        """Integer mode numbers n with p = 2*pi*hbar*n/L, validated per axis."""
-        out = []
-        for p in self.momenta:
-            n_vec = []
-            for ax, component in enumerate(p):
-                ratio = component * self.box_lengths[ax] / (2 * math.pi * self.hbar)
-                n = round(ratio)
-                if abs(ratio - n) > _INTEGER_GRID_TOLERANCE:
-                    raise ValueError(
-                        f"momentum component {component} on axis {ax} is not an "
-                        f"integer multiple of 2*pi*hbar/L"
-                    )
-                n_vec.append(n)
-            out.append(tuple(n_vec))
-        return tuple(out)
-
-    def _check_orthonormality(self, numbers: tuple[tuple[int, ...], ...]) -> None:
-        # Uniform grids make the plane-wave quadrature exact once the grid
-        # resolves every mode-number difference.
-        dim = len(self.box_lengths)
-        grid_sizes = []
-        for ax in range(dim):
-            n_max = max(abs(n[ax]) for n in numbers)
-            grid_sizes.append(2 * n_max + 3)
-        for i, n_i in enumerate(numbers):
-            for j in range(i, len(numbers)):
-                val = 1.0 + 0.0j
-                for ax in range(dim):
-                    dn = numbers[j][ax] - n_i[ax]
-                    pts = np.arange(grid_sizes[ax])
-                    val *= np.exp(2j * np.pi * dn * pts / grid_sizes[ax]).mean()
-                expected = 1.0 if i == j else 0.0
-                if abs(val - expected) > _ORTHONORMALITY_TOLERANCE:
-                    raise ValueError(
-                        f"modes {i} and {j} fail the box orthonormality check"
-                    )
+        for n in self.mode_numbers:
+            # bool is an int subclass, and neither it nor a float is a mode number
+            if len(n) != dim or any(type(c) is not int for c in n):
+                raise ValueError(f"mode numbers {n!r} are not {dim} integers")
+        if len(set(self.mode_numbers)) != len(self.mode_numbers):
+            raise ValueError("mode numbers must be distinct")
 
     @classmethod
     def from_mode_numbers(
@@ -130,12 +102,13 @@ class ModeBasis:
         mass: float = 1.0,
         spins: Sequence[int] = (0, 1),
     ) -> "ModeBasis":
-        lengths = tuple(float(length) for length in box_lengths)
-        momenta = tuple(
-            tuple(2 * math.pi * hbar * n / lengths[ax] for ax, n in enumerate(vec))
-            for vec in mode_numbers
+        return cls(
+            tuple(float(length) for length in box_lengths),
+            tuple(tuple(vec) for vec in mode_numbers),
+            float(hbar),
+            float(mass),
+            tuple(spins),
         )
-        return cls(lengths, momenta, float(hbar), float(mass), tuple(spins))
 
     @classmethod
     def lowest_modes_1d(
@@ -147,16 +120,9 @@ class ModeBasis:
         spins: Sequence[int] = (0, 1),
     ) -> "ModeBasis":
         """The ``count`` lowest 1D modes in the order 0, 1, -1, 2, -2, ..."""
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        numbers: list[tuple[int]] = [(0,)]
-        k = 1
-        while len(numbers) < count:
-            numbers.append((k,))
-            if len(numbers) < count:
-                numbers.append((-k,))
-            k += 1
-        return cls.from_mode_numbers([length], numbers, hbar, mass, spins)
+        return cls.from_mode_numbers(
+            [length], lowest_mode_numbers(count), hbar, mass, spins
+        )
 
     @property
     def dim(self) -> int:
@@ -164,11 +130,22 @@ class ModeBasis:
 
     @property
     def n_modes(self) -> int:
-        return len(self.momenta)
+        return len(self.mode_numbers)
 
     @property
     def volume(self) -> float:
         return math.prod(self.box_lengths)
+
+    @cached_property
+    def momenta(self) -> tuple[tuple[float, ...], ...]:
+        """Momentum 2*pi*hbar*n/L per axis of every mode, in mode order."""
+        return tuple(
+            tuple(
+                2 * math.pi * self.hbar * n / self.box_lengths[ax]
+                for ax, n in enumerate(vec)
+            )
+            for vec in self.mode_numbers
+        )
 
     @cached_property
     def momentum_array(self) -> np.ndarray:
@@ -194,6 +171,8 @@ class ModeBasis:
             raise ValueError(
                 f"expected rows of {self.dim} coordinates, got shape {rows.shape}"
             )
+        if not np.isfinite(rows).all():
+            raise ValueError("position coordinates must be finite")
         return np.mod(rows, self.box_lengths)
 
     def position(self, coords: Sequence[float]) -> Position:

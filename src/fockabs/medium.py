@@ -9,6 +9,7 @@ Channel energies are measured from the medium ground state at 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,12 @@ FIRST_ORDER_LABEL = "M1"
 
 class ResonanceError(ValueError):
     """An energy denominator is too close to zero for perturbation theory."""
+
+
+def _require_finite(owner: str, **values: complex) -> None:
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{owner}{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,14 @@ class MediumChannel:
     element_out: complex
     energy: float
 
+    def __post_init__(self) -> None:
+        _require_finite(
+            f"channel {self.label!r}: ",
+            element_in=self.element_in,
+            element_out=self.element_out,
+            energy=self.energy,
+        )
+
 
 @dataclass(frozen=True)
 class MediumModel:
@@ -48,6 +63,9 @@ class MediumModel:
     first_order_element: complex | None = None
 
     def __post_init__(self) -> None:
+        _require_finite("", coupling=self.coupling)
+        if self.first_order_element is not None:
+            _require_finite("", first_order_element=self.first_order_element)
         labels = [ch.label for ch in self.channels]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate channel labels: {labels}")
@@ -93,9 +111,10 @@ def efficiency_factor(model: MediumModel, hbar: float) -> float:
 
 def channel_weight(channel: MediumChannel, denominator: complex) -> complex:
     """Second-order channel factor element_out * element_in / denominator."""
-    if abs(denominator) < RESONANCE_THRESHOLD:
+    # written so that a nan denominator fails the gate too
+    if not abs(denominator) >= RESONANCE_THRESHOLD:
         raise ResonanceError(
             f"energy denominator {denominator!r} for channel "
-            f"{channel.label!r} is within {RESONANCE_THRESHOLD} of resonance"
+            f"{channel.label!r} is nan or within {RESONANCE_THRESHOLD} of resonance"
         )
     return channel.element_out * channel.element_in / denominator

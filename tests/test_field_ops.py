@@ -1,9 +1,11 @@
 """Mode basis, wavepackets, and the position-space field operator."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fockabs import (
     ModeBasis,
@@ -21,6 +23,7 @@ from fockabs import (
     uniform_grid,
     vacuum,
 )
+from fockabs.field_ops import phase_matrix
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -61,8 +64,54 @@ def test_basis_rejects_duplicate_momenta():
 
 
 def test_basis_rejects_off_grid_momenta():
-    with pytest.raises(ValueError):
-        ModeBasis((TWO_PI,), ((0.5,),))
+    # a mode number that is not an int puts its momentum off the 2*pi*hbar/L grid
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match="integers"):
+            ModeBasis.from_mode_numbers([TWO_PI], [[0], [bad]])
+
+
+def test_momenta_are_derived_bit_for_bit():
+    lengths = [TWO_PI, 3.7, 0.91]
+    numbers = list(itertools.product(range(-3, 4), repeat=3))
+    hbar = 0.37
+    basis = ModeBasis.from_mode_numbers(lengths, numbers, hbar=hbar, mass=1.3)
+    want = [
+        [(2 * math.pi * hbar * n / length).hex() for n, length in zip(vec, lengths)]
+        for vec in numbers
+    ]
+    assert [[p.hex() for p in vec] for vec in basis.momenta] == want
+    assert basis.momentum_array.tolist() == [list(vec) for vec in basis.momenta]
+
+
+@st.composite
+def integer_bases(draw):
+    dim = draw(st.integers(1, 3))
+    numbers = draw(
+        st.lists(
+            st.tuples(*[st.integers(-5, 5)] * dim), min_size=1, max_size=40, unique=True
+        )
+    )
+    lengths = draw(st.lists(st.floats(0.5, 10.0), min_size=dim, max_size=dim))
+    hbar = draw(st.floats(0.1, 5.0))
+    return ModeBasis.from_mode_numbers(lengths, numbers, hbar=hbar)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(basis=integer_bases())
+@example(
+    basis=ModeBasis.from_mode_numbers(
+        [TWO_PI, 3.7, 0.91], list(itertools.product(range(-3, 4), repeat=3))
+    )
+)
+def test_distinct_integer_modes_are_orthonormal(basis):
+    # N = 2*max|n| + 3 points per axis make the quadrature exact: the box
+    # average of exp(2*pi*i*dn*k/N) is 1 only for dn = 0 (mod N), and
+    # |dn| <= 2*max|n| < N
+    points = 2 * max(abs(n) for vec in basis.mode_numbers for n in vec) + 3
+    positions, weight = uniform_grid(basis, points)
+    waves = phase_matrix(basis, np.array([q.coords for q in positions]))
+    gram = waves.conj().T @ waves * weight
+    assert np.abs(gram - np.eye(basis.n_modes)).max() < 1e-12
 
 
 def test_basis_rejects_bad_shapes():

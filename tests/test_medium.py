@@ -8,6 +8,7 @@ from fockabs import (
     FIRST_ORDER_LABEL,
     MediumChannel,
     MediumModel,
+    ModeBasis,
     ResonanceError,
     channel_weight,
     efficiency_factor,
@@ -77,6 +78,40 @@ def test_channel_weight_resonance():
         channel_weight(ch, 0.0)
     except ResonanceError as exc:
         assert "c" in str(exc)
+
+
+NAN = math.nan
+INF = math.inf
+UNIT_BASIS = ModeBasis.lowest_modes_1d(3, 2 * math.pi)
+UNIT_CHANNEL = MediumChannel("c", 1.0, 1.0, 0.5)
+NON_FINITE_CASES = [
+    (lambda: ModeBasis.from_mode_numbers([NAN], [[0]]), "box_lengths"),
+    (lambda: ModeBasis.from_mode_numbers([1.0, INF], [[0, 0]]), "box_lengths"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=NAN), "hbar"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=INF), "hbar"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], mass=NAN), "mass"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], mass=INF), "mass"),
+    (lambda: UNIT_BASIS.wrap([[INF]]), "coordinates"),
+    (lambda: UNIT_BASIS.position((NAN,)), "coordinates"),
+    (lambda: MediumChannel("c", 1.0, 1.0, NAN), "energy"),
+    (lambda: MediumChannel("c", 1.0, 1.0, INF), "energy"),
+    (lambda: MediumChannel("c", complex(NAN, 0.0), 1.0, 0.5), "element_in"),
+    (lambda: MediumChannel("c", 1.0, complex(0.0, INF), 0.5), "element_out"),
+    (lambda: MediumModel(NAN, (UNIT_CHANNEL,)), "coupling"),
+    (lambda: MediumModel(1.0, (), first_order_element=INF), "first_order_element"),
+    (lambda: channel_weight(UNIT_CHANNEL, NAN), "nan"),
+    (lambda: channel_weight(UNIT_CHANNEL, complex(NAN, 1.0)), "nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    NON_FINITE_CASES,
+    ids=[f"{i}-{field}" for i, (_, field) in enumerate(NON_FINITE_CASES)],
+)
+def test_domain_inputs_must_be_finite(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()
 
 
 def test_model_rejects_duplicate_labels():
