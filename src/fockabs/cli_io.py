@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 import yaml
 
 from .fock_core import Statistics
-from .field_ops import ModeBasis, Wavepacket, lowest_mode_numbers
+from .field_ops import ModeBasis, Wavepacket, check_mode_numbers, lowest_mode_numbers
 from .medium import MediumChannel, MediumModel, ResonanceError
 from .oracle import verify_closed_forms
 from .perturbation import (
@@ -37,6 +37,11 @@ NORMALIZE_WARN_LIMIT = 1e-6
 NORMALIZE_SILENT_LIMIT = 1e-12
 
 _SECTIONS = ("basis", "packets", "medium", "scan", "run")
+
+# libyaml's scanner and parser under the same safe constructor and resolver,
+# so the document is the same value for value; the pure-Python SafeLoader
+# serves a PyYAML built without libyaml
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -59,21 +64,6 @@ class PacketSpec:
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
-    label: str
-    element_in: complex
-    element_out: complex
-    energy: float
-
-
-@dataclass(frozen=True)
-class MediumSpec:
-    coupling: complex
-    channels: tuple[ChannelSpec, ...]
-    first_order_element: complex | None = None
-
-
-@dataclass(frozen=True)
 class RunSpec:
     order: int
     statistics: Statistics
@@ -85,7 +75,7 @@ class RunSpec:
 class ExperimentConfig:
     basis: BasisSpec
     packets: dict[str, PacketSpec]
-    medium: MediumSpec
+    medium: MediumModel
     positions: tuple[tuple[float, ...], ...]
     run: RunSpec
 
@@ -208,6 +198,10 @@ def _parse_basis(section: object) -> BasisSpec:
                 tuple(_as_int(n, f"basis.modes[{i}][{ax}]") for ax, n in enumerate(vec_list))
             )
         modes = tuple(modes)
+        try:
+            check_mode_numbers(modes, len(lengths))
+        except ValueError as exc:
+            raise ConfigError(f"basis.modes: {exc}") from exc
     hbar = _as_float(data.pop("hbar", 1.0), "basis.hbar")
     mass = _as_float(data.pop("mass", 1.0), "basis.mass")
     raw_spins = data.pop("spins", [0, 1])
@@ -247,7 +241,7 @@ def _parse_packet(name: str, section: object, basis: BasisSpec) -> PacketSpec:
     return PacketSpec(spin, tuple(amps))
 
 
-def _parse_medium(section: object) -> MediumSpec:
+def _parse_medium(section: object) -> MediumModel:
     data = dict(_require_map(section, "medium"))
     coupling = _as_complex(_pop(data, "coupling", "medium"), "medium.coupling")
     channels = []
@@ -255,7 +249,7 @@ def _parse_medium(section: object) -> MediumSpec:
         path = f"medium.channels[{i}]"
         ch = dict(_require_map(raw, path))
         channels.append(
-            ChannelSpec(
+            MediumChannel(
                 label=str(_pop(ch, "label", path)),
                 element_in=_as_complex(_pop(ch, "element_in", path), f"{path}.element_in"),
                 element_out=_as_complex(_pop(ch, "element_out", path), f"{path}.element_out"),
@@ -271,7 +265,10 @@ def _parse_medium(section: object) -> MediumSpec:
             "medium.first_order_element: required when no channels are given"
         )
     _no_leftovers(data, "medium")
-    return MediumSpec(coupling, tuple(channels), first)
+    try:
+        return MediumModel(coupling, tuple(channels), first)
+    except ValueError as exc:
+        raise ConfigError(f"medium.channels: {exc}") from exc
 
 
 def _parse_scan(section: object, dim: int) -> tuple[tuple[float, ...], ...]:
@@ -356,7 +353,7 @@ def _parse_run(section: object, packets: dict[str, PacketSpec], basis: BasisSpec
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment config."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -424,6 +421,7 @@ def serialize_config(config: ExperimentConfig) -> str:
                 }
                 for ch in config.medium.channels
             ],
+            "first_order_element": _complex_pair(config.medium.first_order_element),
         },
         "scan": {"positions": [list(p) for p in config.positions]},
         "run": {
@@ -433,10 +431,6 @@ def serialize_config(config: ExperimentConfig) -> str:
             "detector_spin": config.run.detector_spin,
         },
     }
-    if config.medium.first_order_element is not None:
-        doc["medium"]["first_order_element"] = _complex_pair(
-            config.medium.first_order_element
-        )
     return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -450,15 +444,6 @@ def build_basis(config: ExperimentConfig) -> ModeBasis:
     return ModeBasis.from_mode_numbers(
         spec.box_lengths, spec.modes, spec.hbar, spec.mass, spec.spins
     )
-
-
-def build_model(config: ExperimentConfig) -> MediumModel:
-    spec = config.medium
-    channels = tuple(
-        MediumChannel(ch.label, ch.element_in, ch.element_out, ch.energy)
-        for ch in spec.channels
-    )
-    return MediumModel(spec.coupling, channels, spec.first_order_element)
 
 
 def build_input(
@@ -482,7 +467,7 @@ def run_scan(config: ExperimentConfig) -> RateTable:
     basis = build_basis(config)
     inp = build_input(config, basis)
     try:
-        batch = evaluate_rates(inp, build_model(config), config.positions)
+        batch = evaluate_rates(inp, config.medium, config.positions)
     except ResonanceError as exc:
         first = basis.position(config.positions[0])
         raise ResonanceError(f"at position {first.coords}: {exc}") from exc
@@ -547,7 +532,7 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
     basis = build_basis(config)
     positions = [basis.position(c) for c in config.positions]
     value = proportionality_exponent(
-        build_input(config, basis), build_model(config), positions
+        build_input(config, basis), config.medium, positions
     )
     print(f"order={config.run.order} exponent={value:.9f}")
     return 0

@@ -38,6 +38,16 @@ def lowest_mode_numbers(count: int) -> tuple[tuple[int], ...]:
     return tuple(((i + 1) // 2 if i % 2 else -(i // 2),) for i in range(count))
 
 
+def check_mode_numbers(mode_numbers: Sequence[tuple[int, ...]], dim: int) -> None:
+    """Raise ``ValueError`` unless the modes are distinct vectors of ``dim`` integers."""
+    for n in mode_numbers:
+        # bool is an int subclass, and neither it nor a float is a mode number
+        if len(n) != dim or any(type(c) is not int for c in n):
+            raise ValueError(f"mode numbers {n!r} are not {dim} integers")
+    if len(set(mode_numbers)) != len(mode_numbers):
+        raise ValueError("mode numbers must be distinct")
+
+
 @dataclass(frozen=True)
 class Position:
     """Point inside the box; build via ``ModeBasis.position`` so it is wrapped."""
@@ -86,12 +96,7 @@ class ModeBasis:
             raise ValueError("spin labels must be unique")
         if any((not isinstance(s, int)) or s < 0 for s in self.spins):
             raise ValueError("spin labels must be nonnegative integers")
-        for n in self.mode_numbers:
-            # bool is an int subclass, and neither it nor a float is a mode number
-            if len(n) != dim or any(type(c) is not int for c in n):
-                raise ValueError(f"mode numbers {n!r} are not {dim} integers")
-        if len(set(self.mode_numbers)) != len(self.mode_numbers):
-            raise ValueError("mode numbers must be distinct")
+        check_mode_numbers(self.mode_numbers, dim)
 
     @classmethod
     def from_mode_numbers(

@@ -1,8 +1,14 @@
 """Config parsing, scan driver, CSV output, and the CLI entry point."""
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from fockabs import (
     ConfigError,
@@ -14,6 +20,7 @@ from fockabs import (
     run_scan,
     serialize_config,
 )
+from fockabs import cli_io
 from fockabs.cli_io import RateRow, main
 
 TWO_PI = 2 * math.pi
@@ -82,6 +89,82 @@ def test_syntax_error_reports_location():
     with pytest.raises(ConfigError) as err:
         parse_config("basis: [unclosed\n  - oops")
     assert "line" in str(err.value)
+
+
+def _readme_example() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+
+
+def _listed_config(count: int) -> str:
+    listed = "".join(f"\n    - [{k * TWO_PI / count!r}]" for k in range(count))
+    return MINIMAL_ORDER1.replace(
+        "positions: [[0.0], [1.0], [2.0]]", "positions:" + listed
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(MINIMAL_ORDER1, id="minimal-order1"),
+        pytest.param(ORDER2_TEMPLATE % ("bose", "partner"), id="order2-bose"),
+        pytest.param(ORDER2_TEMPLATE % ("fermi", "beam"), id="order2-fermi"),
+        pytest.param(_readme_example(), id="readme-example"),
+        pytest.param(
+            serialize_config(parse_config(ORDER2_TEMPLATE % ("bose", "partner"))),
+            id="serialized",
+        ),
+        pytest.param(_listed_config(2000), id="listed-2000"),
+    ],
+)
+def test_loaders_parse_equal_configs(monkeypatch, text):
+    assert cli_io._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    config = parse_config(text)
+    monkeypatch.setattr(cli_io, "_YAML_LOADER", yaml.SafeLoader)
+    assert parse_config(text) == config
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [
+        pytest.param(cli_io._YAML_LOADER, id="module-loader"),
+        pytest.param(yaml.SafeLoader, id="SafeLoader"),
+    ],
+)
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        pytest.param("a:\n  - 1\n - 2\n", 3, 2, id="bad-indent"),
+        pytest.param("a: [1, 2\nb: 3\n", 2, 2, id="unclosed-flow"),
+        pytest.param("\tfoo: 1\n", 1, 1, id="tab"),
+        pytest.param("x: !!python/object/apply:os.system ['true']\n", 1, 4,
+                     id="python-tag"),
+    ],
+)
+def test_yaml_errors_carry_line_and_column(monkeypatch, loader, text, line, column):
+    monkeypatch.setattr(cli_io, "_YAML_LOADER", loader)
+    with pytest.raises(ConfigError, match=f"line {line}, column {column}:"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        pytest.param("modes: [[0], [1], [-1]]", "modes: [[0], [1], [1]]",
+                     "basis.modes", id="duplicate-modes"),
+        pytest.param("label: ch1", "label: ch0",
+                     "medium.channels", id="duplicate-labels"),
+        pytest.param("label: ch1", "label: M1",
+                     "medium.channels", id="reserved-label"),
+        pytest.param("energy: -0.8", "energy: 2.3",
+                     "medium.channels", id="degenerate-energies"),
+    ],
+)
+def test_model_rules_are_checked_at_parse_time(old, new, key):
+    text = ORDER2_TEMPLATE % ("bose", "partner")
+    assert old in text
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(text.replace(old, new))
 
 
 def test_undefined_packet_named_in_error():
@@ -296,6 +379,28 @@ def test_cli_verify_subcommand(capsys):
     assert main(["verify", "--trials", "5", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "failures=0" in out
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "fockabs", *args],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    result = run("verify", "--trials", "5")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "failures=0" in result.stdout
+    missing = run("scan", "--config", str(tmp_path / "missing.yaml"))
+    assert missing.returncode == 1
+    assert "error:" in missing.stderr
 
 
 def test_cli_exponent_subcommand(tmp_path, capsys):
