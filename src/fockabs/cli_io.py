@@ -23,7 +23,14 @@ from dataclasses import dataclass, field as dataclass_field
 import yaml
 
 from .fock_core import Statistics
-from .field_ops import ModeBasis, Wavepacket, check_mode_numbers, lowest_mode_numbers
+from .field_ops import (
+    ModeBasis,
+    Wavepacket,
+    check_mode_numbers,
+    check_positive,
+    check_spins,
+    lowest_mode_numbers,
+)
 from .medium import MediumChannel, MediumModel, ResonanceError
 from .oracle import verify_closed_forms
 from .perturbation import (
@@ -164,6 +171,14 @@ def _as_complex(value: object, path: str) -> complex:
     )
 
 
+def _checked(path: str, check, *args) -> None:
+    """Run one of the domain's own checks, naming ``path`` in its error."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parse_basis(section: object) -> BasisSpec:
     data = dict(_require_map(section, "basis"))
     lengths = tuple(
@@ -198,17 +213,17 @@ def _parse_basis(section: object) -> BasisSpec:
                 tuple(_as_int(n, f"basis.modes[{i}][{ax}]") for ax, n in enumerate(vec_list))
             )
         modes = tuple(modes)
-        try:
-            check_mode_numbers(modes, len(lengths))
-        except ValueError as exc:
-            raise ConfigError(f"basis.modes: {exc}") from exc
+        _checked("basis.modes", check_mode_numbers, modes, len(lengths))
     hbar = _as_float(data.pop("hbar", 1.0), "basis.hbar")
+    _checked("basis.hbar", check_positive, "hbar", hbar)
     mass = _as_float(data.pop("mass", 1.0), "basis.mass")
+    _checked("basis.mass", check_positive, "mass", mass)
     raw_spins = data.pop("spins", [0, 1])
     spins = tuple(
         _as_int(s, f"basis.spins[{i}]")
         for i, s in enumerate(_require_list(raw_spins, "basis.spins"))
     )
+    _checked("basis.spins", check_spins, spins)
     _no_leftovers(data, "basis")
     return BasisSpec(lengths, modes, hbar, mass, spins)
 
@@ -355,12 +370,18 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
+        # a constructor error is well-formed YAML holding a value the safe
+        # loader will not build, such as a python tag; the rest is syntax
+        if isinstance(exc, yaml.constructor.ConstructorError):
+            what = "cannot construct a value"
+        else:
+            what = "syntax error"
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             raise ConfigError(
-                f"syntax error at line {mark.line + 1}, column {mark.column + 1}: {exc}"
+                f"{what} at line {mark.line + 1}, column {mark.column + 1}: {exc}"
             ) from exc
-        raise ConfigError(f"syntax error: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
     top = dict(_require_map(raw, "config"))
     for section in _SECTIONS:
         if section not in top:

@@ -17,16 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock_core import (
-    FockState,
-    SlotKey,
-    Statistics,
-    annihilate,
-    create,
-    superpose,
-    vacuum,
-    zero_state,
-)
+from .fock_core import FockState, SlotKey, Statistics, ladder_sum, vacuum
 
 NORMALIZATION_TOLERANCE = 1e-10
 
@@ -46,6 +37,22 @@ def check_mode_numbers(mode_numbers: Sequence[tuple[int, ...]], dim: int) -> Non
             raise ValueError(f"mode numbers {n!r} are not {dim} integers")
     if len(set(mode_numbers)) != len(mode_numbers):
         raise ValueError("mode numbers must be distinct")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_spins(spins: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless the spin labels are distinct nonnegative integers."""
+    if len(spins) == 0:
+        raise ValueError("spin label set must be nonempty")
+    if len(set(spins)) != len(spins):
+        raise ValueError("spin labels must be unique")
+    if any((not isinstance(s, int)) or s < 0 for s in spins):
+        raise ValueError("spin labels must be nonnegative integers")
 
 
 @dataclass(frozen=True)
@@ -84,18 +91,11 @@ class ModeBasis:
             raise ValueError(
                 f"box_lengths must be finite and positive, got {self.box_lengths!r}"
             )
-        for name in ("hbar", "mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        check_positive("hbar", self.hbar)
+        check_positive("mass", self.mass)
         if not self.mode_numbers:
             raise ValueError("at least one mode is required")
-        if len(self.spins) == 0:
-            raise ValueError("spin label set must be nonempty")
-        if len(set(self.spins)) != len(self.spins):
-            raise ValueError("spin labels must be unique")
-        if any((not isinstance(s, int)) or s < 0 for s in self.spins):
-            raise ValueError("spin labels must be nonnegative integers")
+        check_spins(self.spins)
         check_mode_numbers(self.mode_numbers, dim)
 
     @classmethod
@@ -250,14 +250,12 @@ def mean_kinetic_energy(packet: Wavepacket) -> float:
 
 def apply_packet_creation(state: FockState, packet: Wavepacket) -> FockState:
     """Apply the packet creation operator sum_b f(b) adag_(b, spin)."""
-    parts = [
-        (amp, create(state, SlotKey(i, packet.spin)))
+    weighted_slots = [
+        (amp, SlotKey(i, packet.spin))
         for i, amp in enumerate(packet.amplitudes)
         if abs(amp) != 0.0
     ]
-    if not parts:
-        return zero_state(state.statistics)
-    return superpose(parts)
+    return ladder_sum(state, weighted_slots, raising=True)
 
 
 def packet_state(packet: Wavepacket, statistics: Statistics) -> FockState:
@@ -283,14 +281,14 @@ def two_particle_state(
 def field_annihilate(
     state: FockState, basis: ModeBasis, q: Position, spin: int
 ) -> FockState:
-    """Apply the spin-selective field operator sum_q psi_q(Q) a_(q, spin)."""
+    """Apply sum_q psi_q(Q) a_(q, spin) over the modes some ket occupies at ``spin``."""
     if spin not in basis.spins:
         raise ValueError(f"spin {spin} not in basis spin set")
-    parts = [
-        (mode_wavefunction(basis, i, q), annihilate(state, SlotKey(i, spin)))
-        for i in range(basis.n_modes)
-    ]
-    return superpose(parts)
+    if q.dim != basis.dim:
+        raise ValueError(f"position dim {q.dim} does not match basis {basis.dim}")
+    modes = {s.mode for ket in state.terms for s, _ in ket.occupations if s.spin == spin}
+    weighted_slots = [(mode_wavefunction(basis, i, q), SlotKey(i, spin)) for i in sorted(modes)]
+    return ladder_sum(state, weighted_slots, raising=False)
 
 
 def uniform_grid(basis: ModeBasis, points_per_axis: int) -> tuple[list[Position], float]:

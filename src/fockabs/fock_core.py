@@ -9,6 +9,12 @@ are stored as sparse complex superpositions of occupation kets.  Conventions:
 * amplitudes below ``PRUNE_THRESHOLD`` are dropped after every operation,
 * the zero state (no terms) is distinct from the vacuum (one empty ket).
 
+``ladder_sum`` is the one ladder primitive: it applies sum_s c_s a_s (or
+sum_s c_s adag_s) in a single pass over the slots and the state's terms, with
+no intermediate state per slot, and gives every amplitude bit for bit as a
+``superpose`` of single-slot results would.  ``create`` and ``annihilate``
+are its one-slot case.
+
 Operators are time independent; energy bookkeeping happens in the modules
 that know about mode energies.
 """
@@ -16,6 +22,7 @@ that know about mode energies.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -49,6 +56,14 @@ class OccupationKet:
     """One basis ket: sorted tuple of (slot, count) pairs, zero counts absent."""
 
     occupations: tuple[tuple[SlotKey, int], ...]
+    # hashed once: every operation looks kets up in dicts
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.occupations))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_counts(counts: dict[SlotKey, int]) -> "OccupationKet":
@@ -67,14 +82,14 @@ class OccupationKet:
     def total(self) -> int:
         return sum(n for _, n in self.occupations)
 
-    def occupied_before(self, slot: SlotKey) -> int:
-        """Total occupation of slots strictly preceding ``slot`` canonically."""
-        return sum(n for s, n in self.occupations if s < slot)
-
     def with_delta(self, slot: SlotKey, delta: int) -> "OccupationKet":
-        counts = dict(self.occupations)
-        counts[slot] = counts.get(slot, 0) + delta
-        return OccupationKet.from_counts(counts)
+        occ = self.occupations
+        i = bisect_left(occ, (slot,))
+        present = i < len(occ) and occ[i][0] == slot
+        n = (occ[i][1] if present else 0) + delta
+        if n < 0:
+            raise ValueError(f"negative occupation {n} at slot {slot}")
+        return OccupationKet(occ[:i] + (((slot, n),) if n else ()) + occ[i + present :])
 
 
 EMPTY_KET = OccupationKet(())
@@ -121,49 +136,49 @@ def _pruned(terms: dict[OccupationKet, complex]) -> dict[OccupationKet, complex]
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_THRESHOLD}
 
 
-def create(
-    state: FockState, slot: SlotKey, cap: int = DEFAULT_OCCUPATION_CAP
+def ladder_sum(
+    state: FockState,
+    weighted_slots: Iterable[tuple[complex, SlotKey]],
+    raising: bool,
+    cap: int = DEFAULT_OCCUPATION_CAP,
 ) -> FockState:
-    """Apply the creation operator for ``slot``.
+    """Apply sum_s c_s adag_s (``raising``) or sum_s c_s a_s in one pass.
 
-    Bose: amplitude factor sqrt(n+1), occupations above ``cap`` rejected.
-    Fermi: occupied slots drop the term (Pauli exclusion); surviving terms
-    pick up (-1)**(occupied slots preceding ``slot``).
+    The (c_s, slot) pairs act in the given order.  Bose: factor sqrt(n+1) up,
+    sqrt(n) down, occupations above ``cap`` rejected.  Fermi: creation on an
+    occupied slot drops the term (Pauli exclusion); every term picks up
+    (-1)**(occupation of the slots preceding the slot).  Each one-slot term is
+    pruned as if alone and the weighted terms are summed slot by slot, so the
+    result equals ``superpose`` of the one-slot results, bit for bit.
     """
-    slot = _validate_slot(slot)
+    bose = state.statistics is Statistics.BOSE
     out: dict[OccupationKet, complex] = {}
-    for ket, amp in state.terms.items():
-        n = ket.occupation(slot)
-        if state.statistics is Statistics.BOSE:
-            if n + 1 > cap:
-                raise ValueError(
-                    f"occupation cap {cap} exceeded at slot {slot}"
-                )
-            new_amp = amp * math.sqrt(n + 1)
-        else:
-            if n == 1:
-                continue
-            new_amp = amp * (-1) ** ket.occupied_before(slot)
-        new_ket = ket.with_delta(slot, +1)
-        out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + new_amp
+    for coeff, slot in weighted_slots:
+        slot = _validate_slot(slot)
+        for ket, amp in state.terms.items():
+            n = ket.occupation(slot)
+            if raising and bose and n + 1 > cap:
+                raise ValueError(f"occupation cap {cap} exceeded at slot {slot}")
+            if (n == 1 and not bose) if raising else n == 0:
+                continue  # Pauli exclusion, or nothing to lower
+            if bose:
+                term = amp * math.sqrt(n + 1 if raising else n)
+            else:
+                term = amp * (-1) ** sum(c for s, c in ket.occupations if s < slot)
+            if abs(term) > PRUNE_THRESHOLD:
+                new_ket = ket.with_delta(slot, 1 if raising else -1)
+                out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + coeff * term
     return FockState(state.statistics, _pruned(out))
+
+
+def create(state: FockState, slot: SlotKey, cap: int = DEFAULT_OCCUPATION_CAP) -> FockState:
+    """Apply the creation operator for ``slot``: ``ladder_sum``'s one-slot case."""
+    return ladder_sum(state, ((1.0, slot),), raising=True, cap=cap)
 
 
 def annihilate(state: FockState, slot: SlotKey) -> FockState:
     """Apply the annihilation operator for ``slot`` (adjoint of ``create``)."""
-    slot = _validate_slot(slot)
-    out: dict[OccupationKet, complex] = {}
-    for ket, amp in state.terms.items():
-        n = ket.occupation(slot)
-        if n == 0:
-            continue
-        if state.statistics is Statistics.BOSE:
-            new_amp = amp * math.sqrt(n)
-        else:
-            new_amp = amp * (-1) ** ket.occupied_before(slot)
-        new_ket = ket.with_delta(slot, -1)
-        out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + new_amp
-    return FockState(state.statistics, _pruned(out))
+    return ladder_sum(state, ((1.0, slot),), raising=False)
 
 
 def inner_product(bra: FockState, ket: FockState) -> complex:

@@ -4,7 +4,9 @@ Amplitudes are evaluated by literal operator application: the field
 operator acts term by term on occupation kets, intermediate states are
 enumerated as (one-particle ket) x (medium channel) pairs, and every energy
 denominator uses the exact kinetic energy of the mode that was absorbed,
-never a packet mean.  No closed-form shortcut appears anywhere in this
+never a packet mean.  The enumeration visits, for each ket, only the slots
+it occupies at the detector spin: the annihilator of an empty slot gives the
+zero state, so the other modes of the basis add nothing to the sum.  No closed-form shortcut appears anywhere in this
 module, so agreement with the perturbation module is a real check.
 
 ``verify_closed_forms`` drives randomized comparisons and reports one line
@@ -57,7 +59,7 @@ from .perturbation import (
 
 @dataclass(frozen=True)
 class CompositeState:
-    """Beam state paired with a named medium state and its energy.
+    """Beam state paired with the energy of the initial medium state.
 
     The basis rides along because occupation kets do not know mode
     wavefunctions or kinetic energies on their own.
@@ -65,7 +67,6 @@ class CompositeState:
 
     particle: FockState
     basis: ModeBasis
-    medium_label: str = "M"
     medium_energy: float = 0.0
 
 
@@ -87,8 +88,7 @@ def first_order_amplitude(
     particle state gives 0; an unknown medium label is a domain error.
     """
     element = model.element_for(final_medium)
-    lowered = field_annihilate(initial.particle, initial.basis, q, detector_spin)
-    overlap_vac = inner_product(vacuum(initial.particle.statistics), lowered)
+    overlap_vac = single_absorption_vacuum_overlap(initial, q, detector_spin)
     return model.coupling * element * overlap_vac
 
 
@@ -111,11 +111,12 @@ def second_order_amplitude(
 ) -> complex:
     """Double-absorption amplitude by intermediate-state enumeration.
 
-    Sums over every initial ket, every mode the field operator can remove,
-    and every medium channel.  The denominator for each path is
-    (absorbed kinetic energy + initial medium energy - channel energy);
-    pass ``denominator(absorbed_energy, channel)`` to override it, e.g. with
-    a constant 1 to check intermediate-state completeness.
+    Sums over every initial ket, every mode it occupies at the detector spin
+    (all the field operator can remove) and every medium channel.  The
+    denominator for each path is (absorbed kinetic energy + initial medium
+    energy - channel energy); pass ``denominator(absorbed_energy, channel)``
+    to override it, e.g. with a constant 1 to check intermediate-state
+    completeness.
     """
     if not model.channels:
         raise ValueError("second-order amplitudes require at least one channel")
@@ -136,11 +137,11 @@ def second_order_amplitude(
     total = 0.0 + 0.0j
     for ket, amp in particle.terms.items():
         single = FockState(statistics, {ket: amp})
-        for i in range(basis.n_modes):
+        for i in [s.mode for s, _ in ket.occupations if s.spin == detector_spin]:
             lowered = annihilate(single, SlotKey(i, detector_spin))
             if lowered.is_zero():
                 continue
-            absorbed_energy = basis.kinetic_energy(i)
+            absorbed_energy = basis.kinetic_energies[i]
             for inter_ket, inter_amp in lowered.terms.items():
                 first_factor = mode_values[i] * inter_amp
                 cached = vacuum_overlap_cache.get(inter_ket)

@@ -132,18 +132,19 @@ def test_loaders_parse_equal_configs(monkeypatch, text):
     ],
 )
 @pytest.mark.parametrize(
-    "text, line, column",
+    "text, kind, line, column",
     [
-        pytest.param("a:\n  - 1\n - 2\n", 3, 2, id="bad-indent"),
-        pytest.param("a: [1, 2\nb: 3\n", 2, 2, id="unclosed-flow"),
-        pytest.param("\tfoo: 1\n", 1, 1, id="tab"),
-        pytest.param("x: !!python/object/apply:os.system ['true']\n", 1, 4,
-                     id="python-tag"),
+        pytest.param("a:\n  - 1\n - 2\n", "syntax error", 3, 2, id="bad-indent"),
+        pytest.param("a: [1, 2\nb: 3\n", "syntax error", 2, 2, id="unclosed-flow"),
+        pytest.param("\tfoo: 1\n", "syntax error", 1, 1, id="tab"),
+        # well-formed YAML: the safe constructor refuses the tag
+        pytest.param("x: !!python/object/apply:os.system ['true']\n",
+                     "cannot construct a value", 1, 4, id="python-tag"),
     ],
 )
-def test_yaml_errors_carry_line_and_column(monkeypatch, loader, text, line, column):
+def test_yaml_errors_carry_line_and_column(monkeypatch, loader, text, kind, line, column):
     monkeypatch.setattr(cli_io, "_YAML_LOADER", loader)
-    with pytest.raises(ConfigError, match=f"line {line}, column {column}:"):
+    with pytest.raises(ConfigError, match=f"^{kind} at line {line}, column {column}:"):
         parse_config(text)
 
 
@@ -158,6 +159,14 @@ def test_yaml_errors_carry_line_and_column(monkeypatch, loader, text, line, colu
                      "medium.channels", id="reserved-label"),
         pytest.param("energy: -0.8", "energy: 2.3",
                      "medium.channels", id="degenerate-energies"),
+        pytest.param("spins: [0, 1]", "spins: [0, 1]\n  hbar: -1.0",
+                     "basis.hbar", id="negative-hbar"),
+        pytest.param("spins: [0, 1]", "spins: [0, 1]\n  mass: 0.0",
+                     "basis.mass", id="zero-mass"),
+        pytest.param("spins: [0, 1]", "spins: [0, 0]",
+                     "basis.spins", id="duplicate-spins"),
+        pytest.param("spins: [0, 1]", "spins: [0, -1]",
+                     "basis.spins", id="negative-spin"),
     ],
 )
 def test_model_rules_are_checked_at_parse_time(old, new, key):

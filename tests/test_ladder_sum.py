@@ -1,0 +1,336 @@
+"""The one-pass ladder sum against literal single-slot operators, bit for bit.
+
+The reference operators below act on one slot at a time, written out in
+full: look the slot up, apply the ladder factor or sign, rebuild the ket
+from a counts dict, prune.  Every comparison is ``==`` on amplitudes (and on
+the order of the kets), never a tolerance.
+"""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fockabs import (
+    CompositeState,
+    FockState,
+    ModeBasis,
+    OccupationKet,
+    SlotKey,
+    Statistics,
+    Wavepacket,
+    annihilate,
+    apply_packet_creation,
+    create,
+    field_annihilate,
+    inner_product,
+    mode_wavefunction,
+    second_order_amplitude,
+    superpose,
+    two_particle_state,
+    vacuum,
+    zero_state,
+)
+from fockabs.fock_core import PRUNE_THRESHOLD, ladder_sum
+from fockabs.oracle import _random_basis, _random_model, _random_packet
+
+BOSE = Statistics.BOSE
+FERMI = Statistics.FERMI
+
+# kets live on modes 0-3 and spins 0-1; the operators also reach modes 4-5
+# and spin 2, which no ket occupies
+KET_SLOTS = [SlotKey(m, s) for m in range(4) for s in range(2)]
+OPERATOR_SLOTS = KET_SLOTS + [SlotKey(4, 0), SlotKey(5, 1), SlotKey(1, 2)]
+
+# magnitudes on both sides of the prune threshold, also after a factor
+# sqrt(2) or sqrt(3), plus ordinary ones
+NEAR_THRESHOLD = [
+    PRUNE_THRESHOLD * f for f in (0.5, 0.99, 1.0, 1.01, 0.70, 0.71, 0.577, 0.578, 2.0)
+]
+
+
+def literal_counts_ket(ket, slot, delta):
+    counts = dict(ket.occupations)
+    counts[slot] = counts.get(slot, 0) + delta
+    return OccupationKet.from_counts(counts)
+
+
+def literal_op(state, slot, raising, cap=4):
+    """One ladder operator on one slot, term by term."""
+    out = {}
+    for ket, amp in state.terms.items():
+        n = ket.occupation(slot)
+        before = sum(c for s, c in ket.occupations if s < slot)
+        if raising:
+            if state.statistics is BOSE:
+                if n + 1 > cap:
+                    raise ValueError(f"occupation cap {cap} exceeded at slot {slot}")
+                new_amp = amp * math.sqrt(n + 1)
+            else:
+                if n == 1:
+                    continue
+                new_amp = amp * (-1) ** before
+        else:
+            if n == 0:
+                continue
+            if state.statistics is BOSE:
+                new_amp = amp * math.sqrt(n)
+            else:
+                new_amp = amp * (-1) ** before
+        new_ket = literal_counts_ket(ket, slot, +1 if raising else -1)
+        out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + new_amp
+    return FockState(
+        state.statistics, {k: a for k, a in out.items() if abs(a) > PRUNE_THRESHOLD}
+    )
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def assert_same_state(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.statistics is want.statistics
+    assert got.terms == want.terms
+    # insertion order decides the order of every later sum
+    assert list(got.terms) == list(want.terms)
+
+
+amplitudes = st.builds(
+    lambda mag, phase: complex(mag * math.cos(phase), mag * math.sin(phase)),
+    st.one_of(st.sampled_from(NEAR_THRESHOLD), st.floats(0.05, 2.0)),
+    st.sampled_from([0.0, 0.5 * math.pi, math.pi, 0.3, 2.1]),
+)
+
+
+@st.composite
+def states(draw, statistics):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        particles = draw(
+            st.lists(
+                st.sampled_from(KET_SLOTS),
+                max_size=3,
+                unique=statistics is FERMI,
+            )
+        )
+        terms[OccupationKet.from_counts(dict(Counter(particles)))] = draw(amplitudes)
+    return FockState(statistics, terms)
+
+
+@st.composite
+def ladder_cases(draw):
+    statistics = draw(st.sampled_from([BOSE, FERMI]))
+    state = draw(states(statistics))
+    pairs = draw(
+        st.lists(st.tuples(amplitudes, st.sampled_from(OPERATOR_SLOTS)), max_size=5)
+    )
+    return state, pairs, draw(st.booleans()), draw(st.sampled_from([2, 3, 4]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=ladder_cases())
+def test_ladder_sum_equals_superposed_single_slots(case):
+    state, pairs, raising, cap = case
+    got = outcome(ladder_sum, state, pairs, raising, cap)
+
+    def superposed(single):
+        if not pairs:
+            return zero_state(state.statistics)
+        return superpose([(c, single(slot)) for c, slot in pairs])
+
+    # the literal reference, and the package's own one-slot operators
+    assert_same_state(got, outcome(superposed, lambda s: literal_op(state, s, raising, cap)))
+    if raising:
+        own = outcome(superposed, lambda s: create(state, s, cap))
+    else:
+        own = outcome(superposed, lambda s: annihilate(state, s))
+    assert_same_state(got, own)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    statistics=st.sampled_from([BOSE, FERMI]),
+    data=st.data(),
+    slot=st.sampled_from(OPERATOR_SLOTS),
+    cap=st.sampled_from([2, 3, 4]),
+)
+def test_one_slot_operators_equal_the_literal_ones(statistics, data, slot, cap):
+    state = data.draw(states(statistics))
+    assert_same_state(outcome(create, state, slot, cap), outcome(literal_op, state, slot, True, cap))
+    assert_same_state(outcome(annihilate, state, slot), outcome(literal_op, state, slot, False))
+
+
+def test_cap_error_is_the_same():
+    state = FockState(BOSE, {OccupationKet.from_counts({SlotKey(1, 0): 2}): 1.0 + 0.0j})
+    pairs = [(0.5 + 0.0j, SlotKey(0, 0)), (2.0 + 0.0j, SlotKey(1, 0))]
+    with pytest.raises(ValueError) as got:
+        ladder_sum(state, pairs, raising=True, cap=2)
+    with pytest.raises(ValueError) as want:
+        literal_op(state, SlotKey(1, 0), True, cap=2)
+    assert str(got.value) == str(want.value) == f"occupation cap 2 exceeded at slot {SlotKey(1, 0)}"
+
+
+def test_terms_are_pruned_before_they_are_weighted():
+    ket = OccupationKet.from_counts({SlotKey(0, 0): 1})
+    for statistics in (BOSE, FERMI):
+        # a term of exactly the threshold is dropped by the one-slot operator,
+        # so a weight of 2 applied after it must not bring it back
+        at = FockState(statistics, {ket: complex(PRUNE_THRESHOLD, 0.0)})
+        assert ladder_sum(at, [(2.0, SlotKey(0, 0))], raising=False).is_zero()
+        above = FockState(statistics, {ket: complex(1.01 * PRUNE_THRESHOLD, 0.0)})
+        lowered = ladder_sum(above, [(0.5, SlotKey(1, 0)), (2.0, SlotKey(0, 0))], raising=False)
+        assert not lowered.is_zero()
+        assert_same_state(lowered, superpose([(2.0, literal_op(above, SlotKey(0, 0), False))]))
+
+
+def test_slots_no_ket_occupies_leave_the_zero_state():
+    state = create(vacuum(FERMI), SlotKey(0, 0))
+    lowered = ladder_sum(state, [(1.0, SlotKey(3, 0)), (2.0, SlotKey(0, 1))], raising=False)
+    assert lowered.is_zero() and lowered.statistics is FERMI
+    assert ladder_sum(state, [], raising=True).is_zero()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    particles=st.lists(st.sampled_from(OPERATOR_SLOTS), max_size=4),
+    slot=st.sampled_from(OPERATOR_SLOTS),
+    delta=st.integers(-2, 2),
+)
+def test_with_delta_matches_from_counts(particles, slot, delta):
+    ket = OccupationKet.from_counts(dict(Counter(particles)))
+    got = outcome(ket.with_delta, slot, delta)
+    want = outcome(literal_counts_ket, ket, slot, delta)
+    assert got == want
+    if not isinstance(want, tuple):
+        assert got.occupations == want.occupations
+        assert hash(got) == hash(want)
+        assert {got: 1}[want] == 1
+
+
+def test_with_delta_keeps_the_negative_occupation_error():
+    ket = OccupationKet.from_counts({SlotKey(0, 0): 1})
+    with pytest.raises(ValueError, match=r"negative occupation -1 at slot"):
+        ket.with_delta(SlotKey(1, 0), -1)
+    with pytest.raises(ValueError, match=r"negative occupation -1 at slot"):
+        ket.with_delta(SlotKey(0, 0), -2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(particles=st.lists(st.sampled_from(KET_SLOTS), max_size=4))
+def test_hash_and_equality_agree_for_kets_built_either_way(particles):
+    from_counts = OccupationKet.from_counts(dict(Counter(particles)))
+    stepped = OccupationKet(())
+    for slot in particles:
+        stepped = stepped.with_delta(slot, +1)
+    direct = OccupationKet(from_counts.occupations)
+    assert from_counts == stepped == direct
+    assert hash(from_counts) == hash(stepped) == hash(direct) == hash(from_counts.occupations)
+    assert len({from_counts, stepped, direct}) == 1
+    assert from_counts != OccupationKet.from_counts({SlotKey(5, 1): 1})
+
+
+# --------------------------------------------------------------------------
+# the oracle's occupied-slot enumeration against an all-modes enumeration
+# --------------------------------------------------------------------------
+
+
+def all_modes_field_annihilate(state, basis, q, spin):
+    return superpose(
+        (mode_wavefunction(basis, i, q), annihilate(state, SlotKey(i, spin)))
+        for i in range(basis.n_modes)
+    )
+
+
+def all_modes_packet_creation(state, packet):
+    parts = [
+        (amp, create(state, SlotKey(i, packet.spin)))
+        for i, amp in enumerate(packet.amplitudes)
+        if abs(amp) != 0.0
+    ]
+    return superpose(parts) if parts else zero_state(state.statistics)
+
+
+def test_packet_creation_skips_zero_amplitudes():
+    # a zero-amplitude mode must not put a ket into the result early: here
+    # mode 0 would place |0,2> ahead of |1,2>, changing the order of later sums
+    basis = ModeBasis.lowest_modes_1d(3, 2 * math.pi, spins=(0,))
+    packet = Wavepacket(basis, (0.0, 0.0, 1.0), 0)
+    one = {m: OccupationKet.from_counts({SlotKey(m, 0): 1}) for m in range(3)}
+    for statistics in (BOSE, FERMI):
+        state = FockState(statistics, {one[1]: 0.6 + 0.0j, one[0]: 0.0 + 0.8j, one[2]: 0.1})
+        created = apply_packet_creation(state, packet)
+        assert_same_state(created, all_modes_packet_creation(state, packet))
+
+
+def all_modes_second_order(initial, q, model, detector_spin, denominator=None):
+    """Every ket, every mode of the basis, every channel; the literal loop."""
+    particle, basis = initial.particle, initial.basis
+    vac = vacuum(particle.statistics)
+    total = 0.0 + 0.0j
+    for ket, amp in particle.terms.items():
+        single = FockState(particle.statistics, {ket: amp})
+        for i in range(basis.n_modes):
+            lowered = annihilate(single, SlotKey(i, detector_spin))
+            for inter_ket, inter_amp in lowered.terms.items():
+                first_factor = mode_wavefunction(basis, i, q) * inter_amp
+                inter = FockState(particle.statistics, {inter_ket: 1.0 + 0.0j})
+                second = all_modes_field_annihilate(inter, basis, q, detector_spin)
+                overlap = inner_product(vac, second)
+                if overlap == 0.0:
+                    continue
+                for ch in model.channels:
+                    if denominator is None:
+                        denom = basis.kinetic_energy(i) + initial.medium_energy - ch.energy
+                    else:
+                        denom = denominator(basis.kinetic_energy(i), ch)
+                    total += ch.element_out * ch.element_in * overlap * first_factor / denom
+    return model.coupling**2 * total
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    statistics=st.sampled_from([BOSE, FERMI]),
+    sharp=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    spins=st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    unit_denominator=st.booleans(),
+)
+def test_second_order_equals_all_modes_enumeration(
+    seed, statistics, sharp, spins, unit_denominator
+):
+    rng = np.random.default_rng(seed)
+    basis = _random_basis(rng)
+    model = _random_model(rng, basis)
+    spin_a, spin_b, detector = (basis.spins[s % len(basis.spins)] for s in spins)
+    packet_a = _random_packet(rng, basis, sharp[0], spin_a)
+    packet_b = _random_packet(rng, basis, sharp[1], spin_b)
+    # a third particle: a sharp packet skips its zero amplitudes
+    packet_c = _random_packet(rng, basis, sharp[2], detector)
+    q = basis.position([float(rng.uniform(0.0, basis.box_lengths[0]))])
+    pair = two_particle_state(packet_a, packet_b, statistics)
+    literal_pair = all_modes_packet_creation(
+        all_modes_packet_creation(vacuum(statistics), packet_b), packet_a
+    )
+    assert_same_state(pair, literal_pair)
+    assert_same_state(
+        field_annihilate(pair, basis, q, detector),
+        all_modes_field_annihilate(pair, basis, q, detector),
+    )
+    assert_same_state(
+        apply_packet_creation(pair, packet_c), all_modes_packet_creation(pair, packet_c)
+    )
+    if pair.is_zero():
+        return
+    initial = CompositeState(pair, basis, medium_energy=float(rng.uniform(-0.1, 0.1)))
+    denominator = (lambda energy, ch: 1.0) if unit_denominator else None
+    got = second_order_amplitude(initial, q, model, detector, denominator)
+    assert got == all_modes_second_order(initial, q, model, detector, denominator)
