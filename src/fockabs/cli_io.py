@@ -18,12 +18,13 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import yaml
 
 from .fock_core import Statistics
 from .field_ops import (
+    NORMALIZATION_TOLERANCE,
     ModeBasis,
     Wavepacket,
     check_mode_numbers,
@@ -35,13 +36,14 @@ from .medium import MediumChannel, MediumModel, ResonanceError
 from .oracle import verify_closed_forms
 from .perturbation import (
     OneParticleInput,
+    RateBatch,
     TwoParticleInput,
     evaluate_rates,
     proportionality_exponent,
 )
 
+# packet norm^2 offsets above NORMALIZATION_TOLERANCE and up to this are renormalized
 NORMALIZE_WARN_LIMIT = 1e-6
-NORMALIZE_SILENT_LIMIT = 1e-12
 
 _SECTIONS = ("basis", "packets", "medium", "scan", "run")
 
@@ -56,21 +58,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class BasisSpec:
-    box_lengths: tuple[float, ...]
-    modes: tuple[tuple[int, ...], ...]
-    hbar: float = 1.0
-    mass: float = 1.0
-    spins: tuple[int, ...] = (0, 1)
-
-
-@dataclass(frozen=True)
-class PacketSpec:
-    spin: int
-    amplitudes: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class RunSpec:
     order: int
     statistics: Statistics
@@ -80,26 +67,13 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    basis: BasisSpec
-    packets: dict[str, PacketSpec]
+    """A parsed config: the domain objects, and the run section that ``run_input`` reads."""
+
+    basis: ModeBasis
+    packets: dict[str, Wavepacket]
     medium: MediumModel
     positions: tuple[tuple[float, ...], ...]
     run: RunSpec
-
-
-@dataclass(frozen=True)
-class RateRow:
-    position: tuple[float, ...]
-    rate_order1: float
-    rate_order2: float
-    density_a: float
-    density_b: float
-
-
-@dataclass(frozen=True)
-class RateTable:
-    dim: int
-    rows: tuple[RateRow, ...] = dataclass_field(default_factory=tuple)
 
 
 # --------------------------------------------------------------------------
@@ -171,15 +145,15 @@ def _as_complex(value: object, path: str) -> complex:
     )
 
 
-def _checked(path: str, check, *args) -> None:
-    """Run one of the domain's own checks, naming ``path`` in its error."""
+def _checked(path: str, check, *args):
+    """Run a domain check or constructor, naming ``path`` in its error."""
     try:
-        check(*args)
+        return check(*args)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_basis(section: object) -> BasisSpec:
+def _parse_basis(section: object) -> ModeBasis:
     data = dict(_require_map(section, "basis"))
     lengths = tuple(
         _as_float(v, f"basis.box_lengths[{i}]")
@@ -225,19 +199,19 @@ def _parse_basis(section: object) -> BasisSpec:
     )
     _checked("basis.spins", check_spins, spins)
     _no_leftovers(data, "basis")
-    return BasisSpec(lengths, modes, hbar, mass, spins)
+    return ModeBasis(lengths, modes, hbar, mass, spins)
 
 
-def _parse_packet(name: str, section: object, basis: BasisSpec) -> PacketSpec:
+def _parse_packet(name: str, section: object, basis: ModeBasis) -> Wavepacket:
     path = f"packets.{name}"
     data = dict(_require_map(section, path))
     spin = _as_int(_pop(data, "spin", path), f"{path}.spin")
     if spin not in basis.spins:
         raise ConfigError(f"{path}.spin: {spin} not in basis spin set")
     raw = _require_list(_pop(data, "amplitudes", path), f"{path}.amplitudes")
-    if len(raw) != len(basis.modes):
+    if len(raw) != basis.n_modes:
         raise ConfigError(
-            f"{path}.amplitudes: expected {len(basis.modes)} entries, got {len(raw)}"
+            f"{path}.amplitudes: expected {basis.n_modes} entries, got {len(raw)}"
         )
     amps = [_as_complex(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(raw)]
     norm_sq = sum(abs(a) ** 2 for a in amps)
@@ -246,14 +220,14 @@ def _parse_packet(name: str, section: object, basis: BasisSpec) -> PacketSpec:
         raise ConfigError(
             f"{path}.amplitudes: norm^2 = {norm_sq!r} is too far from 1"
         )
-    if off > NORMALIZE_SILENT_LIMIT:
+    if off > NORMALIZATION_TOLERANCE:
         warnings.warn(
             f"packet {name!r}: amplitudes renormalized (norm^2 was {norm_sq!r})"
         )
         scale = 1.0 / math.sqrt(norm_sq)
         amps = [a * scale for a in amps]
     _no_leftovers(data, path)
-    return PacketSpec(spin, tuple(amps))
+    return _checked(f"{path}.amplitudes", Wavepacket, basis, tuple(amps), spin)
 
 
 def _parse_medium(section: object) -> MediumModel:
@@ -275,15 +249,10 @@ def _parse_medium(section: object) -> MediumModel:
     first = data.pop("first_order_element", None)
     if first is not None:
         first = _as_complex(first, "medium.first_order_element")
-    if first is None and not channels:
-        raise ConfigError(
-            "medium.first_order_element: required when no channels are given"
-        )
     _no_leftovers(data, "medium")
-    try:
-        return MediumModel(coupling, tuple(channels), first)
-    except ValueError as exc:
-        raise ConfigError(f"medium.channels: {exc}") from exc
+    # the numbers are finite, so without channels only the first-order rule can fail
+    key = "medium.channels" if channels else "medium.first_order_element"
+    return _checked(key, MediumModel, coupling, tuple(channels), first)
 
 
 def _parse_scan(section: object, dim: int) -> tuple[tuple[float, ...], ...]:
@@ -333,7 +302,7 @@ def _parse_scan(section: object, dim: int) -> tuple[tuple[float, ...], ...]:
     return result
 
 
-def _parse_run(section: object, packets: dict[str, PacketSpec], basis: BasisSpec) -> RunSpec:
+def _parse_run(section: object, packets: dict[str, Wavepacket], basis: ModeBasis) -> RunSpec:
     data = dict(_require_map(section, "run"))
     order = _as_int(_pop(data, "order", "run"), "run.order")
     if order not in (1, 2):
@@ -398,7 +367,7 @@ def parse_config(text: str) -> ExperimentConfig:
         for name, spec in packet_section.items()
     }
     medium = _parse_medium(top["medium"])
-    positions = _parse_scan(top["scan"], len(basis.box_lengths))
+    positions = _parse_scan(top["scan"], basis.dim)
     run = _parse_run(top["run"], packets, basis)
     if run.order == 2 and not medium.channels:
         raise ConfigError("medium.channels: required for an order-2 run")
@@ -419,17 +388,17 @@ def serialize_config(config: ExperimentConfig) -> str:
     doc = {
         "basis": {
             "box_lengths": list(config.basis.box_lengths),
-            "modes": [list(vec) for vec in config.basis.modes],
+            "modes": [list(vec) for vec in config.basis.mode_numbers],
             "hbar": config.basis.hbar,
             "mass": config.basis.mass,
             "spins": list(config.basis.spins),
         },
         "packets": {
             name: {
-                "spin": spec.spin,
-                "amplitudes": [_complex_pair(a) for a in spec.amplitudes],
+                "spin": packet.spin,
+                "amplitudes": [_complex_pair(a) for a in packet.amplitudes],
             }
-            for name, spec in config.packets.items()
+            for name, packet in config.packets.items()
         },
         "medium": {
             "coupling": _complex_pair(config.medium.coupling),
@@ -460,63 +429,37 @@ def serialize_config(config: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 
 
-def build_basis(config: ExperimentConfig) -> ModeBasis:
-    spec = config.basis
-    return ModeBasis.from_mode_numbers(
-        spec.box_lengths, spec.modes, spec.hbar, spec.mass, spec.spins
-    )
-
-
-def build_input(
-    config: ExperimentConfig, basis: ModeBasis
-) -> OneParticleInput | TwoParticleInput:
+def run_input(config: ExperimentConfig) -> OneParticleInput | TwoParticleInput:
+    """The run's input object, from the packets that ``run.packets`` names."""
     run = config.run
-    specs = [config.packets[name] for name in run.packet_names]
-    packets = [Wavepacket(basis, spec.amplitudes, spec.spin) for spec in specs]
+    packets = [config.packets[name] for name in run.packet_names]
     if run.order == 2:
         return TwoParticleInput(*packets, run.detector_spin, run.statistics)
     return OneParticleInput(packets[0], run.detector_spin)
 
 
-def run_scan(config: ExperimentConfig) -> RateTable:
+def run_scan(config: ExperimentConfig) -> RateBatch:
     """Evaluate the configured rates at every scan position, in order.
 
     Order-1 runs fill the order-2 and second-density columns with 0.  The
     forbidden same-state fermionic pair is rejected before any position is
     evaluated.
     """
-    basis = build_basis(config)
-    inp = build_input(config, basis)
     try:
-        batch = evaluate_rates(inp, config.medium, config.positions)
+        return evaluate_rates(run_input(config), config.medium, config.positions)
     except ResonanceError as exc:
-        first = basis.position(config.positions[0])
+        first = config.basis.position(config.positions[0])
         raise ResonanceError(f"at position {first.coords}: {exc}") from exc
-    columns = (
-        batch.coords.tolist(),
-        batch.rate_order1.tolist(),
-        batch.rate_order2.tolist(),
-        batch.density_a.tolist(),
-        batch.density_b.tolist(),
-    )
-    rows = tuple(RateRow(tuple(q), *values) for q, *values in zip(*columns))
-    return RateTable(basis.dim, rows)
 
 
-def emit_csv(table: RateTable) -> str:
+def emit_csv(batch: RateBatch) -> str:
     """Deterministic CSV: 12 significant digits, fixed columns, LF newlines."""
-    header = [f"q{i}" for i in range(table.dim)]
+    header = [f"q{i}" for i in range(batch.coords.shape[1])]
     header += ["rate_order1", "rate_order2", "density_a", "density_b"]
-    lines = [",".join(header)]
-    for row in table.rows:
-        cells = [f"{c:.12g}" for c in row.position]
-        cells += [
-            f"{row.rate_order1:.12g}",
-            f"{row.rate_order2:.12g}",
-            f"{row.density_a:.12g}",
-            f"{row.density_b:.12g}",
-        ]
-        lines.append(",".join(cells))
+    columns = (*batch.coords.T, batch.rate_order1, batch.rate_order2, batch.density_a, batch.density_b)
+    # one format call per row is faster than joining one f-string per cell
+    row = ",".join(["{:.12g}"] * len(columns))
+    lines = [",".join(header)] + [row.format(*cells) for cells in zip(*(c.tolist() for c in columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -550,11 +493,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_exponent(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    basis = build_basis(config)
-    positions = [basis.position(c) for c in config.positions]
-    value = proportionality_exponent(
-        build_input(config, basis), config.medium, positions
-    )
+    positions = [config.basis.position(c) for c in config.positions]
+    value = proportionality_exponent(run_input(config), config.medium, positions)
     print(f"order={config.run.order} exponent={value:.9f}")
     return 0
 

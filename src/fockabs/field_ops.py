@@ -51,7 +51,7 @@ def check_spins(spins: Sequence[int]) -> None:
         raise ValueError("spin label set must be nonempty")
     if len(set(spins)) != len(spins):
         raise ValueError("spin labels must be unique")
-    if any((not isinstance(s, int)) or s < 0 for s in spins):
+    if any(type(s) is not int or s < 0 for s in spins):
         raise ValueError("spin labels must be nonnegative integers")
 
 

@@ -44,7 +44,8 @@ class SlotKey(NamedTuple):
 
 
 def _validate_slot(slot: SlotKey) -> SlotKey:
-    if not isinstance(slot.mode, int) or not isinstance(slot.spin, int):
+    # bool is an int subclass, but not a mode index or spin label
+    if type(slot.mode) is not int or type(slot.spin) is not int:
         raise ValueError(f"slot components must be integers, got {slot!r}")
     if slot.mode < 0 or slot.spin < 0:
         raise ValueError(f"slot indices must be nonnegative, got {slot!r}")

@@ -70,11 +70,6 @@ class CompositeState:
     medium_energy: float = 0.0
 
 
-def ket_kinetic_energy(ket: OccupationKet, basis: ModeBasis) -> float:
-    """Total kinetic energy of an occupation ket."""
-    return sum(n * basis.kinetic_energy(slot.mode) for slot, n in ket.occupations)
-
-
 def first_order_amplitude(
     initial: CompositeState,
     final_medium: str,

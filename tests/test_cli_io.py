@@ -7,21 +7,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from fockabs import (
     ConfigError,
     IndistinguishableFermionsError,
-    RateTable,
+    ModeBasis,
+    RateBatch,
     ResonanceError,
+    Wavepacket,
     emit_csv,
     parse_config,
     run_scan,
     serialize_config,
 )
 from fockabs import cli_io
-from fockabs.cli_io import RateRow, main
+from fockabs.cli_io import main
 
 TWO_PI = 2 * math.pi
 
@@ -73,8 +76,10 @@ run:
 def test_minimal_config_parses():
     cfg = parse_config(MINIMAL_ORDER1)
     assert cfg.run.order == 1
-    assert cfg.basis.modes == ((0,),)
+    assert isinstance(cfg.basis, ModeBasis)
+    assert cfg.basis.mode_numbers == ((0,),)
     assert list(cfg.packets) == ["beam"]
+    assert cfg.packets["beam"] == Wavepacket(cfg.basis, (1.0 + 0.0j,), 0)
     assert cfg.medium.first_order_element == 1.0 + 0.0j
     assert len(cfg.positions) == 3
 
@@ -148,6 +153,18 @@ def test_yaml_errors_carry_line_and_column(monkeypatch, loader, text, kind, line
         parse_config(text)
 
 
+ORDER2_BOSE = ORDER2_TEMPLATE % ("bose", "partner")
+ORDER2_CHANNELS = """  channels:
+    - {label: ch0, element_in: [1.1, -0.2], element_out: [0.7, 0.5], energy: 2.3}
+    - {label: ch1, element_in: [0.4, 0.9], element_out: [1.2, -0.1], energy: -0.8}
+"""
+ORDER1_NO_ELEMENT = (
+    ORDER2_BOSE.replace(ORDER2_CHANNELS, "")
+    .replace("order: 2", "order: 1")
+    .replace("packets: [beam, partner]", "packets: [beam]")
+)
+
+
 @pytest.mark.parametrize(
     "old, new, key",
     [
@@ -167,10 +184,17 @@ def test_yaml_errors_carry_line_and_column(monkeypatch, loader, text, kind, line
                      "basis.spins", id="duplicate-spins"),
         pytest.param("spins: [0, 1]", "spins: [0, -1]",
                      "basis.spins", id="negative-spin"),
+        pytest.param("spin: 0\n    amplitudes: [0.0,", "spin: 2\n    amplitudes: [0.0,",
+                     "packets.beam.spin", id="packet-spin-not-in-basis"),
+        pytest.param("amplitudes: [[1.0, 0.0], 0.0, 0.0]", "amplitudes: [[1.0, 0.0], 0.0]",
+                     "packets.partner.amplitudes", id="amplitude-count"),
+        # an order-1 config with neither channels nor first_order_element
+        pytest.param(ORDER2_BOSE, ORDER1_NO_ELEMENT,
+                     "medium.first_order_element", id="no-first-order-element"),
     ],
 )
 def test_model_rules_are_checked_at_parse_time(old, new, key):
-    text = ORDER2_TEMPLATE % ("bose", "partner")
+    text = ORDER2_BOSE
     assert old in text
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(text.replace(old, new))
@@ -202,10 +226,13 @@ def test_missing_section_is_named():
     assert "detector_spin" in str(err.value)
 
 
-def test_normalization_rules():
-    # within 1e-12: accepted as-is
+def test_normalization_rules(recwarn):
+    # within 1e-10 (the Wavepacket gate): accepted as-is, without a warning
     exact = parse_config(MINIMAL_ORDER1)
     assert exact.packets["beam"].amplitudes == (1.0 + 0.0j,)
+    near = MINIMAL_ORDER1.replace("[[1.0, 0.0]]", "[[1.00000000002, 0.0]]")
+    assert parse_config(near).packets["beam"].amplitudes == (1.00000000002 + 0.0j,)
+    assert not recwarn.list
 
     # off by ~1e-7: warn and renormalize
     off = MINIMAL_ORDER1.replace("[[1.0, 0.0]]", "[[1.00000005, 0.0]]")
@@ -262,22 +289,24 @@ def test_scan_wants_exactly_one_source():
 
 
 def test_scan_order1_plane_wave_is_flat_unit_rate():
-    table = run_scan(parse_config(MINIMAL_ORDER1))
-    assert len(table.rows) == 3
-    for row in table.rows:
-        assert abs(row.rate_order1 - 1.0) < 1e-12
-        assert row.rate_order2 == 0.0
-        assert row.density_b == 0.0
-        assert abs(row.density_a - 1 / TWO_PI) < 1e-12
+    batch = run_scan(parse_config(MINIMAL_ORDER1))
+    assert batch.coords.tolist() == [[0.0], [1.0], [2.0]]
+    for column in (batch.rate_order1, batch.rate_order2, batch.density_a, batch.density_b):
+        assert column.shape == (3,)
+    assert np.all(np.abs(batch.rate_order1 - 1.0) < 1e-12)
+    assert np.all(batch.rate_order2 == 0.0)
+    assert np.all(batch.density_b == 0.0)
+    assert np.all(np.abs(batch.density_a - 1 / TWO_PI) < 1e-12)
 
 
 def test_scan_order2_same_state_boson_ratio_constant():
     text = ORDER2_TEMPLATE % ("bose", "beam")
-    table = run_scan(parse_config(text))
+    batch = run_scan(parse_config(text))
+    assert batch.coords.shape == (12, 1)
     ratios = [
-        row.rate_order2 / (row.density_a * row.density_b)
-        for row in table.rows
-        if row.density_a * row.density_b > 1e-12
+        rate / (a * b)
+        for rate, a, b in zip(batch.rate_order2, batch.density_a, batch.density_b)
+        if a * b > 1e-12
     ]
     assert len(ratios) >= 8
     assert (max(ratios) - min(ratios)) / max(ratios) < 1e-10
@@ -298,23 +327,50 @@ def test_scan_resonance_error_names_position():
     assert "position" in str(err.value)
 
 
+def _batch(coords, rate_order1, rate_order2, density_a, density_b) -> RateBatch:
+    """A RateBatch holding the given columns; amplitude columns are zero."""
+    coords = np.array(coords, dtype=float)
+    zeros = np.zeros(len(coords), dtype=complex)
+    columns = [np.array(c, dtype=float) for c in (density_a, density_b, rate_order1, rate_order2)]
+    return RateBatch(coords, zeros, zeros, *columns, np.zeros((len(coords), 2), dtype=complex))
+
+
 def test_emit_csv_shapes():
-    empty = RateTable(1, ())
+    empty = _batch(np.zeros((0, 1)), [], [], [], [])
     assert emit_csv(empty) == "q0,rate_order1,rate_order2,density_a,density_b\n"
-    rows = tuple(
-        RateRow((float(i),), 1.0, 2.0, 0.25, 0.5) for i in range(3)
-    )
-    text = emit_csv(RateTable(1, rows))
+    text = emit_csv(_batch([[float(i)] for i in range(3)], [1.0] * 3, [2.0] * 3, [0.25] * 3, [0.5] * 3))
     lines = text.splitlines()
     assert len(lines) == 4
     assert lines[1] == "0,1,2,0.25,0.5"
+    assert lines[3] == "2,1,2,0.25,0.5"
+    three_d = emit_csv(_batch([[0.5, 1.0, 1.5]], [1.0], [2.0], [3.0], [4.0]))
+    assert three_d == "q0,q1,q2,rate_order1,rate_order2,density_a,density_b\n0.5,1,1.5,1,2,3,4\n"
 
 
 def test_emit_csv_12_significant_digits():
-    row = RateRow((1.0 / 3.0,), 2.0 / 3.0, 0.0, 0.0, 0.0)
-    text = emit_csv(RateTable(1, (row,)))
+    text = emit_csv(_batch([[1.0 / 3.0]], [2.0 / 3.0], [0.0], [0.0], [0.0]))
     assert "0.333333333333" in text
     assert "0.666666666667" in text
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("listed", [True, False], ids=["listed", "range-32"])
+def test_readme_example_csv_is_pinned(tmp_path, listed):
+    """``fockabs scan`` of the README example, byte for byte: the listed
+    positions as written, and the commented-out ``range`` of 32 points."""
+    text = _readme_example()
+    if not listed:
+        old = "  positions: [[0.0], [0.5], [1.0]]\n  # range:"
+        assert old in text
+        text = text.replace(old, "  range:")
+    config = tmp_path / "cfg.yaml"
+    config.write_text(text)
+    out = tmp_path / "rates.csv"
+    assert main(["scan", "--config", str(config), "--out", str(out)]) == 0
+    golden = GOLDEN / ("readme_listed.csv" if listed else "readme_range32.csv")
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_scan_and_csv_deterministic():

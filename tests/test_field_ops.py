@@ -9,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from fockabs import (
     ModeBasis,
+    SlotKey,
     Statistics,
     Wavepacket,
     apply_packet_creation,
+    create,
     field_annihilate,
     inner_product,
     mean_kinetic_energy,
@@ -121,6 +123,21 @@ def test_basis_rejects_bad_shapes():
         ModeBasis.from_mode_numbers([-1.0], [[0]])
     with pytest.raises(ValueError):
         ModeBasis.from_mode_numbers([TWO_PI], [[0]], spins=())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: create(vacuum(BOSE), SlotKey(True, 0)), id="slot-mode"),
+        pytest.param(lambda: create(vacuum(BOSE), SlotKey(0, True)), id="slot-spin"),
+        pytest.param(lambda: ModeBasis.from_mode_numbers([1.0], [(0,)], spins=(True,)),
+                     id="basis-spin"),
+    ],
+)
+def test_bool_is_not_a_mode_index_or_spin_label(build):
+    # bool is an int subclass, so an isinstance test would take True for 1
+    with pytest.raises(ValueError, match="integers"):
+        build()
 
 
 def test_position_wraps_into_box():

@@ -17,7 +17,6 @@ from fockabs import (
     field_annihilate,
     first_order_amplitude,
     inner_product,
-    ket_kinetic_energy,
     packet_state,
     rate_first_order,
     rate_second_order,
@@ -53,14 +52,6 @@ def random_packet(rng, basis, spin=0):
     raw = rng.normal(size=basis.n_modes) + 1j * rng.normal(size=basis.n_modes)
     raw /= np.linalg.norm(raw)
     return Wavepacket(basis, tuple(raw), spin)
-
-
-def test_ket_kinetic_energy_sums_occupations():
-    basis = cos_basis()
-    pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    pair = two_particle_state(pkt, pkt, BOSE)
-    ket = next(iter(pair.terms))
-    assert abs(ket_kinetic_energy(ket, basis) - 1.0) < 1e-12
 
 
 def test_first_order_amplitude_matches_closed_form():
