@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import copy
 import math
 import sys
 import warnings
 from dataclasses import dataclass
 
 import yaml
+from yaml.constructor import SafeConstructor
+from yaml.nodes import MappingNode, Node, ScalarNode, SequenceNode
 
 from .fock_core import Statistics
 from .field_ops import (
@@ -47,9 +50,9 @@ NORMALIZE_WARN_LIMIT = 1e-6
 
 _SECTIONS = ("basis", "packets", "medium", "scan", "run")
 
-# libyaml's scanner and parser under the same safe constructor and resolver,
-# so the document is the same value for value; the pure-Python SafeLoader
-# serves a PyYAML built without libyaml
+# libyaml's scanner, parser and composer under the safe loader's resolver, so
+# the node tree and its tags are the same; the pure-Python SafeLoader serves a
+# PyYAML built without libyaml
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
@@ -80,20 +83,94 @@ class ExperimentConfig:
 # parsing helpers
 # --------------------------------------------------------------------------
 
+# The YAML 1.1 tags that the resolver gives a config's values.  Each reader
+# takes only the tags of its own kind of value; paths are formatted only for
+# an error, so that a long position list costs no string building.
+_MAP, _SEQ, _STR, _INT, _FLOAT, _BOOL, _NULL, _MERGE = (
+    f"tag:yaml.org,2002:{kind}"
+    for kind in ("map", "seq", "str", "int", "float", "bool", "null", "merge")
+)
+# a key, packet name or channel label is the text of a scalar of these types
+_NAME_TAGS = frozenset((_STR, _INT, _FLOAT, _BOOL))
+# the tags the safe loader builds a value for; ``<<`` merge keys included
+_SAFE_TAGS = frozenset(SafeConstructor.yaml_constructors) | {_MERGE}
 
-def _require_map(value: object, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    return value
+# numbers are converted, and merge keys applied, by the safe loader's own
+# methods, which keep no state between calls
+_SAFE = SafeConstructor()
 
 
-def _require_list(value: object, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list")
-    return value
+def _where(path: str, index: tuple[int, ...]) -> str:
+    return path + "".join(f"[{i}]" for i in index)
 
 
-def _pop(section: dict, key: str, path: str) -> object:
+def _shown(node: Node) -> str:
+    return repr(node.value) if isinstance(node, ScalarNode) else f"a {node.id}"
+
+
+def _is_null(node: Node | None) -> bool:
+    return node is None or (isinstance(node, ScalarNode) and node.tag == _NULL)
+
+
+def _check_safe_tags(root: Node) -> None:
+    """Raise the safe loader's error for the first node, in document order,
+    whose tag it would not build a value for, such as a python tag."""
+    stack, seen = [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.tag not in _SAFE_TAGS:
+            _SAFE.construct_undefined(node)
+        if isinstance(node, MappingNode):
+            stack.extend(reversed([n for pair in node.value for n in pair]))
+        elif isinstance(node, SequenceNode):
+            stack.extend(reversed(node.value))
+
+
+def _as_name(node: Node, path: str, *index: int) -> str:
+    if isinstance(node, ScalarNode) and node.tag in _NAME_TAGS:
+        return node.value
+    raise ConfigError(f"{_where(path, index)}: expected a name, got {_shown(node)}")
+
+
+def _require_map(node: Node | None, path: str, *index: int) -> dict[str, Node]:
+    """A mapping node as ``{key text: value node}``; a key given twice is an error.
+
+    Pairs merged in with ``<<`` come first and the mapping's own keys
+    override them, as the safe loader has it.
+    """
+    if not isinstance(node, MappingNode) or node.tag != _MAP:
+        raise ConfigError(f"{_where(path, index)}: expected a mapping")
+    own = node.value
+    items: dict[str, Node] = {}
+    if any(key.tag == _MERGE for key, _ in own):
+        # flattening rewrites the nodes it visits, and an alias may read this
+        # mapping again, so the merge is applied to a copy
+        flat = copy.deepcopy(node)
+        _SAFE.flatten_mapping(flat)
+        split = len(flat.value) - sum(key.tag != _MERGE for key, _ in own)
+        own = flat.value[split:]
+        for key, value in flat.value[:split]:
+            items[_as_name(key, path, *index)] = value
+    names = set()
+    for key, value in own:
+        name = _as_name(key, path, *index)
+        if name in names:
+            raise ConfigError(f"{_where(path, index)}.{name}: duplicate key")
+        names.add(name)
+        items[name] = value
+    return items
+
+
+def _require_list(node: Node, path: str, *index: int) -> list[Node]:
+    if not isinstance(node, SequenceNode) or node.tag != _SEQ or not node.value:
+        raise ConfigError(f"{_where(path, index)}: expected a nonempty list")
+    return node.value
+
+
+def _pop(section: dict, key: str, path: str) -> Node:
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required key")
     return section.pop(key)
@@ -105,43 +182,62 @@ def _no_leftovers(section: dict, path: str) -> None:
         raise ConfigError(f"{path}.{name}: unknown key")
 
 
-def _as_float(value: object, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a real number, got {value!r}")
+def _as_float(node: Node, path: str, *index: int) -> float:
+    tag = node.tag
     try:
-        number = float(value)
+        if tag == _FLOAT:
+            number = _SAFE.construct_yaml_float(node)
+        elif tag == _INT:
+            number = float(_SAFE.construct_yaml_int(node))
+        elif tag == _STR and isinstance(node, ScalarNode) and not node.style:
+            # YAML 1.1 wants a dot in a float, so a plain 1e-17 resolves to a string
+            number = float(node.value)
+        else:
+            raise ValueError
     except OverflowError:
         number = math.inf
+    except ValueError:
+        raise ConfigError(
+            f"{_where(path, index)}: expected a real number, got {_shown(node)}"
+        ) from None
     if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        raise ConfigError(
+            f"{_where(path, index)}: expected a finite number, got {_shown(node)}"
+        )
     return number
 
 
-def _as_int(value: object, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_complex(value: object, path: str) -> complex:
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return complex(_as_float(value, path))
-    if isinstance(value, list) and len(value) == 2:
-        return complex(
-            _as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]")
-        )
-    if isinstance(value, str):
+def _as_int(node: Node, path: str, *index: int) -> int:
+    if node.tag == _INT:
         try:
-            number = complex(value.replace(" ", ""))
+            return _SAFE.construct_yaml_int(node)
+        except ValueError:
+            pass
+    raise ConfigError(f"{_where(path, index)}: expected an integer, got {_shown(node)}")
+
+
+def _as_complex(node: Node, path: str, *index: int) -> complex:
+    if isinstance(node, ScalarNode):
+        if node.tag != _STR:
+            return complex(_as_float(node, path, *index))
+        try:
+            number = complex(node.value.replace(" ", ""))
         except ValueError as exc:
-            raise ConfigError(f"{path}: cannot parse complex {value!r}") from exc
+            raise ConfigError(
+                f"{_where(path, index)}: cannot parse complex {node.value!r}"
+            ) from exc
         if not cmath.isfinite(number):
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+            raise ConfigError(
+                f"{_where(path, index)}: expected a finite number, got {node.value!r}"
+            )
         return number
+    if isinstance(node, SequenceNode) and node.tag == _SEQ and len(node.value) == 2:
+        re_node, im_node = node.value
+        return complex(
+            _as_float(re_node, path, *index, 0), _as_float(im_node, path, *index, 1)
+        )
     raise ConfigError(
-        f"{path}: expected a number, [re, im] pair or complex string"
+        f"{_where(path, index)}: expected a number, [re, im] pair or complex string"
     )
 
 
@@ -153,10 +249,10 @@ def _checked(path: str, check, *args):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_basis(section: object) -> ModeBasis:
-    data = dict(_require_map(section, "basis"))
+def _parse_basis(node: Node) -> ModeBasis:
+    data = _require_map(node, "basis")
     lengths = tuple(
-        _as_float(v, f"basis.box_lengths[{i}]")
+        _as_float(v, "basis.box_lengths", i)
         for i, v in enumerate(_require_list(_pop(data, "box_lengths", "basis"), "basis.box_lengths"))
     )
     if not 1 <= len(lengths) <= 3:
@@ -175,36 +271,37 @@ def _parse_basis(section: object) -> ModeBasis:
             raise ConfigError("basis.lowest_modes: must be at least 1")
         modes = lowest_mode_numbers(count)
     else:
-        raw_modes = _require_list(data.pop("modes"), "basis.modes")
         modes = []
-        for i, vec in enumerate(raw_modes):
-            vec_list = _require_list(vec, f"basis.modes[{i}]")
-            if len(vec_list) != len(lengths):
+        for i, vec in enumerate(_require_list(data.pop("modes"), "basis.modes")):
+            components = _require_list(vec, "basis.modes", i)
+            if len(components) != len(lengths):
                 raise ConfigError(
                     f"basis.modes[{i}]: expected {len(lengths)} components"
                 )
             modes.append(
-                tuple(_as_int(n, f"basis.modes[{i}][{ax}]") for ax, n in enumerate(vec_list))
+                tuple([_as_int(n, "basis.modes", i, ax) for ax, n in enumerate(components)])
             )
         modes = tuple(modes)
         _checked("basis.modes", check_mode_numbers, modes, len(lengths))
-    hbar = _as_float(data.pop("hbar", 1.0), "basis.hbar")
+    hbar = _as_float(data.pop("hbar"), "basis.hbar") if "hbar" in data else 1.0
     _checked("basis.hbar", check_positive, "hbar", hbar)
-    mass = _as_float(data.pop("mass", 1.0), "basis.mass")
+    mass = _as_float(data.pop("mass"), "basis.mass") if "mass" in data else 1.0
     _checked("basis.mass", check_positive, "mass", mass)
-    raw_spins = data.pop("spins", [0, 1])
-    spins = tuple(
-        _as_int(s, f"basis.spins[{i}]")
-        for i, s in enumerate(_require_list(raw_spins, "basis.spins"))
-    )
+    if "spins" in data:
+        spins = tuple(
+            _as_int(s, "basis.spins", i)
+            for i, s in enumerate(_require_list(data.pop("spins"), "basis.spins"))
+        )
+    else:
+        spins = (0, 1)
     _checked("basis.spins", check_spins, spins)
     _no_leftovers(data, "basis")
     return ModeBasis(lengths, modes, hbar, mass, spins)
 
 
-def _parse_packet(name: str, section: object, basis: ModeBasis) -> Wavepacket:
+def _parse_packet(name: str, node: Node, basis: ModeBasis) -> Wavepacket:
     path = f"packets.{name}"
-    data = dict(_require_map(section, path))
+    data = _require_map(node, path)
     spin = _as_int(_pop(data, "spin", path), f"{path}.spin")
     if spin not in basis.spins:
         raise ConfigError(f"{path}.spin: {spin} not in basis spin set")
@@ -213,7 +310,7 @@ def _parse_packet(name: str, section: object, basis: ModeBasis) -> Wavepacket:
         raise ConfigError(
             f"{path}.amplitudes: expected {basis.n_modes} entries, got {len(raw)}"
         )
-    amps = [_as_complex(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(raw)]
+    amps = [_as_complex(v, f"{path}.amplitudes", i) for i, v in enumerate(raw)]
     norm_sq = sum(abs(a) ** 2 for a in amps)
     off = abs(norm_sq - 1.0)
     if off > NORMALIZE_WARN_LIMIT:
@@ -230,58 +327,60 @@ def _parse_packet(name: str, section: object, basis: ModeBasis) -> Wavepacket:
     return _checked(f"{path}.amplitudes", Wavepacket, basis, tuple(amps), spin)
 
 
-def _parse_medium(section: object) -> MediumModel:
-    data = dict(_require_map(section, "medium"))
+def _parse_medium(node: Node) -> MediumModel:
+    data = _require_map(node, "medium")
     coupling = _as_complex(_pop(data, "coupling", "medium"), "medium.coupling")
     channels = []
-    for i, raw in enumerate(data.pop("channels", []) or []):
-        path = f"medium.channels[{i}]"
-        ch = dict(_require_map(raw, path))
-        channels.append(
-            MediumChannel(
-                label=str(_pop(ch, "label", path)),
-                element_in=_as_complex(_pop(ch, "element_in", path), f"{path}.element_in"),
-                element_out=_as_complex(_pop(ch, "element_out", path), f"{path}.element_out"),
-                energy=_as_float(_pop(ch, "energy", path), f"{path}.energy"),
+    raw = data.pop("channels", None)
+    if not _is_null(raw):
+        if not isinstance(raw, SequenceNode) or raw.tag != _SEQ:
+            raise ConfigError("medium.channels: expected a list")
+        for i, ch_node in enumerate(raw.value):
+            path = f"medium.channels[{i}]"
+            ch = _require_map(ch_node, path)
+            channels.append(
+                MediumChannel(
+                    label=_as_name(_pop(ch, "label", path), f"{path}.label"),
+                    element_in=_as_complex(_pop(ch, "element_in", path), f"{path}.element_in"),
+                    element_out=_as_complex(_pop(ch, "element_out", path), f"{path}.element_out"),
+                    energy=_as_float(_pop(ch, "energy", path), f"{path}.energy"),
+                )
             )
-        )
-        _no_leftovers(ch, path)
+            _no_leftovers(ch, path)
     first = data.pop("first_order_element", None)
-    if first is not None:
-        first = _as_complex(first, "medium.first_order_element")
+    first = None if _is_null(first) else _as_complex(first, "medium.first_order_element")
     _no_leftovers(data, "medium")
     # the numbers are finite, so without channels only the first-order rule can fail
     key = "medium.channels" if channels else "medium.first_order_element"
     return _checked(key, MediumModel, coupling, tuple(channels), first)
 
 
-def _parse_scan(section: object, dim: int) -> tuple[tuple[float, ...], ...]:
-    data = dict(_require_map(section, "scan"))
+def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
+    data = _require_map(node, "scan")
     has_positions = "positions" in data
     has_range = "range" in data
     if has_positions == has_range:
         raise ConfigError("scan: give exactly one of 'positions' or 'range'")
     if has_positions:
-        raw = _require_list(data.pop("positions"), "scan.positions")
         positions = []
-        for i, vec in enumerate(raw):
-            vec_list = _require_list(vec, f"scan.positions[{i}]")
-            if len(vec_list) != dim:
+        for i, vec in enumerate(_require_list(data.pop("positions"), "scan.positions")):
+            coords = _require_list(vec, "scan.positions", i)
+            if len(coords) != dim:
                 raise ConfigError(
                     f"scan.positions[{i}]: expected {dim} coordinates"
                 )
             positions.append(
-                tuple(_as_float(c, f"scan.positions[{i}][{ax}]") for ax, c in enumerate(vec_list))
+                tuple([_as_float(c, "scan.positions", i, ax) for ax, c in enumerate(coords)])
             )
         result = tuple(positions)
     else:
-        rng = dict(_require_map(data.pop("range"), "scan.range"))
+        rng = _require_map(data.pop("range"), "scan.range")
         start = [
-            _as_float(v, f"scan.range.start[{i}]")
+            _as_float(v, "scan.range.start", i)
             for i, v in enumerate(_require_list(_pop(rng, "start", "scan.range"), "scan.range.start"))
         ]
         stop = [
-            _as_float(v, f"scan.range.stop[{i}]")
+            _as_float(v, "scan.range.stop", i)
             for i, v in enumerate(_require_list(_pop(rng, "stop", "scan.range"), "scan.range.stop"))
         ]
         count = _as_int(_pop(rng, "count", "scan.range"), "scan.range.count")
@@ -302,12 +401,12 @@ def _parse_scan(section: object, dim: int) -> tuple[tuple[float, ...], ...]:
     return result
 
 
-def _parse_run(section: object, packets: dict[str, Wavepacket], basis: ModeBasis) -> RunSpec:
-    data = dict(_require_map(section, "run"))
+def _parse_run(node: Node, packets: dict[str, Wavepacket], basis: ModeBasis) -> RunSpec:
+    data = _require_map(node, "run")
     order = _as_int(_pop(data, "order", "run"), "run.order")
     if order not in (1, 2):
         raise ConfigError(f"run.order: must be 1 or 2, got {order}")
-    stats_name = data.pop("statistics", "bose")
+    stats_name = _as_name(data.pop("statistics"), "run.statistics") if "statistics" in data else "bose"
     try:
         statistics = Statistics(stats_name)
     except ValueError as exc:
@@ -315,7 +414,7 @@ def _parse_run(section: object, packets: dict[str, Wavepacket], basis: ModeBasis
             f"run.statistics: expected 'bose' or 'fermi', got {stats_name!r}"
         ) from exc
     raw_names = _require_list(_pop(data, "packets", "run"), "run.packets")
-    names = tuple(str(n) for n in raw_names)
+    names = tuple(_as_name(n, "run.packets", i) for i, n in enumerate(raw_names))
     if len(names) != order:
         raise ConfigError(
             f"run.packets: order {order} needs exactly {order} packet name(s)"
@@ -334,10 +433,47 @@ def _parse_run(section: object, packets: dict[str, Wavepacket], basis: ModeBasis
     return RunSpec(order, statistics, names, detector_spin)
 
 
+def _parse_document(root: Node | None) -> ExperimentConfig:
+    top = _require_map(root, "config")
+    for section in _SECTIONS:
+        if section not in top:
+            raise ConfigError(f"{section}: missing required section")
+    extra = set(top) - set(_SECTIONS)
+    if extra:
+        raise ConfigError(f"{sorted(extra)[0]}: unknown section")
+    basis = _parse_basis(top["basis"])
+    packet_section = _require_map(top["packets"], "packets")
+    if not packet_section:
+        raise ConfigError("packets: at least one packet is required")
+    packets = {
+        name: _parse_packet(name, spec, basis) for name, spec in packet_section.items()
+    }
+    medium = _parse_medium(top["medium"])
+    positions = _parse_scan(top["scan"], basis.dim)
+    run = _parse_run(top["run"], packets, basis)
+    if run.order == 2 and not medium.channels:
+        raise ConfigError("medium.channels: required for an order-2 run")
+    return ExperimentConfig(basis, packets, medium, positions, run)
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a YAML experiment config."""
+    """Parse and validate a YAML experiment config.
+
+    libyaml composes the document into a node tree, with YAML 1.1 tags
+    resolved, and each value is read from its node as its key requires:
+    numbers are converted by the safe loader's own methods, so they are the
+    values it would build.
+    """
     try:
-        raw = yaml.load(text, Loader=_YAML_LOADER)
+        root = yaml.compose(text, Loader=_YAML_LOADER)
+        try:
+            return _parse_document(root)
+        except ConfigError:
+            # as under the safe loader, a value it would not build, such as a
+            # python tag, is reported before anything else wrong with the config
+            if root is not None:
+                _check_safe_tags(root)
+            raise
     except yaml.YAMLError as exc:
         # a constructor error is well-formed YAML holding a value the safe
         # loader will not build, such as a python tag; the rest is syntax
@@ -351,27 +487,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"{what} at line {mark.line + 1}, column {mark.column + 1}: {exc}"
             ) from exc
         raise ConfigError(f"{what}: {exc}") from exc
-    top = dict(_require_map(raw, "config"))
-    for section in _SECTIONS:
-        if section not in top:
-            raise ConfigError(f"{section}: missing required section")
-    extra = set(top) - set(_SECTIONS)
-    if extra:
-        raise ConfigError(f"{sorted(extra)[0]}: unknown section")
-    basis = _parse_basis(top["basis"])
-    packet_section = _require_map(top["packets"], "packets")
-    if not packet_section:
-        raise ConfigError("packets: at least one packet is required")
-    packets = {
-        str(name): _parse_packet(str(name), spec, basis)
-        for name, spec in packet_section.items()
-    }
-    medium = _parse_medium(top["medium"])
-    positions = _parse_scan(top["scan"], basis.dim)
-    run = _parse_run(top["run"], packets, basis)
-    if run.order == 2 and not medium.channels:
-        raise ConfigError("medium.channels: required for an order-2 run")
-    return ExperimentConfig(basis, packets, medium, positions, run)
 
 
 # --------------------------------------------------------------------------

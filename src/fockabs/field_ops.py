@@ -178,7 +178,11 @@ class ModeBasis:
             )
         if not np.isfinite(rows).all():
             raise ValueError("position coordinates must be finite")
-        return np.mod(rows, self.box_lengths)
+        lengths = np.asarray(self.box_lengths)
+        wrapped = np.mod(rows, lengths)
+        # a tiny negative coordinate rounds up to exactly L, the same point as 0
+        np.copyto(wrapped, 0.0, where=wrapped == lengths)
+        return wrapped
 
     def position(self, coords: Sequence[float]) -> Position:
         """Wrap coordinates into [0, L) per axis and return a Position."""

@@ -10,13 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from fockabs import (
     ConfigError,
     IndistinguishableFermionsError,
+    MediumChannel,
+    MediumModel,
     ModeBasis,
     RateBatch,
     ResonanceError,
+    Statistics,
     Wavepacket,
     emit_csv,
     parse_config,
@@ -24,7 +28,7 @@ from fockabs import (
     serialize_config,
 )
 from fockabs import cli_io
-from fockabs.cli_io import main
+from fockabs.cli_io import ExperimentConfig, RunSpec, main
 
 TWO_PI = 2 * math.pi
 
@@ -88,6 +92,61 @@ def test_round_trip_is_exact():
     for text in (MINIMAL_ORDER1, ORDER2_TEMPLATE % ("bose", "partner")):
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+_complexes = st.builds(complex, _finite, _finite)
+# names that YAML would read as numbers, booleans or nulls come back quoted
+_names = st.text(alphabet="abeinorsty01_-.", min_size=1, max_size=5)
+
+
+@st.composite
+def experiment_configs(draw):
+    dim = draw(st.integers(1, 3))
+    basis = ModeBasis.from_mode_numbers(
+        draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)),
+        draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=6, unique=True)),
+        hbar=draw(st.floats(1e-3, 1e3).filter(lambda x: x != 1.0)),
+        mass=draw(st.floats(1e-3, 1e3).filter(lambda x: x != 1.0)),
+        spins=draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True)),
+    )
+    packets = {}
+    for name in draw(st.lists(_names, min_size=1, max_size=3, unique=True)):
+        amps = draw(
+            st.lists(
+                st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)),
+                min_size=basis.n_modes,
+                max_size=basis.n_modes,
+            ).filter(lambda a: sum(abs(z) ** 2 for z in a) > 1e-3)
+        )
+        norm = math.sqrt(sum(abs(z) ** 2 for z in amps))
+        packets[name] = Wavepacket(
+            basis, tuple(z / norm for z in amps), draw(st.sampled_from(basis.spins))
+        )
+    labels = draw(st.lists(_names.filter(lambda s: s != "M1"), max_size=3, unique=True))
+    energies = draw(st.lists(_finite, min_size=len(labels), max_size=len(labels), unique=True))
+    channels = tuple(
+        MediumChannel(label, draw(_complexes), draw(_complexes), energy)
+        for label, energy in zip(labels, energies)
+    )
+    first = draw(_complexes) if not channels else draw(st.none() | _complexes)
+    order = draw(st.sampled_from((1, 2) if channels else (1,)))
+    run = RunSpec(
+        order,
+        draw(st.sampled_from(Statistics)),
+        tuple(draw(st.lists(st.sampled_from(sorted(packets)), min_size=order, max_size=order))),
+        draw(st.sampled_from(basis.spins)),
+    )
+    positions = draw(st.lists(st.tuples(*[_finite] * dim), min_size=1, max_size=5))
+    return ExperimentConfig(
+        basis, packets, MediumModel(draw(_complexes), channels, first), tuple(positions), run
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=experiment_configs())
+def test_serialized_configs_parse_back_equal(config):
+    assert parse_config(serialize_config(config)) == config
 
 
 def test_syntax_error_reports_location():
@@ -198,6 +257,95 @@ def test_model_rules_are_checked_at_parse_time(old, new, key):
     assert old in text
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(text.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        pytest.param("run:", "scan:\n  positions: [[0.0]]\nrun:",
+                     "config.scan", id="top-level"),
+        pytest.param("spins: [0, 1]", "spins: [0, 1]\n  hbar: 1.0\n  hbar: 2.0",
+                     "basis.hbar", id="basis"),
+        pytest.param("energy: 2.3}", "energy: 2.3, energy: 2.4}",
+                     "medium.channels[0].energy", id="flow-mapping-channel"),
+        pytest.param("  partner:\n", "  beam:\n    spin: 0\n    amplitudes: [1.0, 0.0, 0.0]\n"
+                     "  partner:\n", "packets.beam", id="packet-names"),
+    ],
+)
+def test_duplicate_keys_are_named(old, new, key):
+    # the safe loader kept the last value without a word
+    assert old in ORDER2_BOSE
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: duplicate key$"):
+        parse_config(ORDER2_BOSE.replace(old, new))
+
+
+def test_merge_keys_fill_in_and_own_keys_override():
+    packets = """  beam:
+    spin: 0
+    amplitudes: [0.0, [0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]
+  partner:
+    spin: 0
+    amplitudes: [[1.0, 0.0], 0.0, 0.0]
+"""
+    amplitudes = "amplitudes: [0.0, [0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]"
+    # "again" reads the merged mapping a second time, through an alias
+    merged = ORDER2_BOSE.replace(ORDER2_CHANNELS, """  channels:
+    - &ch0 {label: ch0, element_in: [1.1, -0.2], element_out: [0.7, 0.5], energy: 2.3}
+    - {<<: *ch0, label: ch1, energy: -0.8}
+""").replace(packets, f"""  beam: &beam {{spin: 1, {amplitudes}}}
+  partner: &partner {{<<: [*beam], spin: 0}}
+  again: *partner
+""")
+    explicit = ORDER2_BOSE.replace(
+        "element_in: [0.4, 0.9], element_out: [1.2, -0.1]",
+        "element_in: [1.1, -0.2], element_out: [0.7, 0.5]",
+    ).replace(packets, f"""  beam: {{spin: 1, {amplitudes}}}
+  partner: {{spin: 0, {amplitudes}}}
+  again: {{spin: 0, {amplitudes}}}
+""")
+    assert packets in ORDER2_BOSE
+    assert parse_config(merged) == parse_config(explicit)
+
+
+@pytest.mark.parametrize("channels", ["", "  channels:\n", "  channels: []\n"])
+def test_absent_or_empty_channels_mean_none(channels):
+    text = MINIMAL_ORDER1.replace("medium:\n", "medium:\n" + channels)
+    assert parse_config(text).medium.channels == ()
+
+
+def test_channels_must_be_a_list(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(MINIMAL_ORDER1.replace("medium:\n", "medium:\n  channels: 5\n"))
+    assert main(["scan", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: medium.channels: expected a list\n"
+
+
+def test_reals_may_be_written_without_a_dot():
+    # YAML 1.1 resolves a float only with a dot, so a plain 1e0 is a string
+    text = MINIMAL_ORDER1.replace("spins: [0]", "spins: [0]\n  hbar: 1e0\n  mass: -2E+3")
+    with pytest.raises(ConfigError, match=r"^basis\.mass: mass must be finite and positive"):
+        parse_config(text)
+    text = text.replace("mass: -2E+3", "mass: 2E+3").replace(POSITIONS, "positions: [[-1e-17]]")
+    cfg = parse_config(text)
+    assert (cfg.basis.hbar, cfg.basis.mass) == (1.0, 2000.0)
+    assert cfg.positions == ((-1e-17,),)
+    for quoted in ("'1e0'", '"1.0"'):
+        with pytest.raises(ConfigError, match="^basis.hbar: expected a real number"):
+            parse_config(MINIMAL_ORDER1.replace("spins: [0]", f"spins: [0]\n  hbar: {quoted}"))
+
+
+def test_scan_and_exponent_agree_on_a_tiny_negative_position(tmp_path, capsys):
+    # np.mod(-1e-17, 2*pi) rounds to 2*pi, which the wrap folds to 0
+    outputs = []
+    for first in ("0.0", "-1e-17", "-1.0e-17"):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(_readme_example().replace("positions: [[0.0],", f"positions: [[{first}],"))
+        assert main(["scan", "--config", str(path)]) == 0
+        assert main(["exponent", "--config", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].splitlines()[1].startswith("0,")
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_undefined_packet_named_in_error():
@@ -426,6 +574,11 @@ POSITIONS = "positions: [[0.0], [1.0], [2.0]]"
                      "scan.positions[1][0]", id="nan-position"),
         pytest.param("spins: [0]", "spins: [0]\n  hbar: .inf",
                      "basis.hbar", id="inf-hbar"),
+        # plain nan and inf are strings to YAML 1.1, and float() reads them
+        pytest.param(POSITIONS, "positions: [[0.0], [nan], [2.0]]",
+                     "scan.positions[1][0]", id="plain-nan-position"),
+        pytest.param("spins: [0]", "spins: [0]\n  hbar: -inf",
+                     "basis.hbar", id="plain-inf-hbar"),
         pytest.param("spins: [0]", "spins: [0]\n  mass: 1" + "0" * 400,
                      "basis.mass", id="overflowing-int"),
     ],

@@ -146,6 +146,45 @@ def test_position_wraps_into_box():
     assert abs(basis.position((-0.5,)).coords[0] - (TWO_PI - 0.5)) < 1e-12
 
 
+@st.composite
+def boxes_and_edge_coords(draw):
+    dim = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                *[
+                    st.one_of(
+                        st.floats(-1e-12, -1e-300),  # np.mod rounds these up to L
+                        st.just(-0.0),
+                        st.integers(-5, 5).map(lambda k, length=length: k * length),
+                        st.floats(-1e3, 1e3),
+                    )
+                    for length in lengths
+                ]
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return lengths, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=boxes_and_edge_coords())
+@example(case=([TWO_PI], [(-1e-17,)]))
+@example(case=([1.0, 3.0, 0.7], [(-5e-324, -0.0, -3 * 0.7)]))
+def test_wrap_lands_in_half_open_box(case):
+    lengths, rows = case
+    basis = ModeBasis.from_mode_numbers(lengths, [(0,) * len(lengths)])
+    wrapped = basis.wrap(rows)
+    assert np.all(wrapped >= 0.0)
+    assert np.all(wrapped < np.array(lengths))
+    for row in rows:
+        coords = basis.position(row).coords
+        assert all(0.0 <= c < length for c, length in zip(coords, lengths))
+
+
 def test_mode_wavefunction_frozen_values():
     basis = cos_basis()
     q0 = basis.position((1.7,))
