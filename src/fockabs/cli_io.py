@@ -36,7 +36,6 @@ from .field_ops import (
     lowest_mode_numbers,
 )
 from .medium import MediumChannel, MediumModel, ResonanceError
-from .oracle import verify_closed_forms
 from .perturbation import (
     OneParticleInput,
     RateBatch,
@@ -44,6 +43,7 @@ from .perturbation import (
     evaluate_rates,
     proportionality_exponent,
 )
+from .verify import verify_closed_forms
 
 # packet norm^2 offsets above NORMALIZATION_TOLERANCE and up to this are renormalized
 NORMALIZE_WARN_LIMIT = 1e-6

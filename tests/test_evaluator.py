@@ -1,5 +1,6 @@
 """The batched closed-form evaluator against a literal per-position sum."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -245,6 +246,64 @@ def test_scalar_calls_are_rows_of_one_batch(
     )
     # one-row and many-row BLAS kernels may round the last bit differently
     assert_rows_match(batch, scalar, scales, tol=1e-14)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    n_modes=st.integers(1, 6),
+    hbar=st.sampled_from([0.37, 2.5]),
+    mass=st.sampled_from([0.6, 3.2]),
+    statistics=st.sampled_from([BOSE, FERMI]),
+    convention=st.sampled_from(["mean", "per_mode"]),
+)
+def test_pair_swap_and_global_phase_symmetries(
+    seed, dim, n_modes, hbar, mass, statistics, convention
+):
+    rng = np.random.default_rng(seed)
+    basis = random_basis(rng, dim, n_modes, hbar, mass)
+    model = random_model(rng, basis)
+    inp = random_input(rng, basis, 2, statistics)
+    coords = random_coords(rng, basis, 4)
+    batch = evaluate_rates(inp, model, coords, convention)
+    prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
+    # rates are compared against their size before the orderings cancel
+    uncancelled = prefactor * np.abs(batch.terms).sum(axis=1) ** 2
+    rate_scale = np.maximum(uncancelled, np.abs(batch.rate_order2))
+    term_scale = np.abs(batch.terms).max(axis=1, keepdims=True)
+
+    # swapping the pair swaps the orderings, with the exchange sign
+    swapped = evaluate_rates(
+        TwoParticleInput(inp.packet_b, inp.packet_a, inp.detector_spin, statistics),
+        model,
+        coords,
+        convention,
+    )
+    sign = 1.0 if statistics is BOSE else -1.0
+    assert np.all(
+        np.abs(swapped.rate_order2 - batch.rate_order2) <= REL_TOL * rate_scale
+    )
+    assert np.all(
+        np.abs(swapped.terms - sign * batch.terms[:, ::-1]) <= REL_TOL * term_scale
+    )
+
+    # a global phase on either packet is unobservable
+    for name in ("packet_a", "packet_b"):
+        packet = getattr(inp, name)
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        rotated = Wavepacket(
+            basis, tuple(phase * a for a in packet.amplitudes), packet.spin
+        )
+        turned = evaluate_rates(
+            dataclasses.replace(inp, **{name: rotated}), model, coords, convention
+        )
+        for key in ("density_a", "density_b", "rate_order1"):
+            want, got = getattr(batch, key), getattr(turned, key)
+            assert np.all(np.abs(got - want) <= REL_TOL * np.abs(want).max()), key
+        assert np.all(
+            np.abs(turned.rate_order2 - batch.rate_order2) <= REL_TOL * rate_scale
+        )
 
 
 def test_per_mode_weights_skip_unoccupied_modes():

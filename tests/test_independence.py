@@ -1,0 +1,89 @@
+"""The oracle shares no evaluation code with the closed forms, read off the imports.
+
+Every ``import`` statement of a package module is parsed with ``ast``
+(function-level imports included), and imports of other package modules are
+followed, so a closed form cannot reach the oracle through a helper module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fockabs
+
+PACKAGE = Path(fockabs.__file__).parent
+
+
+def _module_file(name: str) -> Path:
+    return PACKAGE / ("__init__.py" if name == "fockabs" else f"{name}.py")
+
+
+def _is_package_module(name: str) -> bool:
+    return _module_file(name).is_file()
+
+
+def direct_imports(name: str) -> set[str]:
+    """Modules that package module ``name`` imports.
+
+    Package modules are named without the ``fockabs.`` prefix (the package
+    itself is ``fockabs``); anything else by its top-level name.
+    """
+    tree = ast.parse(_module_file(name).read_text(encoding="utf-8"))
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module.split(".") if node.module else []
+            if node.level:
+                module = ["fockabs"] + module
+            # ``from fockabs import oracle`` names a module, not a value
+            dotted = [module + [alias.name] for alias in node.names]
+        else:
+            continue
+        for parts in dotted:
+            if parts[0] != "fockabs":
+                found.add(parts[0])
+            elif len(parts) > 1 and _is_package_module(parts[1]):
+                found.add(parts[1])
+            else:
+                found.add("fockabs")
+    return found
+
+
+def reached_modules(name: str) -> set[str]:
+    """Every package module that importing ``name`` executes, ``name`` excluded."""
+    seen: set[str] = set()
+    todo = [name]
+    while todo:
+        for other in direct_imports(todo.pop()):
+            if _is_package_module(other) and other not in seen:
+                seen.add(other)
+                todo.append(other)
+    seen.discard(name)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("oracle", {"perturbation", "verify", "fockabs"}),
+        ("fock_core", {"perturbation", "verify", "fockabs"}),
+        ("perturbation", {"oracle", "verify", "fockabs"}),
+    ],
+)
+def test_oracle_and_closed_forms_share_no_module(module, forbidden):
+    assert not reached_modules(module) & forbidden
+
+
+def test_oracle_does_not_import_numpy():
+    assert "numpy" not in direct_imports("oracle")
+
+
+def test_import_scan_sees_the_harness_imports():
+    # the harness is the one module that joins both sides; if the scan
+    # missed its imports, the checks above would pass vacuously
+    assert {"oracle", "perturbation", "numpy"} <= direct_imports("verify")
+    assert {"oracle", "perturbation"} <= reached_modules("cli_io")
+    assert "verify" in reached_modules("fockabs")

@@ -34,7 +34,7 @@ from fockabs import (
     zero_state,
 )
 from fockabs.fock_core import PRUNE_THRESHOLD, ladder_sum
-from fockabs.oracle import _random_basis, _random_model, _random_packet
+from fockabs.verify import _random_basis, _random_model, _random_packet
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -315,7 +315,7 @@ def test_second_order_equals_all_modes_enumeration(
     packet_b = _random_packet(rng, basis, sharp[1], spin_b)
     # a third particle: a sharp packet skips its zero amplitudes
     packet_c = _random_packet(rng, basis, sharp[2], detector)
-    q = basis.position([float(rng.uniform(0.0, basis.box_lengths[0]))])
+    q = basis.position([float(rng.uniform(0.0, L)) for L in basis.box_lengths])
     pair = two_particle_state(packet_a, packet_b, statistics)
     literal_pair = all_modes_packet_creation(
         all_modes_packet_creation(vacuum(statistics), packet_b), packet_a

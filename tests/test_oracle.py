@@ -148,6 +148,11 @@ def test_second_order_resonance_detected():
     initial = CompositeState(pair, basis)
     with pytest.raises(ResonanceError):
         second_order_amplitude(initial, basis.position((0.3,)), model, 0)
+    # a nan medium energy makes every denominator nan, which is no distance
+    # from resonance at all
+    nan_initial = CompositeState(pair, basis, medium_energy=math.nan)
+    with pytest.raises(ResonanceError, match="nan"):
+        second_order_amplitude(nan_initial, basis.position((0.3,)), safe_model(), 0)
 
 
 def test_same_state_boson_unit_constant():
