@@ -56,17 +56,6 @@ def check_spins(spins: Sequence[int]) -> None:
 
 
 @dataclass(frozen=True)
-class Position:
-    """Point inside the box; build via ``ModeBasis.position`` so it is wrapped."""
-
-    coords: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-
-@dataclass(frozen=True)
 class ModeBasis:
     """Finite plane-wave basis on a periodic box.
 
@@ -184,9 +173,9 @@ class ModeBasis:
         np.copyto(wrapped, 0.0, where=wrapped == lengths)
         return wrapped
 
-    def position(self, coords: Sequence[float]) -> Position:
-        """Wrap coordinates into [0, L) per axis and return a Position."""
-        return Position(tuple(self.wrap([coords])[0].tolist()))
+    def position(self, coords: Sequence[float]) -> tuple[float, ...]:
+        """One position wrapped into [0, L) per axis: ``wrap``'s one-row case."""
+        return tuple(self.wrap([coords])[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -214,13 +203,13 @@ class Wavepacket:
             )
 
 
-def mode_wavefunction(basis: ModeBasis, mode_index: int, q: Position) -> complex:
+def mode_wavefunction(basis: ModeBasis, mode_index: int, q: tuple[float, ...]) -> complex:
     """Plane-wave value exp(i p.Q / hbar) / sqrt(V) for one mode."""
     if not 0 <= mode_index < basis.n_modes:
         raise IndexError(f"mode index {mode_index} out of range")
-    if q.dim != basis.dim:
-        raise ValueError(f"position dim {q.dim} does not match basis {basis.dim}")
-    phase = sum(p * x for p, x in zip(basis.momenta[mode_index], q.coords))
+    if len(q) != basis.dim:
+        raise ValueError(f"position dim {len(q)} does not match basis {basis.dim}")
+    phase = sum(p * x for p, x in zip(basis.momenta[mode_index], q))
     return complex(np.exp(1j * phase / basis.hbar) / math.sqrt(basis.volume))
 
 
@@ -231,9 +220,9 @@ def phase_matrix(basis: ModeBasis, coords: np.ndarray) -> np.ndarray:
     return np.exp(phase * (1j / basis.hbar)) / math.sqrt(basis.volume)
 
 
-def position_amplitude(packet: Wavepacket, q: Position) -> complex:
+def position_amplitude(packet: Wavepacket, q: tuple[float, ...]) -> complex:
     """Position-space amplitude: the mode sum of amplitude * wavefunction."""
-    row = phase_matrix(packet.basis, packet.basis.wrap([q.coords]))
+    row = phase_matrix(packet.basis, packet.basis.wrap([q]))
     return complex(np.dot(row, np.array(packet.amplitudes))[0])
 
 
@@ -283,19 +272,19 @@ def two_particle_state(
 
 
 def field_annihilate(
-    state: FockState, basis: ModeBasis, q: Position, spin: int
+    state: FockState, basis: ModeBasis, q: tuple[float, ...], spin: int
 ) -> FockState:
     """Apply sum_q psi_q(Q) a_(q, spin) over the modes some ket occupies at ``spin``."""
     if spin not in basis.spins:
         raise ValueError(f"spin {spin} not in basis spin set")
-    if q.dim != basis.dim:
-        raise ValueError(f"position dim {q.dim} does not match basis {basis.dim}")
+    if len(q) != basis.dim:
+        raise ValueError(f"position dim {len(q)} does not match basis {basis.dim}")
     modes = {s.mode for ket in state.terms for s, _ in ket.occupations if s.spin == spin}
     weighted_slots = [(mode_wavefunction(basis, i, q), SlotKey(i, spin)) for i in sorted(modes)]
     return ladder_sum(state, weighted_slots, raising=False)
 
 
-def uniform_grid(basis: ModeBasis, points_per_axis: int) -> tuple[list[Position], float]:
+def uniform_grid(basis: ModeBasis, points_per_axis: int) -> tuple[list[tuple[float, ...]], float]:
     """Uniform quadrature grid over the box and its per-point volume weight."""
     if points_per_axis < 1:
         raise ValueError("points_per_axis must be at least 1")
@@ -306,4 +295,4 @@ def uniform_grid(basis: ModeBasis, points_per_axis: int) -> tuple[list[Position]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)
     weight = basis.volume / coords.shape[0]
-    return [Position(tuple(float(c) for c in row)) for row in coords], weight
+    return [tuple(row) for row in coords.tolist()], weight

@@ -101,20 +101,25 @@ class MediumModel:
 
 def efficiency_factor(model: MediumModel, hbar: float) -> float:
     """First-order rate prefactor (2 pi / hbar^2) |coupling * element|^2."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
     assert model.first_order_element is not None
     return (
         2.0 * math.pi / hbar**2 * abs(model.coupling * model.first_order_element) ** 2
     )
 
 
-def channel_weight(channel: MediumChannel, denominator: complex) -> complex:
-    """Second-order channel factor element_out * element_in / denominator."""
+def check_resonance(denominator: complex, where: str) -> None:
+    """Raise ``ResonanceError`` unless ``denominator``, of ``where``, is clear of resonance."""
     # written so that a nan denominator fails the gate too
     if not abs(denominator) >= RESONANCE_THRESHOLD:
         raise ResonanceError(
-            f"energy denominator {denominator!r} for channel "
-            f"{channel.label!r} is nan or within {RESONANCE_THRESHOLD} of resonance"
+            f"energy denominator {denominator!r} for {where} is nan or "
+            f"within {RESONANCE_THRESHOLD} of resonance"
         )
+
+
+def channel_weight(channel: MediumChannel, denominator: complex) -> complex:
+    """Second-order channel factor element_out * element_in / denominator."""
+    check_resonance(denominator, f"channel {channel.label!r}")
     return channel.element_out * channel.element_in / denominator

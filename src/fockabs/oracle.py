@@ -23,8 +23,8 @@ from .fock_core import (
     inner_product,
     vacuum,
 )
-from .field_ops import ModeBasis, Position, field_annihilate, mode_wavefunction
-from .medium import MediumModel, RESONANCE_THRESHOLD, ResonanceError
+from .field_ops import ModeBasis, field_annihilate, mode_wavefunction
+from .medium import MediumModel, check_resonance
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class CompositeState:
 def first_order_amplitude(
     initial: CompositeState,
     final_medium: str,
-    q: Position,
+    q: tuple[float, ...],
     model: MediumModel,
     detector_spin: int,
 ) -> complex:
@@ -58,7 +58,7 @@ def first_order_amplitude(
 
 
 def single_absorption_vacuum_overlap(
-    initial: CompositeState, q: Position, detector_spin: int
+    initial: CompositeState, q: tuple[float, ...], detector_spin: int
 ) -> complex:
     """<vacuum| field_annihilate |particle>: the beam factor of a single
     interaction.  For any two-particle state this is exactly zero, which is
@@ -69,7 +69,7 @@ def single_absorption_vacuum_overlap(
 
 def second_order_amplitude(
     initial: CompositeState,
-    q: Position,
+    q: tuple[float, ...],
     model: MediumModel,
     detector_spin: int,
     denominator=None,
@@ -123,13 +123,7 @@ def second_order_amplitude(
                         denom = (
                             absorbed_energy + initial.medium_energy - ch.energy
                         )
-                        # written so that a nan denominator fails the gate too
-                        if not abs(denom) >= RESONANCE_THRESHOLD:
-                            raise ResonanceError(
-                                f"denominator {denom!r} for mode {i} and "
-                                f"channel {ch.label!r} is nan or within "
-                                f"{RESONANCE_THRESHOLD} of resonance"
-                            )
+                        check_resonance(denom, f"mode {i} and channel {ch.label!r}")
                     else:
                         denom = denominator(absorbed_energy, ch)
                     total += (

@@ -34,8 +34,6 @@ import numpy as np
 
 from .fock_core import Statistics
 from .field_ops import (
-    ModeBasis,
-    Position,
     Wavepacket,
     mean_kinetic_energy,
     phase_matrix,
@@ -106,7 +104,6 @@ class RateResult:
 
     value: float
     order: int
-    position: Position
     terms: tuple[complex, ...] | None = None
 
 
@@ -224,30 +221,30 @@ def evaluate_rates(
 
 
 def rate_first_order(
-    packet: Wavepacket, detector_spin: int, q: Position, model: MediumModel
+    packet: Wavepacket, detector_spin: int, q: tuple[float, ...], model: MediumModel
 ) -> RateResult:
     """One-particle absorption rate efficiency * |psi(Q)|^2 at matching spin."""
-    batch = evaluate_rates(OneParticleInput(packet, detector_spin), model, [q.coords])
-    return RateResult(batch.rate_order1.item(0), 1, q)
+    batch = evaluate_rates(OneParticleInput(packet, detector_spin), model, [q])
+    return RateResult(batch.rate_order1.item(0), 1)
 
 
 def w_terms(
     inp: TwoParticleInput,
-    q: Position,
+    q: tuple[float, ...],
     model: MediumModel,
     energy_convention: str = "mean",
 ) -> tuple[complex, complex]:
     """The two ordering amplitudes (packet_b first, packet_a first)."""
-    b_first, a_first = evaluate_rates(inp, model, [q.coords], energy_convention).terms[0]
+    b_first, a_first = evaluate_rates(inp, model, [q], energy_convention).terms[0]
     return (b_first.item(), a_first.item())
 
 
 def rate_second_order(
-    inp: TwoParticleInput, q: Position, model: MediumModel
+    inp: TwoParticleInput, q: tuple[float, ...], model: MediumModel
 ) -> RateResult:
     """Two-particle absorption rate (2 pi / hbar^2)|coupling|^4 |sum of terms|^2."""
-    batch = evaluate_rates(inp, model, [q.coords])
-    return RateResult(batch.rate_order2.item(0), 2, q, tuple(batch.terms[0].tolist()))
+    batch = evaluate_rates(inp, model, [q])
+    return RateResult(batch.rate_order2.item(0), 2, tuple(batch.terms[0].tolist()))
 
 
 def log_log_slope(densities: list[float], rates: list[float]) -> float:
@@ -259,6 +256,9 @@ def log_log_slope(densities: list[float], rates: list[float]) -> float:
     """
     if len(densities) != len(rates):
         raise ValueError("densities and rates must have equal length")
+    # a nan would drop out of the filter below, and an inf would reach the fit
+    if not all(map(math.isfinite, [*densities, *rates])):
+        raise ValueError("densities and rates must be finite")
     pairs = [
         (d, r)
         for d, r in zip(densities, rates)
@@ -279,16 +279,16 @@ def log_log_slope(densities: list[float], rates: list[float]) -> float:
 def proportionality_exponent(
     inp: OneParticleInput | TwoParticleInput,
     model: MediumModel,
-    positions: list[Position],
+    coords: Sequence[Sequence[float]] | np.ndarray,
 ) -> float:
-    """Fit rate ~ density**k over positions and return k.
+    """Fit rate ~ density**k over the positions ``coords`` and return k.
 
     The first-order rate goes as |psi_a|^2 and the second-order rate as
     |psi_a psi_b|^2, so a pair is fitted against the geometric mean density
     sqrt(|psi_a|^2 |psi_b|^2): the fit returns 1 for one particle and 2 for
     any pair of packets.
     """
-    batch = evaluate_rates(inp, model, [q.coords for q in positions])
+    batch = evaluate_rates(inp, model, coords)
     if isinstance(inp, TwoParticleInput):
         density = np.sqrt(batch.density_a * batch.density_b)
         rates = batch.rate_order2

@@ -32,6 +32,9 @@ from .perturbation import (
     rate_second_order,
 )
 
+# largest relative error at which a closed form and the oracle agree
+TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -198,9 +201,7 @@ def _digest(*parts: object) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:10]
 
 
-def verify_closed_forms(
-    trials: int, tolerance: float = 1e-10, seed: int = 0
-) -> VerificationReport:
+def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
     """Compare closed-form and brute-force rates on random configurations.
 
     Each trial draws a fresh basis, medium and detector position, then runs
@@ -225,7 +226,7 @@ def verify_closed_forms(
         def record(order, kind, closed, oracle_val, status=None):
             rel = _relative_error(closed, oracle_val)
             if status is None:
-                status = "ok" if rel <= tolerance else "fail"
+                status = "ok" if rel <= TOLERANCE else "fail"
             report.records.append(
                 TrialRecord(
                     index,
@@ -280,15 +281,15 @@ def verify_closed_forms(
                 packet_b
             )
             rel = _relative_error(closed, oracle_rate)
-            if rel <= tolerance or degenerate:
+            if rel <= TOLERANCE or degenerate:
                 record(2, kind, closed, oracle_rate)
             else:
                 # attribute the discrepancy: the per-mode variant of the
                 # closed form must match the oracle, otherwise it is a bug
                 exact_rate = evaluate_rates(
-                    inp, model, [q.coords], "per_mode"
+                    inp, model, [q], "per_mode"
                 ).rate_order2.item(0)
-                if _relative_error(exact_rate, oracle_rate) <= tolerance:
+                if _relative_error(exact_rate, oracle_rate) <= TOLERANCE:
                     record(2, kind, closed, oracle_rate, status="flagged")
                 else:
                     record(2, kind, closed, oracle_rate, status="fail")

@@ -21,5 +21,5 @@ def harness_run():
     Returns (report, elapsed_seconds).
     """
     start = time.monotonic()
-    report = verify_closed_forms(100, tolerance=1e-10, seed=2024)
+    report = verify_closed_forms(100, seed=2024)
     return report, time.monotonic() - start

@@ -593,6 +593,27 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, old, new, key):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "text, old, new, message",
+    [
+        pytest.param(ORDER2_BOSE, "modes: [[0], [1], [-1]]", "modes: [[0], [1, 0], [-1]]",
+                     "basis.modes[1]: expected 1 entries, got 2", id="mode-row"),
+        pytest.param(MINIMAL_ORDER1, POSITIONS, "positions: [[0.0, 1.0], [1.0], [2.0]]",
+                     "scan.positions[0]: expected 1 entries, got 2", id="position-row"),
+        pytest.param(ORDER2_BOSE, "start: [0.0]", "start: [0.0, 0.0]",
+                     "scan.range.start: expected 1 entries, got 2", id="range-start"),
+        pytest.param(ORDER2_BOSE, "stop: [6.283185307179586]", "stop: [1.0, 6.283185307179586]",
+                     "scan.range.stop: expected 1 entries, got 2", id="range-stop"),
+        pytest.param(ORDER2_BOSE, "spins: [0, 1]", "spins: []",
+                     "basis.spins: expected a nonempty list", id="no-spins"),
+    ],
+)
+def test_list_length_errors_name_their_key(text, old, new, message):
+    assert old in text
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text.replace(old, new))
+
+
 def test_cli_verify_subcommand(capsys):
     assert main(["verify", "--trials", "5", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -187,7 +187,7 @@ def test_batched_rows_match_literal_sum(
     with mock.patch.object(perturbation, "CHUNK_ELEMENTS", limit):
         batch = evaluate_rates(inp, model, coords, convention)
     positions = [basis.position(c) for c in coords]
-    assert np.array_equal(batch.coords, [q.coords for q in positions])
+    assert np.array_equal(batch.coords, positions)
     assert_rows_match(batch, *literal_rows(inp, model, positions, convention))
 
 
@@ -225,7 +225,7 @@ def test_scalar_calls_are_rows_of_one_batch(
     model = random_model(rng, basis)
     inp = random_input(rng, basis, 2, statistics)
     positions = [basis.position(c) for c in random_coords(rng, basis, rows)]
-    batch = evaluate_rates(inp, model, [q.coords for q in positions], convention)
+    batch = evaluate_rates(inp, model, positions, convention)
     scalar = {
         "rate_order1": [
             rate_first_order(inp.packet_a, inp.detector_spin, q, model).value

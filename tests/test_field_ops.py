@@ -111,7 +111,7 @@ def test_distinct_integer_modes_are_orthonormal(basis):
     # |dn| <= 2*max|n| < N
     points = 2 * max(abs(n) for vec in basis.mode_numbers for n in vec) + 3
     positions, weight = uniform_grid(basis, points)
-    waves = phase_matrix(basis, np.array([q.coords for q in positions]))
+    waves = phase_matrix(basis, np.array(positions))
     gram = waves.conj().T @ waves * weight
     assert np.abs(gram - np.eye(basis.n_modes)).max() < 1e-12
 
@@ -142,8 +142,16 @@ def test_bool_is_not_a_mode_index_or_spin_label(build):
 
 def test_position_wraps_into_box():
     basis = cos_basis()
-    assert abs(basis.position((TWO_PI + 0.5,)).coords[0] - 0.5) < 1e-12
-    assert abs(basis.position((-0.5,)).coords[0] - (TWO_PI - 0.5)) < 1e-12
+    assert abs(basis.position((TWO_PI + 0.5,))[0] - 0.5) < 1e-12
+    assert abs(basis.position((-0.5,))[0] - (TWO_PI - 0.5)) < 1e-12
+
+
+def test_position_is_the_one_row_case_of_wrap():
+    basis = ModeBasis.from_mode_numbers([2.0, 3.0], [(0, 0), (1, -1)])
+    for c in ((2.5, -0.5), (-1e-17, 3.0), (0.25, 1.0)):
+        q = basis.position(c)
+        assert type(q) is tuple and all(type(x) is float for x in q)
+        assert q == tuple(basis.wrap([c])[0])
 
 
 @st.composite
@@ -181,7 +189,7 @@ def test_wrap_lands_in_half_open_box(case):
     assert np.all(wrapped >= 0.0)
     assert np.all(wrapped < np.array(lengths))
     for row in rows:
-        coords = basis.position(row).coords
+        coords = basis.position(row)
         assert all(0.0 <= c < length for c, length in zip(coords, lengths))
 
 

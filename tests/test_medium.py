@@ -101,6 +101,8 @@ NON_FINITE_CASES = [
     (lambda: MediumModel(1.0, (), first_order_element=INF), "first_order_element"),
     (lambda: channel_weight(UNIT_CHANNEL, NAN), "nan"),
     (lambda: channel_weight(UNIT_CHANNEL, complex(NAN, 1.0)), "nan"),
+    (lambda: efficiency_factor(MediumModel(1.0, (UNIT_CHANNEL,)), NAN), "hbar"),
+    (lambda: efficiency_factor(MediumModel(1.0, (UNIT_CHANNEL,)), INF), "hbar"),
 ]
 
 

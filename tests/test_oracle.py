@@ -254,7 +254,7 @@ def test_zero_coupling_zeroes_both_sides():
 
 
 def test_verification_harness_smoke():
-    report = verify_closed_forms(20, tolerance=1e-10, seed=7)
+    report = verify_closed_forms(20, seed=7)
     assert report.ok
     assert not report.failures
     assert report.count(order=1) >= 40
@@ -271,7 +271,7 @@ def test_verification_harness_smoke():
 
 
 def test_verification_flags_are_spread_only():
-    report = verify_closed_forms(30, tolerance=1e-10, seed=13)
+    report = verify_closed_forms(30, seed=13)
     for rec in report.flagged:
         assert rec.packet_kind == "spread"
         assert rec.order == 2

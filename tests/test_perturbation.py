@@ -320,6 +320,15 @@ def test_log_log_slope_input_gates():
         log_log_slope([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
         log_log_slope([1.0, 2.0, 3.0], [1.0, 2.0])
+    # ungated, a nan drops out of the fit, an inf rate gives a nan slope and
+    # an inf density a LinAlgError from LAPACK
+    for densities, rates in (
+        ([1.0, 2.0, math.nan, 3.0], [1.0, 4.0, 9.0, 9.0]),
+        ([1.0, 2.0, 3.0], [1.0, 4.0, math.inf]),
+        ([1.0, 2.0, math.inf], [1.0, 4.0, 9.0]),
+    ):
+        with pytest.raises(ValueError, match="^densities and rates must be finite$"):
+            log_log_slope(densities, rates)
 
 
 def test_exponent_two_for_same_state_bosons():
