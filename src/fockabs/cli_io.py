@@ -35,7 +35,7 @@ from .field_ops import (
     check_spins,
     lowest_mode_numbers,
 )
-from .medium import MediumChannel, MediumModel, ResonanceError
+from .medium import MediumChannel, MediumModel, ResonanceError, check_prefactor
 from .perturbation import (
     OneParticleInput,
     RateBatch,
@@ -339,6 +339,10 @@ def _parse_medium(node: Node) -> MediumModel:
     first = data.pop("first_order_element", None)
     first = None if _is_null(first) else _as_complex(first, "medium.first_order_element")
     _no_leftovers(data, "medium")
+    _checked("medium.coupling", check_prefactor, "coupling", coupling, 4)
+    if first is not None:
+        product = ("coupling * first_order_element", coupling * first, 2)
+        _checked("medium.first_order_element", check_prefactor, *product)
     # the numbers are finite, so without channels only the first-order rule can fail
     key = "medium.channels" if channels else "medium.first_order_element"
     return _checked(key, MediumModel, coupling, tuple(channels), first)

@@ -10,6 +10,7 @@ fixed spin: the mode-function-weighted sum of slot annihilations.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,9 +127,13 @@ class ModeBasis:
     def n_modes(self) -> int:
         return len(self.mode_numbers)
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return math.prod(self.box_lengths)
+
+    @cached_property
+    def length_array(self) -> np.ndarray:
+        return np.array(self.box_lengths)
 
     @cached_property
     def momenta(self) -> tuple[tuple[float, ...], ...]:
@@ -167,10 +172,10 @@ class ModeBasis:
             )
         if not np.isfinite(rows).all():
             raise ValueError("position coordinates must be finite")
-        lengths = np.asarray(self.box_lengths)
+        lengths = self.length_array
         wrapped = np.mod(rows, lengths)
         # a tiny negative coordinate rounds up to exactly L, the same point as 0
-        np.copyto(wrapped, 0.0, where=wrapped == lengths)
+        wrapped[wrapped == lengths] = 0.0
         return wrapped
 
     def position(self, coords: Sequence[float]) -> tuple[float, ...]:
@@ -210,7 +215,8 @@ def mode_wavefunction(basis: ModeBasis, mode_index: int, q: tuple[float, ...]) -
     if len(q) != basis.dim:
         raise ValueError(f"position dim {len(q)} does not match basis {basis.dim}")
     phase = sum(p * x for p, x in zip(basis.momenta[mode_index], q))
-    return complex(np.exp(1j * phase / basis.hbar) / math.sqrt(basis.volume))
+    # numpy's complex / real multiplies by the reciprocal; doing so here keeps its bits
+    return cmath.exp(1j * phase / basis.hbar) * (1.0 / math.sqrt(basis.volume))
 
 
 def phase_matrix(basis: ModeBasis, coords: np.ndarray) -> np.ndarray:

@@ -49,7 +49,7 @@ def _validate_slot(slot: SlotKey) -> SlotKey:
         raise ValueError(f"slot components must be integers, got {slot!r}")
     if slot.mode < 0 or slot.spin < 0:
         raise ValueError(f"slot indices must be nonnegative, got {slot!r}")
-    return SlotKey(slot.mode, slot.spin)
+    return slot
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,12 @@ def ladder_sum(
     result equals ``superpose`` of the one-slot results, bit for bit.
     """
     bose = state.statistics is Statistics.BOSE
+    terms = state.terms.items()
+    step = 1 if raising else -1
     out: dict[OccupationKet, complex] = {}
     for coeff, slot in weighted_slots:
         slot = _validate_slot(slot)
-        for ket, amp in state.terms.items():
+        for ket, amp in terms:
             n = ket.occupation(slot)
             if raising and bose and n + 1 > cap:
                 raise ValueError(f"occupation cap {cap} exceeded at slot {slot}")
@@ -167,7 +169,7 @@ def ladder_sum(
             else:
                 term = amp * (-1) ** sum(c for s, c in ket.occupations if s < slot)
             if abs(term) > PRUNE_THRESHOLD:
-                new_ket = ket.with_delta(slot, 1 if raising else -1)
+                new_ket = ket.with_delta(slot, step)
                 out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + coeff * term
     return FockState(state.statistics, _pruned(out))
 

@@ -22,10 +22,14 @@ class ResonanceError(ValueError):
     """An energy denominator is too close to zero for perturbation theory."""
 
 
-def _require_finite(owner: str, **values: complex) -> None:
-    for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise ValueError(f"{owner}{name} must be finite, got {value!r}")
+def check_prefactor(name: str, value: complex, power: int) -> None:
+    """Raise ``ValueError`` unless |value|**power, a factor of a rate prefactor, is finite."""
+    try:
+        finite = math.isfinite(abs(value) ** power)
+    except OverflowError:  # abs() or ** past the largest float
+        finite = False
+    if not finite:
+        raise ValueError(f"|{name}|^{power} must be a finite float, got {name} = {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +46,10 @@ class MediumChannel:
     energy: float
 
     def __post_init__(self) -> None:
-        _require_finite(
-            f"channel {self.label!r}: ",
-            element_in=self.element_in,
-            element_out=self.element_out,
-            energy=self.energy,
-        )
+        for name in ("element_in", "element_out", "energy"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"channel {self.label!r}: {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,6 @@ class MediumModel:
     first_order_element: complex | None = None
 
     def __post_init__(self) -> None:
-        _require_finite("", coupling=self.coupling)
-        if self.first_order_element is not None:
-            _require_finite("", first_order_element=self.first_order_element)
         labels = [ch.label for ch in self.channels]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate channel labels: {labels}")
@@ -87,6 +86,9 @@ class MediumModel:
             object.__setattr__(
                 self, "first_order_element", self.channels[0].element_in
             )
+        # the second-order rate holds |coupling|^4, the first-order one |coupling M1|^2
+        check_prefactor("coupling", self.coupling, 4)
+        check_prefactor("coupling * first_order_element", self.coupling * self.first_order_element, 2)
 
     def element_for(self, label: str) -> complex:
         """Absorption matrix element for a named final or channel state."""
@@ -109,10 +111,11 @@ def efficiency_factor(model: MediumModel, hbar: float) -> float:
     )
 
 
-def check_resonance(denominator: complex, where: str) -> None:
-    """Raise ``ResonanceError`` unless ``denominator``, of ``where``, is clear of resonance."""
+def check_resonance(denominator: complex, label: str, mode: int | None = None) -> None:
+    """Raise ``ResonanceError`` unless ``denominator`` is clear of resonance."""
     # written so that a nan denominator fails the gate too
     if not abs(denominator) >= RESONANCE_THRESHOLD:
+        where = f"channel {label!r}" if mode is None else f"mode {mode} and channel {label!r}"
         raise ResonanceError(
             f"energy denominator {denominator!r} for {where} is nan or "
             f"within {RESONANCE_THRESHOLD} of resonance"
@@ -121,5 +124,5 @@ def check_resonance(denominator: complex, where: str) -> None:
 
 def channel_weight(channel: MediumChannel, denominator: complex) -> complex:
     """Second-order channel factor element_out * element_in / denominator."""
-    check_resonance(denominator, f"channel {channel.label!r}")
+    check_resonance(denominator, channel.label)
     return channel.element_out * channel.element_in / denominator

@@ -123,7 +123,7 @@ def second_order_amplitude(
                         denom = (
                             absorbed_energy + initial.medium_energy - ch.energy
                         )
-                        check_resonance(denom, f"mode {i} and channel {ch.label!r}")
+                        check_resonance(denom, ch.label, i)
                     else:
                         denom = denominator(absorbed_energy, ch)
                     total += (

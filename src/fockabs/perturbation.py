@@ -189,12 +189,13 @@ def evaluate_rates(
             ]
     modes = np.array(columns, dtype=complex).T
     step = max(1, CHUNK_ELEMENTS // basis.n_modes)
-    # at least one chunk, so that no positions give empty columns
-    chunks = [
-        phase_matrix(basis, wrapped[start : start + step]) @ modes
-        for start in range(0, max(rows, 1), step)
-    ]
-    sums = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    if rows <= step:  # one chunk, also for no positions
+        sums = phase_matrix(basis, wrapped) @ modes
+    else:
+        sums = np.concatenate([
+            phase_matrix(basis, wrapped[start : start + step]) @ modes
+            for start in range(0, rows, step)
+        ])
     psi = sums[:, :2]
     density = np.abs(psi) ** 2
     hbar = basis.hbar
@@ -208,10 +209,10 @@ def evaluate_rates(
         # each packet's amplitude with its channel weight, absorbed first: a
         # mean-energy weight is a common factor of the packet's mode sum
         first = sums[:, 2:] if per_mode else psi * weights
-        sign = 1.0 if inp.statistics is Statistics.BOSE else -1.0
         # (packet_b first, packet_a first): each times the other's amplitude
         terms = first[:, ::-1] * psi
-        terms[:, 0] *= sign
+        if inp.statistics is Statistics.FERMI:
+            terms[:, 0] *= -1.0
         prefactor = 2.0 * math.pi / hbar**2 * abs(model.coupling) ** 4
         rate_order2 = prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2
     return RateBatch(

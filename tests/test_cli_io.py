@@ -581,6 +581,11 @@ POSITIONS = "positions: [[0.0], [1.0], [2.0]]"
                      "basis.hbar", id="plain-inf-hbar"),
         pytest.param("spins: [0]", "spins: [0]\n  mass: 1" + "0" * 400,
                      "basis.mass", id="overflowing-int"),
+        # finite numbers whose rate prefactor, |g|^4 or |g M1|^2, overflows
+        pytest.param("coupling: [1.0, 0.0]", "coupling: [1.0e100, 0.0]",
+                     "medium.coupling", id="overflowing-coupling"),
+        pytest.param("first_order_element: [1.0, 0.0]", "first_order_element: [1.0e200, 0.0]",
+                     "medium.first_order_element", id="overflowing-first-order-element"),
     ],
 )
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys, old, new, key):

@@ -204,6 +204,27 @@ def test_mode_wavefunction_frozen_values():
     assert abs(moving - (-1 / math.sqrt(TWO_PI))) < 1e-15
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    basis=integer_bases(),
+    mass=st.floats(0.1, 5.0),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_mode_wavefunction_within_one_ulp_of_numpy(basis, mass, fractions):
+    # the scalar cmath form against numpy's, the form of phase_matrix
+    basis = ModeBasis.from_mode_numbers(
+        basis.box_lengths, basis.mode_numbers, hbar=basis.hbar, mass=mass
+    )
+    q = basis.position([f * length for f, length in zip(fractions, basis.box_lengths)])
+    for i, vec in enumerate(basis.momenta):
+        phase = sum(p * x for p, x in zip(vec, q))
+        want = complex(np.exp(1j * phase / basis.hbar) / math.sqrt(basis.volume))
+        got = mode_wavefunction(basis, i, q)
+        assert type(got) is complex
+        for g, w in ((got.real, want.real), (got.imag, want.imag)):
+            assert abs(g - w) <= math.ulp(w)
+
+
 def test_mode_wavefunction_box_normalized_everywhere():
     basis = cos_basis()
     rng = np.random.default_rng(0)

@@ -231,3 +231,20 @@ def test_commutation_delta_small_basis():
                     got = check_commutation(sa, sb, stats, probe)
                     want = 1.0 if sa == sb else 0.0
                     assert abs(got - want) < 1e-12
+
+
+def test_occupation_ket_is_immutable_hashable_and_keeps_its_repr():
+    occupations = ((SlotKey(0, 1), 2), (SlotKey(3, 0), 1))
+    ket = OccupationKet(occupations)
+    with pytest.raises(AttributeError):
+        ket.occupations = ()
+    assert ket.occupations == occupations
+    twin = OccupationKet.from_counts({SlotKey(3, 0): 1, SlotKey(0, 1): 2})
+    assert twin == ket and twin is not ket
+    assert hash(twin) == hash(ket) == hash(occupations)
+    assert {ket: 1.0}[twin] == 1.0
+    assert repr(ket) == (
+        "OccupationKet(occupations=((SlotKey(mode=0, spin=1), 2), "
+        "(SlotKey(mode=3, spin=0), 1)))"
+    )
+    assert EMPTY_KET == OccupationKet(()) and hash(EMPTY_KET) == hash(())

@@ -103,6 +103,12 @@ NON_FINITE_CASES = [
     (lambda: channel_weight(UNIT_CHANNEL, complex(NAN, 1.0)), "nan"),
     (lambda: efficiency_factor(MediumModel(1.0, (UNIT_CHANNEL,)), NAN), "hbar"),
     (lambda: efficiency_factor(MediumModel(1.0, (UNIT_CHANNEL,)), INF), "hbar"),
+    # finite, but past what the rate prefactors can hold
+    (lambda: MediumModel(1e100, (UNIT_CHANNEL,)), "coupling"),
+    (lambda: MediumModel(complex(1e308, 1e308), (UNIT_CHANNEL,)), "coupling"),
+    (lambda: MediumModel(1.0, (), first_order_element=1e200), "first_order_element"),
+    (lambda: MediumModel(1e160, (), first_order_element=1e160), "coupling"),
+    (lambda: MediumModel(1e-100, (MediumChannel("c", 1e300, 1.0, 0.5),)), "first_order_element"),
 ]
 
 

@@ -1,0 +1,42 @@
+"""The draw stream of ``fockabs verify``, pinned by a golden run.
+
+``golden/verify_seed7_trials40.txt`` is the output of
+``fockabs verify --trials 40 --seed 7``.  A changed draw, statistics kind,
+packet kind or status shows as a changed field; the rates are compared to a
+relative 1e-9, so the test does not hang on the last bit of libm.
+"""
+
+import math
+from pathlib import Path
+
+from fockabs.cli_io import main
+from fockabs.verify import TOLERANCE
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_seed7_trials40.txt"
+
+
+def _fields(line: str) -> list[tuple[str, str]]:
+    return [tuple(token.partition("=")[::2]) for token in line.split()]
+
+
+def test_verify_output_matches_the_golden_stream(capsys):
+    assert main(["verify", "--trials", "40", "--seed", "7"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = GOLDEN.read_text().splitlines()
+    assert len(got) == len(want) == 241
+    for number, (got_line, want_line) in enumerate(zip(got, want)):
+        got_fields, want_fields = _fields(got_line), _fields(want_line)
+        assert [k for k, _ in got_fields] == [k for k, _ in want_fields], number
+        for (key, value), (_, expected) in zip(got_fields, want_fields):
+            if key == "cfg":
+                continue  # a digest of reprs, so of every last bit
+            if key == "rel" or key.startswith("max_rel"):
+                # relative errors are round-off; only their side of the tolerance counts
+                assert (float(value) <= TOLERANCE) == (float(expected) <= TOLERANCE), number
+            elif key in ("closed", "oracle"):
+                # 1e-20 is the harness's own zero floor: below it both are float noise
+                assert math.isclose(
+                    float(value), float(expected), rel_tol=1e-9, abs_tol=1e-20
+                ), (number, key, value, expected)
+            else:
+                assert value == expected, (number, key)
