@@ -18,42 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock_core import FockState, SlotKey, Statistics, ladder_sum, vacuum
+from .fock_core import FockState, ParameterError, SlotKey, Statistics, ladder_sum, vacuum
 
 NORMALIZATION_TOLERANCE = 1e-10
 
 
 def lowest_mode_numbers(count: int) -> tuple[tuple[int], ...]:
     """The ``count`` lowest 1D mode numbers in the order 0, 1, -1, 2, -2, ..."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
     return tuple(((i + 1) // 2 if i % 2 else -(i // 2),) for i in range(count))
-
-
-def check_mode_numbers(mode_numbers: Sequence[tuple[int, ...]], dim: int) -> None:
-    """Raise ``ValueError`` unless the modes are distinct vectors of ``dim`` integers."""
-    for n in mode_numbers:
-        # bool is an int subclass, and neither it nor a float is a mode number
-        if len(n) != dim or any(type(c) is not int for c in n):
-            raise ValueError(f"mode numbers {n!r} are not {dim} integers")
-    if len(set(mode_numbers)) != len(mode_numbers):
-        raise ValueError("mode numbers must be distinct")
-
-
-def check_positive(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` is finite and positive."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def check_spins(spins: Sequence[int]) -> None:
-    """Raise ``ValueError`` unless the spin labels are distinct nonnegative integers."""
-    if len(spins) == 0:
-        raise ValueError("spin label set must be nonempty")
-    if len(set(spins)) != len(spins):
-        raise ValueError("spin labels must be unique")
-    if any(type(s) is not int or s < 0 for s in spins):
-        raise ValueError("spin labels must be nonnegative integers")
 
 
 @dataclass(frozen=True)
@@ -76,17 +48,38 @@ class ModeBasis:
     def __post_init__(self) -> None:
         dim = len(self.box_lengths)
         if dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+            raise ParameterError("box_lengths", f"need 1 to 3 axes, got {dim}")
         if not all(math.isfinite(v) and v > 0 for v in self.box_lengths):
-            raise ValueError(
-                f"box_lengths must be finite and positive, got {self.box_lengths!r}"
+            raise ParameterError(
+                "box_lengths",
+                f"box_lengths must be finite and positive, got {self.box_lengths!r}",
             )
-        check_positive("hbar", self.hbar)
-        check_positive("mass", self.mass)
         if not self.mode_numbers:
-            raise ValueError("at least one mode is required")
-        check_spins(self.spins)
-        check_mode_numbers(self.mode_numbers, dim)
+            raise ParameterError("modes", "at least one mode is required")
+        for n in self.mode_numbers:
+            # bool is an int subclass, and neither it nor a float is a mode number
+            if len(n) != dim or any(type(c) is not int for c in n):
+                raise ParameterError("modes", f"mode numbers {n!r} are not {dim} integers")
+        if len(set(self.mode_numbers)) != len(self.mode_numbers):
+            raise ParameterError("modes", "mode numbers must be distinct")
+        # every rate holds 1/hbar^2, a finite nonzero float only for 1e-154 < hbar < 1e154 or so
+        try:
+            inverse_sq = 1.0 / self.hbar**2
+        except (OverflowError, ZeroDivisionError):
+            inverse_sq = 0.0
+        if not (self.hbar > 0 and 0.0 < inverse_sq < math.inf):
+            raise ParameterError(
+                "hbar",
+                f"hbar must be positive and 1/hbar^2 a finite, nonzero float, got {self.hbar!r}",
+            )
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ParameterError("mass", f"mass must be finite and positive, got {self.mass!r}")
+        if not self.spins:
+            raise ParameterError("spins", "spin label set must be nonempty")
+        if len(set(self.spins)) != len(self.spins):
+            raise ParameterError("spins", "spin labels must be unique")
+        if any(type(s) is not int or s < 0 for s in self.spins):
+            raise ParameterError("spins", "spin labels must be nonnegative integers")
 
     @classmethod
     def from_mode_numbers(
@@ -193,16 +186,17 @@ class Wavepacket:
 
     def __post_init__(self) -> None:
         if len(self.amplitudes) != self.basis.n_modes:
-            raise ValueError(
-                f"expected {self.basis.n_modes} amplitudes, "
-                f"got {len(self.amplitudes)}"
+            raise ParameterError(
+                "amplitudes",
+                f"expected {self.basis.n_modes} amplitudes, got {len(self.amplitudes)}",
             )
         if self.spin not in self.basis.spins:
-            raise ValueError(f"spin {self.spin} not in basis spin set")
+            raise ParameterError("spin", f"{self.spin} not in basis spin set")
         norm_sq = sum(abs(a) ** 2 for a in self.amplitudes)
         # written so that a nan norm fails the gate too
         if not abs(norm_sq - 1.0) <= NORMALIZATION_TOLERANCE:
-            raise ValueError(
+            raise ParameterError(
+                "amplitudes",
                 f"wavepacket norm^2 = {norm_sq!r} is not 1 within "
                 f"{NORMALIZATION_TOLERANCE}"
             )

@@ -31,6 +31,15 @@ PRUNE_THRESHOLD = 1e-14
 DEFAULT_OCCUPATION_CAP = 4
 
 
+# defined in the base module so that field_ops and medium raise the same type
+class ParameterError(ValueError):
+    """A domain constructor's rejected argument, named in ``field`` by its config key."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
+
+
 class Statistics(Enum):
     BOSE = "bose"
     FERMI = "fermi"

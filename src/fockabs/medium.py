@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .fock_core import ParameterError
+
 RESONANCE_THRESHOLD = 1e-9
 
 FIRST_ORDER_LABEL = "M1"
@@ -22,14 +24,17 @@ class ResonanceError(ValueError):
     """An energy denominator is too close to zero for perturbation theory."""
 
 
-def check_prefactor(name: str, value: complex, power: int) -> None:
-    """Raise ``ValueError`` unless |value|**power, a factor of a rate prefactor, is finite."""
+def _check_prefactor(field: str, name: str, value: complex, power: int) -> None:
+    """Raise ``ParameterError`` for ``field`` unless |value|**power, a factor of a
+    rate prefactor, is finite."""
     try:
         finite = math.isfinite(abs(value) ** power)
     except OverflowError:  # abs() or ** past the largest float
         finite = False
     if not finite:
-        raise ValueError(f"|{name}|^{power} must be a finite float, got {name} = {value!r}")
+        raise ParameterError(
+            field, f"|{name}|^{power} must be a finite float, got {name} = {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,9 @@ class MediumChannel:
         for name in ("element_in", "element_out", "energy"):
             value = getattr(self, name)
             if not cmath.isfinite(value):
-                raise ValueError(f"channel {self.label!r}: {name} must be finite, got {value!r}")
+                raise ParameterError(
+                    name, f"channel {self.label!r}: {name} must be finite, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -65,30 +72,36 @@ class MediumModel:
     first_order_element: complex | None = None
 
     def __post_init__(self) -> None:
+        # the second-order rate holds |coupling|^4, the first-order one |coupling M1|^2
+        _check_prefactor("coupling", "coupling", self.coupling, 4)
+        product = "coupling * first_order_element"
+        if self.first_order_element is not None:
+            _check_prefactor(
+                "first_order_element", product, self.coupling * self.first_order_element, 2
+            )
         labels = [ch.label for ch in self.channels]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate channel labels: {labels}")
+            raise ParameterError("channels", f"duplicate channel labels: {labels}")
         if FIRST_ORDER_LABEL in labels:
-            raise ValueError(
+            raise ParameterError(
+                "channels",
                 f"channel label {FIRST_ORDER_LABEL!r} is reserved for the "
-                f"first-order final state"
+                f"first-order final state",
             )
         energies = [ch.energy for ch in self.channels]
         if len(set(energies)) != len(energies):
-            raise ValueError(
-                f"degenerate channel energies are not supported: {energies}"
+            raise ParameterError(
+                "channels", f"degenerate channel energies are not supported: {energies}"
             )
         if self.first_order_element is None:
             if not self.channels:
-                raise ValueError(
-                    "first_order_element is required when no channels are given"
+                raise ParameterError(
+                    "first_order_element",
+                    "first_order_element is required when no channels are given",
                 )
-            object.__setattr__(
-                self, "first_order_element", self.channels[0].element_in
-            )
-        # the second-order rate holds |coupling|^4, the first-order one |coupling M1|^2
-        check_prefactor("coupling", self.coupling, 4)
-        check_prefactor("coupling * first_order_element", self.coupling * self.first_order_element, 2)
+            default = self.channels[0].element_in
+            _check_prefactor("channels", product, self.coupling * default, 2)
+            object.__setattr__(self, "first_order_element", default)
 
     def element_for(self, label: str) -> complex:
         """Absorption matrix element for a named final or channel state."""

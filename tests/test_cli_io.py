@@ -681,3 +681,41 @@ def test_cli_exponent_first_order(tmp_path, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "edits, key",
+    [
+        pytest.param([("modes: [[0], [1], [-1]]", "modes: [[0], [1], [1]]"),
+                      ("spins: [0, 1]", "spins: [0, 1]\n  hbar: -1.0")],
+                     "basis.modes", id="duplicate-modes-and-negative-hbar"),
+        pytest.param([("spins: [0, 1]", "spins: [0, 0]\n  hbar: -1.0")],
+                     "basis.hbar", id="negative-hbar-and-duplicate-spins"),
+        pytest.param([("coupling: [0.9, 0.3]", "coupling: [1.0e100, 0.0]"),
+                      ("label: ch1", "label: ch0")],
+                     "medium.coupling", id="overflowing-coupling-and-duplicate-labels"),
+    ],
+)
+def test_two_faults_in_one_section_name_the_same_key_first(edits, key):
+    text = ORDER2_BOSE
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("hbar", ["1.0e-200", "1.0e200", "1.0e-160"])
+def test_cli_rejects_an_hbar_whose_inverse_square_is_no_float(tmp_path, capsys, hbar):
+    # 1e-200 and 1e200 square to 0 and past the largest float; 1e-160 squares
+    # to a subnormal whose inverse, a factor of every rate, is infinite
+    text = _readme_example().replace("hbar: 1.0 ", f"hbar: {hbar} ")
+    assert f"hbar: {hbar} " in text
+    path = tmp_path / "hbar.yaml"
+    path.write_text(text)
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: basis.hbar: ")
+        assert err.count("\n") == 1

@@ -9,7 +9,9 @@ from fockabs import (
     MediumChannel,
     MediumModel,
     ModeBasis,
+    ParameterError,
     ResonanceError,
+    Wavepacket,
     channel_weight,
     efficiency_factor,
 )
@@ -167,3 +169,38 @@ def test_element_lookup():
     assert model.element_for("ch1") == model.channels[1].element_in
     with pytest.raises(ValueError):
         model.element_for("nope")
+
+
+PARAMETER_CASES = [
+    (lambda: ModeBasis.from_mode_numbers([1.0] * 4, [[0] * 4]), "box_lengths"),
+    (lambda: ModeBasis.from_mode_numbers([-1.0], [[0]]), "box_lengths"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], []), "modes"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0], [0]]), "modes"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=-1.0), "hbar"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=1e-200), "hbar"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=1e200), "hbar"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], mass=0.0), "mass"),
+    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], spins=(0, 0)), "spins"),
+    (lambda: Wavepacket(UNIT_BASIS, (1.0, 0.0), 0), "amplitudes"),
+    (lambda: Wavepacket(UNIT_BASIS, (1.0, 1.0, 0.0), 0), "amplitudes"),
+    (lambda: Wavepacket(UNIT_BASIS, (1.0, 0.0, 0.0), 7), "spin"),
+    (lambda: MediumModel(1e100, (UNIT_CHANNEL,)), "coupling"),
+    (lambda: MediumModel(1.0, (), first_order_element=1e200), "first_order_element"),
+    (lambda: MediumModel(1.0, ()), "first_order_element"),
+    (lambda: MediumModel(1.0, (UNIT_CHANNEL, UNIT_CHANNEL)), "channels"),
+    (lambda: MediumModel(1.0, (MediumChannel(FIRST_ORDER_LABEL, 1.0, 1.0, 0.5),)), "channels"),
+    # a defaulted first-order element is the first channel's element_in
+    (lambda: MediumModel(1e-100, (MediumChannel("c", 1e300, 1.0, 0.5),)), "channels"),
+    (lambda: MediumChannel("c", 1.0, 1.0, NAN), "energy"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    PARAMETER_CASES,
+    ids=[f"{i}-{field}" for i, (_, field) in enumerate(PARAMETER_CASES)],
+)
+def test_constructor_errors_name_their_config_key(build, field):
+    with pytest.raises(ParameterError) as err:
+        build()
+    assert err.value.field == field
