@@ -47,14 +47,12 @@ from .perturbation import (
     IndistinguishableFermionsError,
     OneParticleInput,
     RateBatch,
-    RateResult,
     TwoParticleInput,
     evaluate_rates,
     log_log_slope,
     proportionality_exponent,
     rate_first_order,
     rate_second_order,
-    w_terms,
 )
 from .oracle import (
     CompositeState,
@@ -89,7 +87,6 @@ __all__ = [
     "OccupationKet",
     "OneParticleInput",
     "ParameterError",
-    "RateResult",
     "RateBatch",
     "ResonanceError",
     "SlotKey",
@@ -128,6 +125,5 @@ __all__ = [
     "uniform_grid",
     "vacuum",
     "verify_closed_forms",
-    "w_terms",
     "zero_state",
 ]

@@ -54,6 +54,13 @@ class ModeBasis:
                 "box_lengths",
                 f"box_lengths must be finite and positive, got {self.box_lengths!r}",
             )
+        # every density holds 1/V, as every rate holds 1/hbar^2; the product
+        # of finite lengths can still underflow to 0 or overflow to inf
+        if not (self.volume > 0.0 and 0.0 < 1.0 / self.volume < math.inf):
+            raise ParameterError(
+                "box_lengths",
+                f"1/V must be a finite, nonzero float, got V = {self.volume!r}",
+            )
         if not self.mode_numbers:
             raise ParameterError("modes", "at least one mode is required")
         for n in self.mode_numbers:
@@ -147,12 +154,7 @@ class ModeBasis:
     @cached_property
     def kinetic_energies(self) -> tuple[float, ...]:
         """|p|^2 / 2m of every mode, in mode order."""
-        return tuple(self.kinetic_energy(i) for i in range(self.n_modes))
-
-    def kinetic_energy(self, mode_index: int) -> float:
-        """|p|^2 / 2m for one mode."""
-        p = self.momenta[mode_index]
-        return sum(c * c for c in p) / (2 * self.mass)
+        return tuple(sum(c * c for c in p) / (2 * self.mass) for p in self.momenta)
 
     def wrap(self, coords: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
         """Wrap rows of coordinates into [0, L) per axis; one row per position."""

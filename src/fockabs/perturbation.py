@@ -19,9 +19,10 @@ which reproduces the brute-force enumeration exactly; both conventions
 coincide for sharp packets and for packets whose occupied modes share one
 kinetic energy.
 
-Every rate goes through ``evaluate_rates``, batched over positions; the
-scalar functions ``rate_first_order``, ``rate_second_order`` and
-``w_terms`` are its one-row case.
+Every rate goes through ``evaluate_rates``, batched over positions, and its
+``RateBatch`` is the one result type; the scalar functions
+``rate_first_order`` and ``rate_second_order`` return the rate of its
+one-row case.
 """
 
 from __future__ import annotations
@@ -92,27 +93,14 @@ class OneParticleInput:
             )
 
 
-@dataclass(frozen=True)
-class RateResult:
-    """A transition rate at one detector position.
-
-    ``terms`` is None at first order.  At second order it holds the two
-    ordering amplitudes (packet_b absorbed first, packet_a absorbed first),
-    excluding the coupling constant, so that
-    value = (2 pi / hbar^2) |coupling|^(2 order) |sum(terms)|^2.
-    """
-
-    value: float
-    order: int
-    terms: tuple[complex, ...] | None = None
-
-
 class RateBatch(NamedTuple):
     """Closed-form results at many positions: row r of every array is position r.
 
-    ``coords`` are the wrapped positions and ``terms`` the ordering
-    amplitudes of ``RateResult.terms``; second-order columns are zero for
-    one-particle input.
+    ``coords`` are the wrapped positions.  Row r of ``terms`` holds the two
+    ordering amplitudes (packet_b absorbed first, packet_a absorbed first),
+    excluding the coupling constant, so that
+    rate_order2 = (2 pi / hbar^2) |coupling|^4 |sum(terms)|^2.
+    Second-order columns are zero for one-particle input.
     """
 
     coords: np.ndarray
@@ -223,29 +211,17 @@ def evaluate_rates(
 
 def rate_first_order(
     packet: Wavepacket, detector_spin: int, q: tuple[float, ...], model: MediumModel
-) -> RateResult:
+) -> float:
     """One-particle absorption rate efficiency * |psi(Q)|^2 at matching spin."""
     batch = evaluate_rates(OneParticleInput(packet, detector_spin), model, [q])
-    return RateResult(batch.rate_order1.item(0), 1)
-
-
-def w_terms(
-    inp: TwoParticleInput,
-    q: tuple[float, ...],
-    model: MediumModel,
-    energy_convention: str = "mean",
-) -> tuple[complex, complex]:
-    """The two ordering amplitudes (packet_b first, packet_a first)."""
-    b_first, a_first = evaluate_rates(inp, model, [q], energy_convention).terms[0]
-    return (b_first.item(), a_first.item())
+    return batch.rate_order1.item(0)
 
 
 def rate_second_order(
     inp: TwoParticleInput, q: tuple[float, ...], model: MediumModel
-) -> RateResult:
+) -> float:
     """Two-particle absorption rate (2 pi / hbar^2)|coupling|^4 |sum of terms|^2."""
-    batch = evaluate_rates(inp, model, [q])
-    return RateResult(batch.rate_order2.item(0), 2, tuple(batch.terms[0].tolist()))
+    return evaluate_rates(inp, model, [q]).rate_order2.item(0)
 
 
 def log_log_slope(densities: list[float], rates: list[float]) -> float:

@@ -117,9 +117,6 @@ class VerificationReport:
         )
         return body
 
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
-
 
 def _relative_error(a: float, b: float) -> float:
     # degenerate-energy fermion pairs cancel exactly; both sides then hold
@@ -249,7 +246,7 @@ def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
             packet = _random_packet(
                 rng, basis, sharp, _pick_spin(rng, basis, detector_spin)
             )
-            closed = rate_first_order(packet, detector_spin, q, model).value
+            closed = rate_first_order(packet, detector_spin, q, model)
             state = CompositeState(packet_state(packet, statistics), basis)
             amp = first_order_amplitude(
                 state, FIRST_ORDER_LABEL, q, model, detector_spin
@@ -270,7 +267,7 @@ def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
                 free = packet_a.amplitudes.index(0.0)
                 packet_b = _sharp_packet(basis, free, spin_b)
                 inp = TwoParticleInput(packet_a, packet_b, detector_spin, statistics)
-            closed = rate_second_order(inp, q, model).value
+            closed = rate_second_order(inp, q, model)
             pair_state = two_particle_state(packet_a, packet_b, statistics)
             composite = CompositeState(pair_state, basis)
             if pair_state.is_zero():

@@ -100,7 +100,7 @@ def test_criterion_2_born_distribution():
         raw /= np.linalg.norm(raw)
         pkt = Wavepacket(basis, tuple(raw), 0)
         total = sum(
-            rate_first_order(pkt, 0, q, model).value for q in positions
+            rate_first_order(pkt, 0, q, model) for q in positions
         ) * weight
         worst = max(worst, abs(total - beta) / beta)
         assert abs(total - beta) / beta < 1e-8
@@ -110,7 +110,7 @@ def test_criterion_2_born_distribution():
     plane = Wavepacket(unit_basis, (1.0,), 0)
     for k in range(25):
         q = unit_basis.position((TWO_PI * k / 25,))
-        assert abs(rate_first_order(plane, 0, q, unit_model).value - 1.0) < 1e-12
+        assert abs(rate_first_order(plane, 0, q, unit_model) - 1.0) < 1e-12
     print(
         f"criterion 2 PASS: Born quadrature matches efficiency over 10 "
         f"packets (worst rel {worst:.2e}); unit plane-wave rate is 1.0 "
@@ -184,7 +184,7 @@ def test_criterion_5_orthogonal_packets_product_law():
             )
             if dens < 1e-12:
                 continue
-            ratios.append(rate_second_order(inp, q, model).value / dens)
+            ratios.append(rate_second_order(inp, q, model) / dens)
         spread = (max(ratios) - min(ratios)) / max(ratios)
         spreads.append(spread)
         assert spread < 1e-10
@@ -209,7 +209,7 @@ def test_criterion_6_density_exponents():
     second = proportionality_exponent(inp, model, qs)
     assert abs(second - 2.0) < 1e-6
 
-    rates = [rate_first_order(pkt, 0, q, model).value for q in qs]
+    rates = [rate_first_order(pkt, 0, q, model) for q in qs]
     dens = [abs(position_amplitude(pkt, q)) ** 2 for q in qs]
     first = log_log_slope(dens, rates)
     assert abs(first - 1.0) < 1e-6
@@ -240,10 +240,10 @@ def test_criterion_7_fermion_cancellation():
     q = basis.position((0.9,))
     fermi_rate = rate_second_order(
         TwoParticleInput(f, g, 0, FERMI), q, model
-    ).value
+    )
     bose_rate = rate_second_order(
         TwoParticleInput(f, g, 0, BOSE), q, model
-    ).value
+    )
     assert bose_rate > 0.0
     assert fermi_rate < 1e-12 * bose_rate
 

@@ -719,3 +719,17 @@ def test_cli_rejects_an_hbar_whose_inverse_square_is_no_float(tmp_path, capsys, 
         assert out == ""
         assert err.startswith("error: basis.hbar: ")
         assert err.count("\n") == 1
+
+
+def test_cli_rejects_a_box_whose_inverse_volume_is_no_float(tmp_path, capsys):
+    # a subnormal volume has an infinite inverse, a factor of every density
+    text = _readme_example().replace("[6.283185307179586]   #", "[1.0e-310]   #")
+    assert "box_lengths: [1.0e-310]" in text
+    path = tmp_path / "box.yaml"
+    path.write_text(text)
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: basis.box_lengths: ")
+        assert err.count("\n") == 1

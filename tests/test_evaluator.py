@@ -21,7 +21,6 @@ from fockabs import (
     mode_wavefunction,
     rate_first_order,
     rate_second_order,
-    w_terms,
 )
 from fockabs import perturbation
 
@@ -57,7 +56,7 @@ def literal_rows(inp, model, positions, convention):
                 first = []
                 for packet, amp_q in zip(packets, psi):
                     mean = sum(
-                        abs(a) ** 2 * basis.kinetic_energy(i)
+                        abs(a) ** 2 * basis.kinetic_energies[i]
                         for i, a in enumerate(packet.amplitudes)
                     )
                     total = 0.0
@@ -67,7 +66,7 @@ def literal_rows(inp, model, positions, convention):
                             total += amp_q * product / (mean - ch.energy)
                             continue
                         for i, a in enumerate(packet.amplitudes):
-                            energy = basis.kinetic_energy(i)
+                            energy = basis.kinetic_energies[i]
                             total += a * waves[i] * product / (energy - ch.energy)
                     first.append(total)
                 sign = 1.0 if inp.statistics is BOSE else -1.0
@@ -124,7 +123,7 @@ def random_packet(rng, basis, spin):
 def random_model(rng, basis):
     # channel energies kept clear of every kinetic energy: below zero or
     # above the largest one
-    top = max(basis.kinetic_energy(i) for i in range(basis.n_modes))
+    top = max(basis.kinetic_energies)
     scale = max(top, 1.0)
     channels = []
     for k in range(int(rng.integers(1, 4))):
@@ -228,15 +227,13 @@ def test_scalar_calls_are_rows_of_one_batch(
     batch = evaluate_rates(inp, model, positions, convention)
     scalar = {
         "rate_order1": [
-            rate_first_order(inp.packet_a, inp.detector_spin, q, model).value
+            rate_first_order(inp.packet_a, inp.detector_spin, q, model)
             for q in positions
         ],
-        "terms": [w_terms(inp, q, model, convention) for q in positions],
+        "terms": [evaluate_rates(inp, model, [q], convention).terms[0] for q in positions],
     }
     if convention == "mean":
-        results = [rate_second_order(inp, q, model) for q in positions]
-        assert [r.terms for r in results] == scalar["terms"]
-        scalar["rate_order2"] = [r.value for r in results]
+        scalar["rate_order2"] = [rate_second_order(inp, q, model) for q in positions]
     scalar = {key: np.array(value) for key, value in scalar.items()}
     prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
     uncancelled = prefactor * np.abs(batch.terms).sum(axis=1) ** 2
@@ -313,12 +310,12 @@ def test_per_mode_weights_skip_unoccupied_modes():
     a = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
     inp = TwoParticleInput(a, a, 0, BOSE)
     q = basis.position((0.3,))
-    exact = w_terms(inp, q, model, "per_mode")
-    mean = w_terms(inp, q, model)
+    exact = evaluate_rates(inp, model, [q], "per_mode").terms[0]
+    mean = evaluate_rates(inp, model, [q]).terms[0]
     assert all(abs(x - y) <= REL_TOL * abs(y) for x, y in zip(exact, mean))
     b = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     with pytest.raises(ResonanceError):
-        w_terms(TwoParticleInput(a, b, 0, BOSE), q, model, "per_mode")
+        evaluate_rates(TwoParticleInput(a, b, 0, BOSE), model, [q], "per_mode")
 
 
 def test_evaluator_rejects_positions_of_wrong_dimension():

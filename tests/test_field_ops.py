@@ -56,8 +56,8 @@ def test_basis_geometry():
 
 def test_kinetic_energy_is_p_squared_over_2m():
     basis = ModeBasis.from_mode_numbers([TWO_PI], [[0], [2]], mass=0.5)
-    assert basis.kinetic_energy(0) == 0.0
-    assert abs(basis.kinetic_energy(1) - 4.0) < 1e-12
+    assert basis.kinetic_energies[0] == 0.0
+    assert abs(basis.kinetic_energies[1] - 4.0) < 1e-12
 
 
 def test_basis_rejects_duplicate_momenta():

@@ -289,9 +289,9 @@ def all_modes_second_order(initial, q, model, detector_spin, denominator=None):
                     continue
                 for ch in model.channels:
                     if denominator is None:
-                        denom = basis.kinetic_energy(i) + initial.medium_energy - ch.energy
+                        denom = basis.kinetic_energies[i] + initial.medium_energy - ch.energy
                     else:
-                        denom = denominator(basis.kinetic_energy(i), ch)
+                        denom = denominator(basis.kinetic_energies[i], ch)
                     total += ch.element_out * ch.element_in * overlap * first_factor / denom
     return model.coupling**2 * total
 

@@ -192,6 +192,9 @@ PARAMETER_CASES = [
     # a defaulted first-order element is the first channel's element_in
     (lambda: MediumModel(1e-100, (MediumChannel("c", 1e300, 1.0, 0.5),)), "channels"),
     (lambda: MediumChannel("c", 1.0, 1.0, NAN), "energy"),
+    # finite lengths whose volume underflows to 0 or overflows to inf
+    (lambda: ModeBasis.from_mode_numbers([1e-110] * 3, [[0, 0, 0]]), "box_lengths"),
+    (lambda: ModeBasis.from_mode_numbers([1e110] * 3, [[0, 0, 0]]), "box_lengths"),
 ]
 
 

@@ -64,7 +64,7 @@ def test_first_order_amplitude_matches_closed_form():
             initial = CompositeState(packet_state(pkt, stats), basis)
             q = basis.position((float(rng.uniform(0, TWO_PI)),))
             amp = first_order_amplitude(initial, FIRST_ORDER_LABEL, q, model, 0)
-            closed = rate_first_order(pkt, 0, q, model).value
+            closed = rate_first_order(pkt, 0, q, model)
             oracle = RATE_PREFACTOR * abs(amp) ** 2
             assert abs(closed - oracle) <= 1e-12 * max(oracle, 1e-300)
 
@@ -179,7 +179,7 @@ def test_sharp_packet_agreement_both_statistics():
         initial = CompositeState(pair, basis)
         for _ in range(5):
             q = basis.position((float(rng.uniform(0, TWO_PI)),))
-            closed = rate_second_order(inp, q, model).value
+            closed = rate_second_order(inp, q, model)
             amp = second_order_amplitude(initial, q, model, 0)
             oracle = RATE_PREFACTOR * abs(amp) ** 2
             assert abs(closed - oracle) <= 1e-12 * max(oracle, 1e-300)
@@ -244,11 +244,11 @@ def test_zero_coupling_zeroes_both_sides():
     )
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     q = basis.position((0.9,))
-    assert rate_first_order(pkt, 0, q, model).value == 0.0
+    assert rate_first_order(pkt, 0, q, model) == 0.0
     initial = CompositeState(packet_state(pkt, BOSE), basis)
     assert first_order_amplitude(initial, FIRST_ORDER_LABEL, q, model, 0) == 0.0
     inp = TwoParticleInput(pkt, pkt, 0, BOSE)
-    assert rate_second_order(inp, q, model).value == 0.0
+    assert rate_second_order(inp, q, model) == 0.0
     pair = CompositeState(two_particle_state(pkt, pkt, BOSE), basis)
     assert second_order_amplitude(pair, q, model, 0) == 0.0
 
