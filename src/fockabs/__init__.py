@@ -27,6 +27,7 @@ from .field_ops import (
     Wavepacket,
     apply_packet_creation,
     field_annihilate,
+    lowest_mode_numbers,
     mean_kinetic_energy,
     mode_wavefunction,
     overlap,
@@ -55,7 +56,6 @@ from .perturbation import (
     rate_second_order,
 )
 from .oracle import (
-    CompositeState,
     first_order_amplitude,
     second_order_amplitude,
     single_absorption_vacuum_overlap,
@@ -76,7 +76,6 @@ __all__ = [
     "DEFAULT_OCCUPATION_CAP",
     "EMPTY_KET",
     "FIRST_ORDER_LABEL",
-    "CompositeState",
     "ConfigError",
     "ExperimentConfig",
     "FockState",
@@ -107,6 +106,7 @@ __all__ = [
     "first_order_amplitude",
     "inner_product",
     "log_log_slope",
+    "lowest_mode_numbers",
     "mean_kinetic_energy",
     "mode_wavefunction",
     "overlap",

@@ -241,10 +241,10 @@ def _as_complex(node: Node, path: str, *index: int) -> complex:
     )
 
 
-def _checked(path: str, constructor, *args):
+def _checked(path: str, constructor, *args, **kwargs):
     """Build a domain object, naming the rejected key under ``path`` in its error."""
     try:
-        return constructor(*args)
+        return constructor(*args, **kwargs)
     except ParameterError as exc:
         raise ConfigError(f"{path}.{exc.field}: {exc}") from exc
 
@@ -268,11 +268,16 @@ def _parse_basis(node: Node) -> ModeBasis:
             _vector(vec, _as_int, "basis.modes", i, size=len(lengths))
             for i, vec in enumerate(_require_list(data.pop("modes"), "basis.modes"))
         )
-    hbar = _as_float(data.pop("hbar"), "basis.hbar") if "hbar" in data else 1.0
-    mass = _as_float(data.pop("mass"), "basis.mass") if "mass" in data else 1.0
-    spins = _vector(data.pop("spins"), _as_int, "basis.spins") if "spins" in data else (0, 1)
+    # only the keys the config gives: the defaults are ModeBasis's own
+    options = {}
+    if "hbar" in data:
+        options["hbar"] = _as_float(data.pop("hbar"), "basis.hbar")
+    if "mass" in data:
+        options["mass"] = _as_float(data.pop("mass"), "basis.mass")
+    if "spins" in data:
+        options["spins"] = _vector(data.pop("spins"), _as_int, "basis.spins")
     _no_leftovers(data, "basis")
-    return _checked("basis", ModeBasis, lengths, modes, hbar, mass, spins)
+    return _checked("basis", ModeBasis, lengths, modes, **options)
 
 
 def _parse_packet(name: str, node: Node, basis: ModeBasis) -> Wavepacket:

@@ -46,6 +46,13 @@ class ModeBasis:
     spins: tuple[int, ...] = (0, 1)
 
     def __post_init__(self) -> None:
+        # any sequences are accepted; the fields hold tuples of floats and ints
+        set_field = object.__setattr__
+        set_field(self, "box_lengths", tuple(map(float, self.box_lengths)))
+        set_field(self, "mode_numbers", tuple(map(tuple, self.mode_numbers)))
+        set_field(self, "hbar", float(self.hbar))
+        set_field(self, "mass", float(self.mass))
+        set_field(self, "spins", tuple(self.spins))
         dim = len(self.box_lengths)
         if dim not in (1, 2, 3):
             raise ParameterError("box_lengths", f"need 1 to 3 axes, got {dim}")
@@ -87,37 +94,6 @@ class ModeBasis:
             raise ParameterError("spins", "spin labels must be unique")
         if any(type(s) is not int or s < 0 for s in self.spins):
             raise ParameterError("spins", "spin labels must be nonnegative integers")
-
-    @classmethod
-    def from_mode_numbers(
-        cls,
-        box_lengths: Sequence[float],
-        mode_numbers: Sequence[Sequence[int]],
-        hbar: float = 1.0,
-        mass: float = 1.0,
-        spins: Sequence[int] = (0, 1),
-    ) -> "ModeBasis":
-        return cls(
-            tuple(float(length) for length in box_lengths),
-            tuple(tuple(vec) for vec in mode_numbers),
-            float(hbar),
-            float(mass),
-            tuple(spins),
-        )
-
-    @classmethod
-    def lowest_modes_1d(
-        cls,
-        count: int,
-        length: float,
-        hbar: float = 1.0,
-        mass: float = 1.0,
-        spins: Sequence[int] = (0, 1),
-    ) -> "ModeBasis":
-        """The ``count`` lowest 1D modes in the order 0, 1, -1, 2, -2, ..."""
-        return cls.from_mode_numbers(
-            [length], lowest_mode_numbers(count), hbar, mass, spins
-        )
 
     @property
     def dim(self) -> int:

@@ -13,8 +13,6 @@ nothing from the closed-form module, so agreement with it is a real check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fock_core import (
     FockState,
     OccupationKet,
@@ -27,21 +25,9 @@ from .field_ops import ModeBasis, field_annihilate, mode_wavefunction
 from .medium import MediumModel, check_resonance
 
 
-@dataclass(frozen=True)
-class CompositeState:
-    """Beam state paired with the energy of the initial medium state.
-
-    The basis rides along because occupation kets do not know mode
-    wavefunctions or kinetic energies on their own.
-    """
-
-    particle: FockState
-    basis: ModeBasis
-    medium_energy: float = 0.0
-
-
 def first_order_amplitude(
-    initial: CompositeState,
+    particle: FockState,
+    basis: ModeBasis,
     final_medium: str,
     q: tuple[float, ...],
     model: MediumModel,
@@ -53,22 +39,23 @@ def first_order_amplitude(
     particle state gives 0; an unknown medium label is a domain error.
     """
     element = model.element_for(final_medium)
-    overlap_vac = single_absorption_vacuum_overlap(initial, q, detector_spin)
+    overlap_vac = single_absorption_vacuum_overlap(particle, basis, q, detector_spin)
     return model.coupling * element * overlap_vac
 
 
 def single_absorption_vacuum_overlap(
-    initial: CompositeState, q: tuple[float, ...], detector_spin: int
+    particle: FockState, basis: ModeBasis, q: tuple[float, ...], detector_spin: int
 ) -> complex:
     """<vacuum| field_annihilate |particle>: the beam factor of a single
     interaction.  For any two-particle state this is exactly zero, which is
     why two absorptions need second order."""
-    lowered = field_annihilate(initial.particle, initial.basis, q, detector_spin)
-    return inner_product(vacuum(initial.particle.statistics), lowered)
+    lowered = field_annihilate(particle, basis, q, detector_spin)
+    return inner_product(vacuum(particle.statistics), lowered)
 
 
 def second_order_amplitude(
-    initial: CompositeState,
+    particle: FockState,
+    basis: ModeBasis,
     q: tuple[float, ...],
     model: MediumModel,
     detector_spin: int,
@@ -78,15 +65,13 @@ def second_order_amplitude(
 
     Sums over every initial ket, every mode it occupies at the detector spin
     (all the field operator can remove) and every medium channel.  The
-    denominator for each path is (absorbed kinetic energy + initial medium
-    energy - channel energy); pass ``denominator(absorbed_energy, channel)``
-    to override it, e.g. with a constant 1 to check intermediate-state
-    completeness.
+    absorber starts in its ground state, at energy 0, so the denominator
+    for each path is (absorbed kinetic energy - channel energy); pass
+    ``denominator(absorbed_energy, channel)`` to override it, e.g. with a
+    constant 1 to check intermediate-state completeness.
     """
     if not model.channels:
         raise ValueError("second-order amplitudes require at least one channel")
-    particle = initial.particle
-    basis = initial.basis
     statistics = particle.statistics
     for ket in particle.terms:
         if ket.total() != 2:
@@ -120,9 +105,7 @@ def second_order_amplitude(
                     continue
                 for ch in model.channels:
                     if denominator is None:
-                        denom = (
-                            absorbed_energy + initial.medium_energy - ch.energy
-                        )
+                        denom = absorbed_energy - ch.energy
                         check_resonance(denom, ch.label, i)
                     else:
                         denom = denominator(absorbed_energy, ch)

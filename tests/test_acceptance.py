@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from fockabs import (
-    CompositeState,
     IndistinguishableFermionsError,
     MediumChannel,
     MediumModel,
@@ -22,6 +21,7 @@ from fockabs import (
     Wavepacket,
     check_commutation,
     efficiency_factor,
+    lowest_mode_numbers,
     overlap,
     position_amplitude,
     proportionality_exponent,
@@ -89,7 +89,7 @@ def test_criterion_1_commutation_delta():
 
 def test_criterion_2_born_distribution():
     """First-order rate integrates to the efficiency factor; plane wave is flat 1.0."""
-    basis = ModeBasis.lowest_modes_1d(3, TWO_PI)
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     model = MediumModel(1.3 - 0.4j, (), first_order_element=0.8 + 0.1j)
     beta = efficiency_factor(model, basis.hbar)
     rng = np.random.default_rng(102)
@@ -105,7 +105,7 @@ def test_criterion_2_born_distribution():
         worst = max(worst, abs(total - beta) / beta)
         assert abs(total - beta) / beta < 1e-8
 
-    unit_basis = ModeBasis.lowest_modes_1d(1, TWO_PI, spins=(0,))
+    unit_basis = ModeBasis([TWO_PI], lowest_mode_numbers(1), spins=(0,))
     unit_model = MediumModel(1.0, (), first_order_element=1.0)
     plane = Wavepacket(unit_basis, (1.0,), 0)
     for k in range(25):
@@ -153,7 +153,7 @@ def test_criterion_4_second_order_oracle_equivalence(harness_run):
 
 def test_criterion_5_orthogonal_packets_product_law():
     """Orthogonal-packet rate divided by the density product is position-free."""
-    basis = ModeBasis.lowest_modes_1d(3, TWO_PI)
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     model = MediumModel(
         0.9 + 0.3j,
         (
@@ -197,7 +197,7 @@ def test_criterion_5_orthogonal_packets_product_law():
 
 def test_criterion_6_density_exponents():
     """Same-state bosons scale with the 4th power of |psi|, first order with the 2nd."""
-    basis = ModeBasis.lowest_modes_1d(3, TWO_PI)
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     model = MediumModel(
         1.0,
         (MediumChannel("c", 1.0, 1.0, 3.0),),
@@ -221,7 +221,7 @@ def test_criterion_6_density_exponents():
 
 def test_criterion_7_fermion_cancellation():
     """Nearly identical fermions are not absorbed in pairs; identical ones are rejected."""
-    basis = ModeBasis.lowest_modes_1d(3, TWO_PI)
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     model = MediumModel(
         1.0,
         (
@@ -251,7 +251,7 @@ def test_criterion_7_fermion_cancellation():
     prefactor = 2 * math.pi / basis.hbar**2
     fermi_oracle = prefactor * abs(
         second_order_amplitude(
-            CompositeState(two_particle_state(f, g, FERMI), basis), q, model, 0
+            two_particle_state(f, g, FERMI), basis, q, model, 0
         )
     ) ** 2
     assert fermi_oracle < 1e-12 * bose_rate
@@ -272,7 +272,7 @@ def test_criterion_8_single_interaction_two_absorption_is_zero():
     for trial in range(20):
         n_modes = int(rng.integers(2, 5))
         numbers = rng.choice(np.arange(-3, 4), size=n_modes, replace=False)
-        basis = ModeBasis.from_mode_numbers(
+        basis = ModeBasis(
             [float(rng.uniform(4.0, 8.0))], [[int(n)] for n in numbers]
         )
         stats = BOSE if trial % 2 == 0 else FERMI
@@ -285,9 +285,8 @@ def test_criterion_8_single_interaction_two_absorption_is_zero():
         pair = two_particle_state(a, b, stats)
         if pair.is_zero():
             continue
-        initial = CompositeState(pair, basis)
         q = basis.position((float(rng.uniform(0.0, basis.box_lengths[0])),))
-        value = single_absorption_vacuum_overlap(initial, q, 0)
+        value = single_absorption_vacuum_overlap(pair, basis, q, 0)
         assert value == 0.0
         checked += 1
     assert checked >= 18

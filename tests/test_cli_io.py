@@ -88,6 +88,12 @@ def test_minimal_config_parses():
     assert len(cfg.positions) == 3
 
 
+def test_omitted_basis_options_take_the_mode_basis_defaults():
+    text = ORDER2_TEMPLATE.replace("  spins: [0, 1]\n", "") % ("bose", "partner")
+    assert "hbar" not in text and "mass" not in text and "spins" not in text
+    assert parse_config(text).basis == ModeBasis([TWO_PI], [[0], [1], [-1]])
+
+
 def test_round_trip_is_exact():
     for text in (MINIMAL_ORDER1, ORDER2_TEMPLATE % ("bose", "partner")):
         cfg = parse_config(text)
@@ -103,7 +109,7 @@ _names = st.text(alphabet="abeinorsty01_-.", min_size=1, max_size=5)
 @st.composite
 def experiment_configs(draw):
     dim = draw(st.integers(1, 3))
-    basis = ModeBasis.from_mode_numbers(
+    basis = ModeBasis(
         draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim)),
         draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), min_size=1, max_size=6, unique=True)),
         hbar=draw(st.floats(1e-3, 1e3).filter(lambda x: x != 1.0)),

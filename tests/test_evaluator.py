@@ -18,6 +18,7 @@ from fockabs import (
     TwoParticleInput,
     Wavepacket,
     evaluate_rates,
+    lowest_mode_numbers,
     mode_wavefunction,
     rate_first_order,
     rate_second_order,
@@ -106,7 +107,7 @@ def random_basis(rng, dim, n_modes, hbar, mass):
         np.meshgrid(*[np.arange(-2, 3)] * dim, indexing="ij"), axis=-1
     ).reshape(-1, dim)
     picks = rng.choice(len(grid), size=min(n_modes, len(grid)), replace=False)
-    return ModeBasis.from_mode_numbers(
+    return ModeBasis(
         lengths, [tuple(int(n) for n in grid[k]) for k in picks], hbar, mass
     )
 
@@ -192,7 +193,7 @@ def test_batched_rows_match_literal_sum(
 
 def test_default_chunking_matches_literal_sum_on_and_past_boundaries():
     rng = np.random.default_rng(11)
-    basis = ModeBasis.lowest_modes_1d(64, 5.0, hbar=0.8, mass=1.7)
+    basis = ModeBasis([5.0], lowest_mode_numbers(64), hbar=0.8, mass=1.7)
     model = random_model(rng, basis)
     inp = TwoParticleInput(
         random_packet(rng, basis, 0), random_packet(rng, basis, 0), 0, FERMI
@@ -304,7 +305,7 @@ def test_pair_swap_and_global_phase_symmetries(
 
 
 def test_per_mode_weights_skip_unoccupied_modes():
-    basis = ModeBasis.lowest_modes_1d(3, TWO_PI)
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     # mode n=1 has kinetic energy 0.5, resonant with the channel, but is empty
     model = MediumModel(1.0, (MediumChannel("res", 1.0, 1.0, 0.5),))
     a = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
@@ -319,7 +320,7 @@ def test_per_mode_weights_skip_unoccupied_modes():
 
 
 def test_evaluator_rejects_positions_of_wrong_dimension():
-    basis = ModeBasis.lowest_modes_1d(3, TWO_PI)
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     inp = OneParticleInput(Wavepacket(basis, (1.0, 0.0, 0.0), 0), 0)
     model = MediumModel(1.0, (), first_order_element=1.0)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from fockabs import (
     Wavepacket,
     channel_weight,
     efficiency_factor,
+    lowest_mode_numbers,
 )
 
 
@@ -84,15 +85,15 @@ def test_channel_weight_resonance():
 
 NAN = math.nan
 INF = math.inf
-UNIT_BASIS = ModeBasis.lowest_modes_1d(3, 2 * math.pi)
+UNIT_BASIS = ModeBasis([2 * math.pi], lowest_mode_numbers(3))
 UNIT_CHANNEL = MediumChannel("c", 1.0, 1.0, 0.5)
 NON_FINITE_CASES = [
-    (lambda: ModeBasis.from_mode_numbers([NAN], [[0]]), "box_lengths"),
-    (lambda: ModeBasis.from_mode_numbers([1.0, INF], [[0, 0]]), "box_lengths"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=NAN), "hbar"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=INF), "hbar"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], mass=NAN), "mass"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], mass=INF), "mass"),
+    (lambda: ModeBasis([NAN], [[0]]), "box_lengths"),
+    (lambda: ModeBasis([1.0, INF], [[0, 0]]), "box_lengths"),
+    (lambda: ModeBasis([1.0], [[0]], hbar=NAN), "hbar"),
+    (lambda: ModeBasis([1.0], [[0]], hbar=INF), "hbar"),
+    (lambda: ModeBasis([1.0], [[0]], mass=NAN), "mass"),
+    (lambda: ModeBasis([1.0], [[0]], mass=INF), "mass"),
     (lambda: UNIT_BASIS.wrap([[INF]]), "coordinates"),
     (lambda: UNIT_BASIS.position((NAN,)), "coordinates"),
     (lambda: MediumChannel("c", 1.0, 1.0, NAN), "energy"),
@@ -172,15 +173,15 @@ def test_element_lookup():
 
 
 PARAMETER_CASES = [
-    (lambda: ModeBasis.from_mode_numbers([1.0] * 4, [[0] * 4]), "box_lengths"),
-    (lambda: ModeBasis.from_mode_numbers([-1.0], [[0]]), "box_lengths"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], []), "modes"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0], [0]]), "modes"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=-1.0), "hbar"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=1e-200), "hbar"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], hbar=1e200), "hbar"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], mass=0.0), "mass"),
-    (lambda: ModeBasis.from_mode_numbers([1.0], [[0]], spins=(0, 0)), "spins"),
+    (lambda: ModeBasis([1.0] * 4, [[0] * 4]), "box_lengths"),
+    (lambda: ModeBasis([-1.0], [[0]]), "box_lengths"),
+    (lambda: ModeBasis([1.0], []), "modes"),
+    (lambda: ModeBasis([1.0], [[0], [0]]), "modes"),
+    (lambda: ModeBasis([1.0], [[0]], hbar=-1.0), "hbar"),
+    (lambda: ModeBasis([1.0], [[0]], hbar=1e-200), "hbar"),
+    (lambda: ModeBasis([1.0], [[0]], hbar=1e200), "hbar"),
+    (lambda: ModeBasis([1.0], [[0]], mass=0.0), "mass"),
+    (lambda: ModeBasis([1.0], [[0]], spins=(0, 0)), "spins"),
     (lambda: Wavepacket(UNIT_BASIS, (1.0, 0.0), 0), "amplitudes"),
     (lambda: Wavepacket(UNIT_BASIS, (1.0, 1.0, 0.0), 0), "amplitudes"),
     (lambda: Wavepacket(UNIT_BASIS, (1.0, 0.0, 0.0), 7), "spin"),
@@ -193,8 +194,8 @@ PARAMETER_CASES = [
     (lambda: MediumModel(1e-100, (MediumChannel("c", 1e300, 1.0, 0.5),)), "channels"),
     (lambda: MediumChannel("c", 1.0, 1.0, NAN), "energy"),
     # finite lengths whose volume underflows to 0 or overflows to inf
-    (lambda: ModeBasis.from_mode_numbers([1e-110] * 3, [[0, 0, 0]]), "box_lengths"),
-    (lambda: ModeBasis.from_mode_numbers([1e110] * 3, [[0, 0, 0]]), "box_lengths"),
+    (lambda: ModeBasis([1e-110] * 3, [[0, 0, 0]]), "box_lengths"),
+    (lambda: ModeBasis([1e110] * 3, [[0, 0, 0]]), "box_lengths"),
 ]
 
 

@@ -18,6 +18,7 @@ from fockabs import (
     efficiency_factor,
     evaluate_rates,
     log_log_slope,
+    lowest_mode_numbers,
     proportionality_exponent,
     rate_first_order,
     rate_second_order,
@@ -30,7 +31,7 @@ TWO_PI = 2 * math.pi
 
 
 def cos_basis(spins=(0, 1)):
-    return ModeBasis.lowest_modes_1d(3, TWO_PI, spins=spins)
+    return ModeBasis([TWO_PI], lowest_mode_numbers(3), spins=spins)
 
 
 def safe_model():
@@ -63,7 +64,7 @@ def orthogonal_pair(rng, basis, spin=0):
 
 
 def test_unit_plane_wave_rate_is_one_everywhere():
-    basis = ModeBasis.lowest_modes_1d(1, TWO_PI, spins=(0,))
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(1), spins=(0,))
     model = MediumModel(1.0, (), first_order_element=1.0)
     pkt = Wavepacket(basis, (1.0,), 0)
     rng = np.random.default_rng(0)
@@ -135,7 +136,7 @@ def test_bose_same_state_input_allowed():
 
 def test_input_requires_shared_basis():
     a = Wavepacket(cos_basis(), (1.0, 0.0, 0.0), 0)
-    b = Wavepacket(ModeBasis.lowest_modes_1d(3, 4.0), (1.0, 0.0, 0.0), 0)
+    b = Wavepacket(ModeBasis([4.0], lowest_mode_numbers(3)), (1.0, 0.0, 0.0), 0)
     with pytest.raises(ValueError):
         TwoParticleInput(a, b, 0, BOSE)
 
@@ -153,7 +154,7 @@ def test_input_validates_detector_spin():
 def test_same_state_boson_unit_case():
     # one zero-momentum mode, L = 2*pi, unit coupling and elements,
     # channel energy 1: rate = 2/pi exactly
-    basis = ModeBasis.lowest_modes_1d(1, TWO_PI, spins=(0,))
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(1), spins=(0,))
     model = MediumModel(1.0, (MediumChannel("c", 1.0, 1.0, 1.0),))
     pkt = Wavepacket(basis, (1.0,), 0)
     inp = TwoParticleInput(pkt, pkt, 0, BOSE)
@@ -367,7 +368,7 @@ def test_exponent_one_for_first_order():
 
 
 def test_exponent_undefined_for_flat_density():
-    basis = ModeBasis.lowest_modes_1d(1, TWO_PI, spins=(0,))
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(1), spins=(0,))
     model = MediumModel(1.0, (MediumChannel("c", 1.0, 1.0, 1.0),))
     pkt = Wavepacket(basis, (1.0,), 0)
     inp = TwoParticleInput(pkt, pkt, 0, BOSE)
