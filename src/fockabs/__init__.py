@@ -37,7 +37,6 @@ from .field_ops import (
     uniform_grid,
 )
 from .medium import (
-    FIRST_ORDER_LABEL,
     MediumChannel,
     MediumModel,
     ResonanceError,
@@ -45,10 +44,9 @@ from .medium import (
     efficiency_factor,
 )
 from .perturbation import (
+    AbsorptionInput,
     IndistinguishableFermionsError,
-    OneParticleInput,
     RateBatch,
-    TwoParticleInput,
     evaluate_rates,
     log_log_slope,
     proportionality_exponent,
@@ -75,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_OCCUPATION_CAP",
     "EMPTY_KET",
-    "FIRST_ORDER_LABEL",
+    "AbsorptionInput",
     "ConfigError",
     "ExperimentConfig",
     "FockState",
@@ -84,14 +82,12 @@ __all__ = [
     "MediumModel",
     "ModeBasis",
     "OccupationKet",
-    "OneParticleInput",
     "ParameterError",
     "RateBatch",
     "ResonanceError",
     "SlotKey",
     "Statistics",
     "TrialRecord",
-    "TwoParticleInput",
     "VerificationReport",
     "Wavepacket",
     "annihilate",

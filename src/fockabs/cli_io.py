@@ -28,13 +28,7 @@ from yaml.nodes import MappingNode, Node, ScalarNode, SequenceNode
 from .fock_core import ParameterError, Statistics
 from .field_ops import NORMALIZATION_TOLERANCE, ModeBasis, Wavepacket, lowest_mode_numbers
 from .medium import MediumChannel, MediumModel, ResonanceError
-from .perturbation import (
-    OneParticleInput,
-    RateBatch,
-    TwoParticleInput,
-    evaluate_rates,
-    proportionality_exponent,
-)
+from .perturbation import AbsorptionInput, RateBatch, evaluate_rates, proportionality_exponent
 from .verify import verify_closed_forms
 
 # packet norm^2 offsets above NORMALIZATION_TOLERANCE and up to this are renormalized
@@ -54,7 +48,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunSpec:
-    order: int
+    """The run section; its order is the number of packet names."""
+
     statistics: Statistics
     packet_names: tuple[str, ...]
     detector_spin: int
@@ -396,7 +391,7 @@ def _parse_run(node: Node, packets: dict[str, Wavepacket], basis: ModeBasis) -> 
             f"run.detector_spin: {detector_spin} not in basis spin set"
         )
     _no_leftovers(data, "run")
-    return RunSpec(order, statistics, names, detector_spin)
+    return RunSpec(statistics, names, detector_spin)
 
 
 def _parse_document(root: Node | None) -> ExperimentConfig:
@@ -417,7 +412,7 @@ def _parse_document(root: Node | None) -> ExperimentConfig:
     medium = _parse_medium(top["medium"])
     positions = _parse_scan(top["scan"], basis.dim)
     run = _parse_run(top["run"], packets, basis)
-    if run.order == 2 and not medium.channels:
+    if len(run.packet_names) == 2 and not medium.channels:
         raise ConfigError("medium.channels: required for an order-2 run")
     return ExperimentConfig(basis, packets, medium, positions, run)
 
@@ -496,7 +491,7 @@ def serialize_config(config: ExperimentConfig) -> str:
         },
         "scan": {"positions": [list(p) for p in config.positions]},
         "run": {
-            "order": config.run.order,
+            "order": len(config.run.packet_names),
             "statistics": config.run.statistics.value,
             "packets": list(config.run.packet_names),
             "detector_spin": config.run.detector_spin,
@@ -510,13 +505,11 @@ def serialize_config(config: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 
 
-def run_input(config: ExperimentConfig) -> OneParticleInput | TwoParticleInput:
+def run_input(config: ExperimentConfig) -> AbsorptionInput:
     """The run's input object, from the packets that ``run.packets`` names."""
     run = config.run
     packets = [config.packets[name] for name in run.packet_names]
-    if run.order == 2:
-        return TwoParticleInput(*packets, run.detector_spin, run.statistics)
-    return OneParticleInput(packets[0], run.detector_spin)
+    return AbsorptionInput(packets, run.detector_spin, run.statistics)
 
 
 def run_scan(config: ExperimentConfig) -> RateBatch:
@@ -575,7 +568,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_exponent(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     value = proportionality_exponent(run_input(config), config.medium, config.positions)
-    print(f"order={config.run.order} exponent={value:.9f}")
+    print(f"order={len(config.run.packet_names)} exponent={value:.9f}")
     return 0
 
 

@@ -88,6 +88,15 @@ class ModeBasis:
             )
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ParameterError("mass", f"mass must be finite and positive, got {self.mass!r}")
+        # every energy denominator holds them; an overflow would make it nan
+        for k, energy in enumerate(self.kinetic_energies):
+            if not math.isfinite(energy):
+                raise ParameterError(
+                    "modes",
+                    f"kinetic energy of mode {k} {self.mode_numbers[k]!r} must be finite, "
+                    f"got {energy!r} from hbar = {self.hbar!r}, mass = {self.mass!r}, "
+                    f"box_lengths = {self.box_lengths!r}",
+                )
         if not self.spins:
             raise ParameterError("spins", "spin label set must be nonempty")
         if len(set(self.spins)) != len(self.spins):

@@ -17,8 +17,6 @@ from .fock_core import ParameterError
 
 RESONANCE_THRESHOLD = 1e-9
 
-FIRST_ORDER_LABEL = "M1"
-
 
 class ResonanceError(ValueError):
     """An energy denominator is too close to zero for perturbation theory."""
@@ -72,7 +70,8 @@ class MediumModel:
     first_order_element: complex | None = None
 
     def __post_init__(self) -> None:
-        # the second-order rate holds |coupling|^4, the first-order one |coupling M1|^2
+        # the second-order rate holds |coupling|^4, the first-order one
+        # |coupling * first_order_element|^2
         _check_prefactor("coupling", "coupling", self.coupling, 4)
         product = "coupling * first_order_element"
         if self.first_order_element is not None:
@@ -82,12 +81,6 @@ class MediumModel:
         labels = [ch.label for ch in self.channels]
         if len(set(labels)) != len(labels):
             raise ParameterError("channels", f"duplicate channel labels: {labels}")
-        if FIRST_ORDER_LABEL in labels:
-            raise ParameterError(
-                "channels",
-                f"channel label {FIRST_ORDER_LABEL!r} is reserved for the "
-                f"first-order final state",
-            )
         energies = [ch.energy for ch in self.channels]
         if len(set(energies)) != len(energies):
             raise ParameterError(
@@ -102,16 +95,6 @@ class MediumModel:
             default = self.channels[0].element_in
             _check_prefactor("channels", product, self.coupling * default, 2)
             object.__setattr__(self, "first_order_element", default)
-
-    def element_for(self, label: str) -> complex:
-        """Absorption matrix element for a named final or channel state."""
-        if label == FIRST_ORDER_LABEL:
-            assert self.first_order_element is not None
-            return self.first_order_element
-        for ch in self.channels:
-            if ch.label == label:
-                return ch.element_in
-        raise ValueError(f"unknown medium label {label!r}")
 
 
 def efficiency_factor(model: MediumModel, hbar: float) -> float:

@@ -28,19 +28,17 @@ from .medium import MediumModel, check_resonance
 def first_order_amplitude(
     particle: FockState,
     basis: ModeBasis,
-    final_medium: str,
     q: tuple[float, ...],
     model: MediumModel,
     detector_spin: int,
 ) -> complex:
     """Single-absorption amplitude by literal operator application.
 
-    coupling * element * <vacuum| field_annihilate |particle>.  A vacuum
-    particle state gives 0; an unknown medium label is a domain error.
+    coupling * first_order_element * <vacuum| field_annihilate |particle>.
+    A vacuum particle state gives 0.
     """
-    element = model.element_for(final_medium)
     overlap_vac = single_absorption_vacuum_overlap(particle, basis, q, detector_spin)
-    return model.coupling * element * overlap_vac
+    return model.coupling * model.first_order_element * overlap_vac
 
 
 def single_absorption_vacuum_overlap(

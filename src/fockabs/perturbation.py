@@ -54,42 +54,28 @@ class IndistinguishableFermionsError(ValueError):
 
 
 @dataclass(frozen=True)
-class TwoParticleInput:
-    """Ordered packet pair (packet_b created first), detector spin, statistics."""
+class AbsorptionInput:
+    """One packet, absorbed at first order, or the pair (packet_a, packet_b), packet_b
+    created first, absorbed at second order; with the detector spin and statistics."""
 
-    packet_a: Wavepacket
-    packet_b: Wavepacket
+    packets: tuple[Wavepacket, ...]
     detector_spin: int
-    statistics: Statistics
+    statistics: Statistics = Statistics.BOSE
 
     def __post_init__(self) -> None:
-        if self.packet_a.basis != self.packet_b.basis:
+        packets = tuple(self.packets)
+        object.__setattr__(self, "packets", packets)
+        if len(packets) not in (1, 2):
+            raise ValueError(f"need one or two packets, got {len(packets)}")
+        a, b = packets[0], packets[-1]
+        if b.basis != a.basis:
             raise ValueError("packets live on different bases")
-        if self.detector_spin not in self.packet_a.basis.spins:
-            raise ValueError(
-                f"detector spin {self.detector_spin} not in basis spin set"
-            )
-        if (
-            self.statistics is Statistics.FERMI
-            and self.packet_a.spin == self.packet_b.spin
-            and self.packet_a.amplitudes == self.packet_b.amplitudes
-        ):
+        if self.detector_spin not in a.basis.spins:
+            raise ValueError(f"detector spin {self.detector_spin} not in basis spin set")
+        fermi_pair = len(packets) == 2 and self.statistics is Statistics.FERMI
+        if fermi_pair and (a.spin, a.amplitudes) == (b.spin, b.amplitudes):
             raise IndistinguishableFermionsError(
                 "fermionic pair with identical packets and equal spins"
-            )
-
-
-@dataclass(frozen=True)
-class OneParticleInput:
-    """One packet and the detector spin, for first-order rates."""
-
-    packet: Wavepacket
-    detector_spin: int
-
-    def __post_init__(self) -> None:
-        if self.detector_spin not in self.packet.basis.spins:
-            raise ValueError(
-                f"detector spin {self.detector_spin} not in basis spin set"
             )
 
 
@@ -100,7 +86,7 @@ class RateBatch(NamedTuple):
     ordering amplitudes (packet_b absorbed first, packet_a absorbed first),
     excluding the coupling constant, so that
     rate_order2 = (2 pi / hbar^2) |coupling|^4 |sum(terms)|^2.
-    Second-order columns are zero for one-particle input.
+    Second-order columns are zero for a one-packet input.
     """
 
     coords: np.ndarray
@@ -136,7 +122,7 @@ def _channel_sum(
 
 
 def evaluate_rates(
-    inp: OneParticleInput | TwoParticleInput,
+    inp: AbsorptionInput,
     model: MediumModel,
     coords: Sequence[Sequence[float]] | np.ndarray,
     energy_convention: str = "mean",
@@ -152,13 +138,13 @@ def evaluate_rates(
     the spin deltas zero the rate.  Positions go through the phase matrix
     in chunks of at most CHUNK_ELEMENTS entries.
     """
-    pair = isinstance(inp, TwoParticleInput)
-    packets = (inp.packet_a, inp.packet_b) if pair else (inp.packet,)
+    packets = inp.packets
+    pair = len(packets) == 2
     basis = packets[0].basis
     wrapped = basis.wrap(coords)
     rows = len(wrapped)
     # one column per mode sum: each packet's amplitudes (a zero packet_b for
-    # one particle) and, with per-mode weights, each packet's weighted
+    # one packet) and, with per-mode weights, each packet's weighted
     # amplitudes.  There are always at least two: BLAS hands a one-column
     # product to threaded matrix-vector code that ran 100-1000x slower on a
     # 2-core machine.
@@ -177,13 +163,10 @@ def evaluate_rates(
             ]
     modes = np.array(columns, dtype=complex).T
     step = max(1, CHUNK_ELEMENTS // basis.n_modes)
-    if rows <= step:  # one chunk, also for no positions
-        sums = phase_matrix(basis, wrapped) @ modes
-    else:
-        sums = np.concatenate([
-            phase_matrix(basis, wrapped[start : start + step]) @ modes
-            for start in range(0, rows, step)
-        ])
+    sums = np.empty((rows, modes.shape[1]), dtype=complex)
+    for start in range(0, rows, step):
+        chunk = slice(start, start + step)
+        sums[chunk] = phase_matrix(basis, wrapped[chunk]) @ modes
     psi = sums[:, :2]
     density = np.abs(psi) ** 2
     hbar = basis.hbar
@@ -213,12 +196,12 @@ def rate_first_order(
     packet: Wavepacket, detector_spin: int, q: tuple[float, ...], model: MediumModel
 ) -> float:
     """One-particle absorption rate efficiency * |psi(Q)|^2 at matching spin."""
-    batch = evaluate_rates(OneParticleInput(packet, detector_spin), model, [q])
+    batch = evaluate_rates(AbsorptionInput((packet,), detector_spin), model, [q])
     return batch.rate_order1.item(0)
 
 
 def rate_second_order(
-    inp: TwoParticleInput, q: tuple[float, ...], model: MediumModel
+    inp: AbsorptionInput, q: tuple[float, ...], model: MediumModel
 ) -> float:
     """Two-particle absorption rate (2 pi / hbar^2)|coupling|^4 |sum of terms|^2."""
     return evaluate_rates(inp, model, [q]).rate_order2.item(0)
@@ -254,7 +237,7 @@ def log_log_slope(densities: list[float], rates: list[float]) -> float:
 
 
 def proportionality_exponent(
-    inp: OneParticleInput | TwoParticleInput,
+    inp: AbsorptionInput,
     model: MediumModel,
     coords: Sequence[Sequence[float]] | np.ndarray,
 ) -> float:
@@ -266,7 +249,7 @@ def proportionality_exponent(
     any pair of packets.
     """
     batch = evaluate_rates(inp, model, coords)
-    if isinstance(inp, TwoParticleInput):
+    if len(inp.packets) == 2:
         density = np.sqrt(batch.density_a * batch.density_b)
         rates = batch.rate_order2
     else:

@@ -18,16 +18,16 @@ import numpy as np
 
 from .fock_core import Statistics
 from .field_ops import ModeBasis, Wavepacket, packet_state, two_particle_state
-from .medium import FIRST_ORDER_LABEL, MediumChannel, MediumModel
+from .medium import MediumChannel, MediumModel
 from .oracle import (
     first_order_amplitude,
     second_order_amplitude,
     single_absorption_vacuum_overlap,
 )
 from .perturbation import (
+    AbsorptionInput,
     IndistinguishableFermionsError,
     RateBatch,
-    TwoParticleInput,
     evaluate_rates,
     rate_first_order,
 )
@@ -261,7 +261,7 @@ def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
             )
             closed = rate_first_order(packet, detector_spin, q, model)
             state = packet_state(packet, statistics)
-            amp = first_order_amplitude(state, basis, FIRST_ORDER_LABEL, q, model, detector_spin)
+            amp = first_order_amplitude(state, basis, q, model, detector_spin)
             oracle_rate = two_pi / hbar_sq * abs(amp) ** 2
             record(1, kind, closed, oracle_rate, _relative_error(closed, oracle_rate))
 
@@ -272,13 +272,13 @@ def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
             packet_a = _random_packet(rng, basis, sharp, spin_a)
             packet_b = _random_packet(rng, basis, sharp, spin_b)
             try:
-                inp = TwoParticleInput(packet_a, packet_b, detector_spin, statistics)
+                inp = AbsorptionInput((packet_a, packet_b), detector_spin, statistics)
             except IndistinguishableFermionsError:
                 # only sharp draws can collide, and a sharp packet leaves at
                 # least one of the >= 2 modes free: move packet_b there
                 free = packet_a.amplitudes.index(0.0)
                 packet_b = _sharp_packet(basis, free, spin_b)
-                inp = TwoParticleInput(packet_a, packet_b, detector_spin, statistics)
+                inp = AbsorptionInput((packet_a, packet_b), detector_spin, statistics)
             batch = evaluate_rates(inp, model, [q])
             closed = batch.rate_order2.item(0)
             pair_state = two_particle_state(packet_a, packet_b, statistics)

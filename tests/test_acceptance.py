@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from fockabs import (
+    AbsorptionInput,
     IndistinguishableFermionsError,
     MediumChannel,
     MediumModel,
     ModeBasis,
     SlotKey,
     Statistics,
-    TwoParticleInput,
     Wavepacket,
     check_commutation,
     efficiency_factor,
@@ -172,7 +172,7 @@ def test_criterion_5_orthogonal_packets_product_law():
         f = Wavepacket(basis, tuple(raw_f), 0)
         g = Wavepacket(basis, tuple(raw_g), 0)
         assert abs(overlap(f, g)) < 1e-12
-        inp = TwoParticleInput(f, g, 0, stats)
+        inp = AbsorptionInput((f, g), 0, stats)
         ratios = []
         k = 0
         while len(ratios) < 10:
@@ -204,7 +204,7 @@ def test_criterion_6_density_exponents():
     )
     w = 1 / math.sqrt(2)
     pkt = Wavepacket(basis, (0.0, w, w), 0)
-    inp = TwoParticleInput(pkt, pkt, 0, BOSE)
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     qs = [basis.position((x,)) for x in (0.2, 0.5, 0.8, 1.1, 1.35, 2.1, 2.6, 2.9)]
     second = proportionality_exponent(inp, model, qs)
     assert abs(second - 2.0) < 1e-6
@@ -239,10 +239,10 @@ def test_criterion_7_fermion_cancellation():
 
     q = basis.position((0.9,))
     fermi_rate = rate_second_order(
-        TwoParticleInput(f, g, 0, FERMI), q, model
+        AbsorptionInput((f, g), 0, FERMI), q, model
     )
     bose_rate = rate_second_order(
-        TwoParticleInput(f, g, 0, BOSE), q, model
+        AbsorptionInput((f, g), 0, BOSE), q, model
     )
     assert bose_rate > 0.0
     assert fermi_rate < 1e-12 * bose_rate
@@ -257,7 +257,7 @@ def test_criterion_7_fermion_cancellation():
     assert fermi_oracle < 1e-12 * bose_rate
 
     with pytest.raises(IndistinguishableFermionsError):
-        TwoParticleInput(f, f, 0, FERMI)
+        AbsorptionInput((f, f), 0, FERMI)
     print(
         f"criterion 7 PASS: at overlap 1-1e-8 the fermion rate is "
         f"{fermi_rate:.3e} vs boson {bose_rate:.3e} (ratio "

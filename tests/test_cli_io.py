@@ -79,7 +79,7 @@ run:
 
 def test_minimal_config_parses():
     cfg = parse_config(MINIMAL_ORDER1)
-    assert cfg.run.order == 1
+    assert cfg.run.packet_names == ("beam",)
     assert isinstance(cfg.basis, ModeBasis)
     assert cfg.basis.mode_numbers == ((0,),)
     assert list(cfg.packets) == ["beam"]
@@ -129,7 +129,7 @@ def experiment_configs(draw):
         packets[name] = Wavepacket(
             basis, tuple(z / norm for z in amps), draw(st.sampled_from(basis.spins))
         )
-    labels = draw(st.lists(_names.filter(lambda s: s != "M1"), max_size=3, unique=True))
+    labels = draw(st.lists(_names, max_size=3, unique=True))
     energies = draw(st.lists(_finite, min_size=len(labels), max_size=len(labels), unique=True))
     channels = tuple(
         MediumChannel(label, draw(_complexes), draw(_complexes), energy)
@@ -138,7 +138,6 @@ def experiment_configs(draw):
     first = draw(_complexes) if not channels else draw(st.none() | _complexes)
     order = draw(st.sampled_from((1, 2) if channels else (1,)))
     run = RunSpec(
-        order,
         draw(st.sampled_from(Statistics)),
         tuple(draw(st.lists(st.sampled_from(sorted(packets)), min_size=order, max_size=order))),
         draw(st.sampled_from(basis.spins)),
@@ -237,8 +236,6 @@ ORDER1_NO_ELEMENT = (
                      "basis.modes", id="duplicate-modes"),
         pytest.param("label: ch1", "label: ch0",
                      "medium.channels", id="duplicate-labels"),
-        pytest.param("label: ch1", "label: M1",
-                     "medium.channels", id="reserved-label"),
         pytest.param("energy: -0.8", "energy: 2.3",
                      "medium.channels", id="degenerate-energies"),
         pytest.param("spins: [0, 1]", "spins: [0, 1]\n  hbar: -1.0",
@@ -510,21 +507,48 @@ def test_emit_csv_12_significant_digits():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("listed", [True, False], ids=["listed", "range-32"])
-def test_readme_example_csv_is_pinned(tmp_path, listed):
-    """``fockabs scan`` of the README example, byte for byte: the listed
-    positions as written, and the commented-out ``range`` of 32 points."""
+def _readme_range32() -> str:
+    """The README example with its commented-out ``range`` of 32 points."""
+    old = "  positions: [[0.0], [0.5], [1.0]]\n  # range:"
     text = _readme_example()
-    if not listed:
-        old = "  positions: [[0.0], [0.5], [1.0]]\n  # range:"
+    assert old in text
+    return text.replace(old, "  range:")
+
+
+def _at_order1(text: str) -> str:
+    """A README example config run at order 1 on its one packet."""
+    for old, new in (("order: 2 ", "order: 1 "), ("packets: [beam, beam]", "packets: [beam]")):
         assert old in text
-        text = text.replace(old, "  range:")
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize(
+    "text, golden",
+    [
+        pytest.param(_readme_example(), "readme_listed.csv", id="listed"),
+        pytest.param(_readme_range32(), "readme_range32.csv", id="range-32"),
+        pytest.param(_at_order1(_readme_range32()), "readme_order1_range32.csv", id="order1-range-32"),
+    ],
+)
+def test_readme_example_csv_is_pinned(tmp_path, text, golden):
+    """``fockabs scan`` of the README example, byte for byte: the listed
+    positions as written, the commented-out ``range`` of 32 points, and that
+    range at order 1."""
     config = tmp_path / "cfg.yaml"
     config.write_text(text)
     out = tmp_path / "rates.csv"
     assert main(["scan", "--config", str(config), "--out", str(out)]) == 0
-    golden = GOLDEN / ("readme_listed.csv" if listed else "readme_range32.csv")
-    assert out.read_bytes() == golden.read_bytes()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_a_channel_may_be_labelled_m1():
+    # a label is only a name in messages: no label is reserved
+    text = _readme_range32()
+    assert text.count("label: ch0") == 1
+    renamed = parse_config(text.replace("label: ch0", "label: M1"))
+    assert renamed.medium.channels[0].label == "M1"
+    assert emit_csv(run_scan(renamed)) == emit_csv(run_scan(parse_config(text)))
 
 
 def test_scan_and_csv_deterministic():
@@ -738,4 +762,28 @@ def test_cli_rejects_a_box_whose_inverse_volume_is_no_float(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: basis.box_lengths: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("mass: 1.0 ", "mass: 1.0e-310 ", id="mass"),
+        pytest.param("[6.283185307179586]   #", "[1.0e-160]   #", id="box-length"),
+    ],
+)
+@pytest.mark.parametrize("order", [1, 2])
+def test_cli_rejects_a_kinetic_energy_that_overflows(tmp_path, capsys, old, new, order):
+    # p^2 / 2m overflows to inf, and a mean kinetic energy holding 0 * inf is nan
+    text = _readme_example().replace(old, new)
+    assert new in text
+    if order == 1:
+        text = _at_order1(text)
+    path = tmp_path / "modes.yaml"
+    path.write_text(text)
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: basis.modes: kinetic energy of mode 1 ")
         assert err.count("\n") == 1

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockabs import (
+    AbsorptionInput,
     MediumChannel,
     MediumModel,
     ModeBasis,
-    OneParticleInput,
     ResonanceError,
     Statistics,
-    TwoParticleInput,
     Wavepacket,
     evaluate_rates,
     lowest_mode_numbers,
@@ -33,8 +32,8 @@ REL_TOL = 1e-12
 
 def literal_rows(inp, model, positions, convention):
     """Rates, amplitudes and terms position by position, mode by mode."""
-    pair = isinstance(inp, TwoParticleInput)
-    packets = (inp.packet_a, inp.packet_b) if pair else (inp.packet,)
+    packets = inp.packets
+    pair = len(packets) == 2
     basis = packets[0].basis
     out = {"psi_a": [], "psi_b": [], "rate_order1": [], "rate_order2": [], "terms": []}
     uncancelled = []
@@ -146,8 +145,8 @@ def random_input(rng, basis, order, statistics):
     spins = [0 if rng.random() < 0.8 else 1 for _ in range(order)]
     packets = [random_packet(rng, basis, s) for s in spins]
     if order == 1:
-        return OneParticleInput(packets[0], detector)
-    return TwoParticleInput(packets[0], packets[1], detector, statistics)
+        return AbsorptionInput((packets[0],), detector)
+    return AbsorptionInput((packets[0], packets[1]), detector, statistics)
 
 
 def random_coords(rng, basis, rows):
@@ -195,8 +194,8 @@ def test_default_chunking_matches_literal_sum_on_and_past_boundaries():
     rng = np.random.default_rng(11)
     basis = ModeBasis([5.0], lowest_mode_numbers(64), hbar=0.8, mass=1.7)
     model = random_model(rng, basis)
-    inp = TwoParticleInput(
-        random_packet(rng, basis, 0), random_packet(rng, basis, 0), 0, FERMI
+    inp = AbsorptionInput(
+        (random_packet(rng, basis, 0), random_packet(rng, basis, 0)), 0, FERMI
     )
     step = perturbation.CHUNK_ELEMENTS // basis.n_modes
     coords = random_coords(rng, basis, 2 * step + 1)
@@ -228,7 +227,7 @@ def test_scalar_calls_are_rows_of_one_batch(
     batch = evaluate_rates(inp, model, positions, convention)
     scalar = {
         "rate_order1": [
-            rate_first_order(inp.packet_a, inp.detector_spin, q, model)
+            rate_first_order(inp.packets[0], inp.detector_spin, q, model)
             for q in positions
         ],
         "terms": [evaluate_rates(inp, model, [q], convention).terms[0] for q in positions],
@@ -273,7 +272,7 @@ def test_pair_swap_and_global_phase_symmetries(
 
     # swapping the pair swaps the orderings, with the exchange sign
     swapped = evaluate_rates(
-        TwoParticleInput(inp.packet_b, inp.packet_a, inp.detector_spin, statistics),
+        AbsorptionInput((inp.packets[1], inp.packets[0]), inp.detector_spin, statistics),
         model,
         coords,
         convention,
@@ -287,14 +286,15 @@ def test_pair_swap_and_global_phase_symmetries(
     )
 
     # a global phase on either packet is unobservable
-    for name in ("packet_a", "packet_b"):
-        packet = getattr(inp, name)
+    for k, packet in enumerate(inp.packets):
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         rotated = Wavepacket(
             basis, tuple(phase * a for a in packet.amplitudes), packet.spin
         )
+        packets = list(inp.packets)
+        packets[k] = rotated
         turned = evaluate_rates(
-            dataclasses.replace(inp, **{name: rotated}), model, coords, convention
+            dataclasses.replace(inp, packets=packets), model, coords, convention
         )
         for key in ("density_a", "density_b", "rate_order1"):
             want, got = getattr(batch, key), getattr(turned, key)
@@ -309,19 +309,19 @@ def test_per_mode_weights_skip_unoccupied_modes():
     # mode n=1 has kinetic energy 0.5, resonant with the channel, but is empty
     model = MediumModel(1.0, (MediumChannel("res", 1.0, 1.0, 0.5),))
     a = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
-    inp = TwoParticleInput(a, a, 0, BOSE)
+    inp = AbsorptionInput((a, a), 0, BOSE)
     q = basis.position((0.3,))
     exact = evaluate_rates(inp, model, [q], "per_mode").terms[0]
     mean = evaluate_rates(inp, model, [q]).terms[0]
     assert all(abs(x - y) <= REL_TOL * abs(y) for x, y in zip(exact, mean))
     b = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     with pytest.raises(ResonanceError):
-        evaluate_rates(TwoParticleInput(a, b, 0, BOSE), model, [q], "per_mode")
+        evaluate_rates(AbsorptionInput((a, b), 0, BOSE), model, [q], "per_mode")
 
 
 def test_evaluator_rejects_positions_of_wrong_dimension():
     basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
-    inp = OneParticleInput(Wavepacket(basis, (1.0, 0.0, 0.0), 0), 0)
+    inp = AbsorptionInput((Wavepacket(basis, (1.0, 0.0, 0.0), 0),), 0)
     model = MediumModel(1.0, (), first_order_element=1.0)
     with pytest.raises(ValueError):
         evaluate_rates(inp, model, [(0.1, 0.2)])

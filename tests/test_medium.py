@@ -5,7 +5,6 @@ import math
 import pytest
 
 from fockabs import (
-    FIRST_ORDER_LABEL,
     MediumChannel,
     MediumModel,
     ModeBasis,
@@ -147,11 +146,6 @@ def test_model_rejects_degenerate_energies():
         )
 
 
-def test_model_reserves_first_order_label():
-    with pytest.raises(ValueError):
-        MediumModel(1.0, (MediumChannel(FIRST_ORDER_LABEL, 1.0, 1.0, 0.5),))
-
-
 def test_model_requires_some_first_order_element():
     with pytest.raises(ValueError):
         MediumModel(1.0, ())
@@ -162,14 +156,6 @@ def test_first_order_element_defaults_to_first_channel():
     assert model.first_order_element == model.channels[0].element_in
     explicit = MediumModel(1.0, model.channels, first_order_element=5.0)
     assert explicit.first_order_element == 5.0
-
-
-def test_element_lookup():
-    model = two_channel_model()
-    assert model.element_for(FIRST_ORDER_LABEL) == model.first_order_element
-    assert model.element_for("ch1") == model.channels[1].element_in
-    with pytest.raises(ValueError):
-        model.element_for("nope")
 
 
 PARAMETER_CASES = [
@@ -189,13 +175,16 @@ PARAMETER_CASES = [
     (lambda: MediumModel(1.0, (), first_order_element=1e200), "first_order_element"),
     (lambda: MediumModel(1.0, ()), "first_order_element"),
     (lambda: MediumModel(1.0, (UNIT_CHANNEL, UNIT_CHANNEL)), "channels"),
-    (lambda: MediumModel(1.0, (MediumChannel(FIRST_ORDER_LABEL, 1.0, 1.0, 0.5),)), "channels"),
+    # a kinetic energy p^2 / 2m that overflows to inf: a tiny mass
+    (lambda: ModeBasis([1.0], [[0], [1]], mass=1e-310), "modes"),
     # a defaulted first-order element is the first channel's element_in
     (lambda: MediumModel(1e-100, (MediumChannel("c", 1e300, 1.0, 0.5),)), "channels"),
     (lambda: MediumChannel("c", 1.0, 1.0, NAN), "energy"),
     # finite lengths whose volume underflows to 0 or overflows to inf
     (lambda: ModeBasis([1e-110] * 3, [[0, 0, 0]]), "box_lengths"),
     (lambda: ModeBasis([1e110] * 3, [[0, 0, 0]]), "box_lengths"),
+    # a kinetic energy that overflows to inf in a box whose 1/V is a float
+    (lambda: ModeBasis([1e-160], [[0], [1]]), "modes"),
 ]
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from fockabs import (
+    AbsorptionInput,
     MediumChannel,
     MediumModel,
     ModeBasis,
     ResonanceError,
     Statistics,
-    TwoParticleInput,
     Wavepacket,
     field_annihilate,
     first_order_amplitude,
@@ -26,7 +26,6 @@ from fockabs import (
     vacuum,
     verify_closed_forms,
 )
-from fockabs.medium import FIRST_ORDER_LABEL
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -63,7 +62,7 @@ def test_first_order_amplitude_matches_closed_form():
             pkt = random_packet(rng, basis)
             initial = packet_state(pkt, stats)
             q = basis.position((float(rng.uniform(0, TWO_PI)),))
-            amp = first_order_amplitude(initial, basis, FIRST_ORDER_LABEL, q, model, 0)
+            amp = first_order_amplitude(initial, basis, q, model, 0)
             closed = rate_first_order(pkt, 0, q, model)
             oracle = RATE_PREFACTOR * abs(amp) ** 2
             assert abs(closed - oracle) <= 1e-12 * max(oracle, 1e-300)
@@ -75,7 +74,7 @@ def test_first_order_amplitude_spin_delta():
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     initial = packet_state(pkt, BOSE)
     q = basis.position((0.4,))
-    assert first_order_amplitude(initial, basis, FIRST_ORDER_LABEL, q, model, 1) == 0.0
+    assert first_order_amplitude(initial, basis, q, model, 1) == 0.0
 
 
 def test_first_order_amplitude_on_vacuum_is_zero():
@@ -83,16 +82,7 @@ def test_first_order_amplitude_on_vacuum_is_zero():
     model = safe_model()
     initial = vacuum(BOSE)
     q = basis.position((0.4,))
-    assert first_order_amplitude(initial, basis, FIRST_ORDER_LABEL, q, model, 0) == 0.0
-
-
-def test_first_order_amplitude_unknown_label():
-    basis = cos_basis()
-    model = safe_model()
-    pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    initial = packet_state(pkt, BOSE)
-    with pytest.raises(ValueError):
-        first_order_amplitude(initial, basis, "nope", basis.position((0.0,)), model, 0)
+    assert first_order_amplitude(initial, basis, q, model, 0) == 0.0
 
 
 def test_single_interaction_cannot_absorb_two():
@@ -164,7 +154,7 @@ def test_sharp_packet_agreement_both_statistics():
     b = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
     rng = np.random.default_rng(2)
     for stats in (BOSE, FERMI):
-        inp = TwoParticleInput(a, b, 0, stats)
+        inp = AbsorptionInput((a, b), 0, stats)
         pair = two_particle_state(a, b, stats)
         for _ in range(5):
             q = basis.position((float(rng.uniform(0, TWO_PI)),))
@@ -233,8 +223,8 @@ def test_zero_coupling_zeroes_both_sides():
     q = basis.position((0.9,))
     assert rate_first_order(pkt, 0, q, model) == 0.0
     initial = packet_state(pkt, BOSE)
-    assert first_order_amplitude(initial, basis, FIRST_ORDER_LABEL, q, model, 0) == 0.0
-    inp = TwoParticleInput(pkt, pkt, 0, BOSE)
+    assert first_order_amplitude(initial, basis, q, model, 0) == 0.0
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     assert rate_second_order(inp, q, model) == 0.0
     pair = two_particle_state(pkt, pkt, BOSE)
     assert second_order_amplitude(pair, basis, q, model, 0) == 0.0

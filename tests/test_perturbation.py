@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from fockabs import (
+    AbsorptionInput,
     IndistinguishableFermionsError,
     MediumChannel,
     MediumModel,
     ModeBasis,
     ResonanceError,
     Statistics,
-    TwoParticleInput,
     Wavepacket,
     efficiency_factor,
     evaluate_rates,
@@ -118,34 +118,51 @@ def test_fermi_same_state_input_rejected():
     basis = cos_basis()
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     with pytest.raises(IndistinguishableFermionsError):
-        TwoParticleInput(pkt, pkt, 0, FERMI)
+        AbsorptionInput((pkt, pkt), 0, FERMI)
 
 
 def test_fermi_same_amplitudes_different_spins_allowed():
     basis = cos_basis()
     a = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     b = Wavepacket(basis, (0.0, 1.0, 0.0), 1)
-    TwoParticleInput(a, b, 0, FERMI)
+    AbsorptionInput((a, b), 0, FERMI)
 
 
 def test_bose_same_state_input_allowed():
     basis = cos_basis()
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    TwoParticleInput(pkt, pkt, 0, BOSE)
+    AbsorptionInput((pkt, pkt), 0, BOSE)
 
 
 def test_input_requires_shared_basis():
     a = Wavepacket(cos_basis(), (1.0, 0.0, 0.0), 0)
     b = Wavepacket(ModeBasis([4.0], lowest_mode_numbers(3)), (1.0, 0.0, 0.0), 0)
     with pytest.raises(ValueError):
-        TwoParticleInput(a, b, 0, BOSE)
+        AbsorptionInput((a, b), 0, BOSE)
 
 
 def test_input_validates_detector_spin():
     basis = cos_basis()
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     with pytest.raises(ValueError):
-        TwoParticleInput(pkt, pkt, 4, BOSE)
+        AbsorptionInput((pkt, pkt), 4, BOSE)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_input_holds_one_or_two_packets(count):
+    pkt = Wavepacket(cos_basis(), (0.0, 1.0, 0.0), 0)
+    with pytest.raises(ValueError, match=f"need one or two packets, got {count}"):
+        AbsorptionInput((pkt,) * count, 0, BOSE)
+
+
+def test_input_stores_a_packet_list_as_a_tuple():
+    basis = cos_basis()
+    a = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
+    b = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
+    inp = AbsorptionInput([a, b], 0, FERMI)
+    assert inp.packets == (a, b)
+    assert inp == AbsorptionInput((a, b), 0, FERMI)
+    assert AbsorptionInput([a], 0).packets == (a,)
 
 
 # ----------------------------------------------------------------- second order
@@ -157,7 +174,7 @@ def test_same_state_boson_unit_case():
     basis = ModeBasis([TWO_PI], lowest_mode_numbers(1), spins=(0,))
     model = MediumModel(1.0, (MediumChannel("c", 1.0, 1.0, 1.0),))
     pkt = Wavepacket(basis, (1.0,), 0)
-    inp = TwoParticleInput(pkt, pkt, 0, BOSE)
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     rng = np.random.default_rng(2)
     for _ in range(5):
         q = basis.position((float(rng.uniform(0, TWO_PI)),))
@@ -171,7 +188,7 @@ def test_rate_matches_terms_assembly():
     rng = np.random.default_rng(3)
     a = random_packet(rng, basis)
     b = random_packet(rng, basis)
-    inp = TwoParticleInput(a, b, 0, BOSE)
+    inp = AbsorptionInput((a, b), 0, BOSE)
     q = basis.position((1.9,))
     rate = rate_second_order(inp, q, model)
     assembled = (
@@ -188,8 +205,8 @@ def test_statistics_flip_negates_partner_first_term():
     a = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     b = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
     q = basis.position((0.8,))
-    bose_terms = evaluate_rates(TwoParticleInput(a, b, 0, BOSE), model, [q]).terms[0]
-    fermi_terms = evaluate_rates(TwoParticleInput(a, b, 0, FERMI), model, [q]).terms[0]
+    bose_terms = evaluate_rates(AbsorptionInput((a, b), 0, BOSE), model, [q]).terms[0]
+    fermi_terms = evaluate_rates(AbsorptionInput((a, b), 0, FERMI), model, [q]).terms[0]
     assert abs(bose_terms[0] + fermi_terms[0]) < 1e-15
     assert abs(bose_terms[1] - fermi_terms[1]) < 1e-15
 
@@ -205,7 +222,7 @@ def test_second_order_spin_selection():
             det = int(rng.integers(0, 2))
             a = random_packet(rng, basis, sa)
             b = random_packet(rng, basis, sb)
-            inp = TwoParticleInput(a, b, det, stats)
+            inp = AbsorptionInput((a, b), det, stats)
             q = basis.position((float(rng.uniform(0, TWO_PI)),))
             rate = rate_second_order(inp, q, model)
             if sa == det and sb == det:
@@ -221,7 +238,7 @@ def test_orthogonal_packets_obey_product_density_law():
 
     for stats in (BOSE, FERMI):
         f, g = orthogonal_pair(rng, basis)
-        inp = TwoParticleInput(f, g, 0, stats)
+        inp = AbsorptionInput((f, g), 0, stats)
         ratios = []
         for k in range(12):
             q = basis.position((TWO_PI * (k + 0.37) / 12,))
@@ -242,7 +259,7 @@ def test_same_state_boson_quartic_scaling():
     model = safe_model()
     w = 1 / math.sqrt(2)
     pkt = Wavepacket(basis, (0.0, w, w), 0)
-    inp = TwoParticleInput(pkt, pkt, 0, BOSE)
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     from fockabs import position_amplitude
 
     qs = [basis.position((x,)) for x in (0.3, 0.9, 1.3, 2.2, 2.8)]
@@ -268,9 +285,9 @@ def test_global_phase_invariance():
     w1_rot = rate_first_order(a_rot, 0, q, model)
     assert abs(w1 - w1_rot) < 1e-12 * max(w1, 1.0)
     for stats in (BOSE, FERMI):
-        w2 = rate_second_order(TwoParticleInput(a, b, 0, stats), q, model)
+        w2 = rate_second_order(AbsorptionInput((a, b), 0, stats), q, model)
         w2_rot = rate_second_order(
-            TwoParticleInput(a_rot, b, 0, stats), q, model
+            AbsorptionInput((a_rot, b), 0, stats), q, model
         )
         assert abs(w2 - w2_rot) < 1e-12 * max(w2, 1.0)
 
@@ -280,7 +297,7 @@ def test_resonant_channel_raises():
     # mode n=1 kinetic energy is exactly 0.5
     model = MediumModel(1.0, (MediumChannel("res", 1.0, 1.0, 0.5),))
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    inp = TwoParticleInput(pkt, pkt, 0, BOSE)
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     with pytest.raises(ResonanceError):
         rate_second_order(inp, basis.position((0.5,)), model)
 
@@ -290,7 +307,7 @@ def test_resonance_checked_even_when_spins_kill_rate():
     model = MediumModel(1.0, (MediumChannel("res", 1.0, 1.0, 0.5),))
     a = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     b = Wavepacket(basis, (0.0, 1.0, 0.0), 1)
-    inp = TwoParticleInput(a, b, 0, BOSE)
+    inp = AbsorptionInput((a, b), 0, BOSE)
     with pytest.raises(ResonanceError):
         rate_second_order(inp, basis.position((0.5,)), model)
 
@@ -299,7 +316,7 @@ def test_second_order_requires_channels():
     basis = cos_basis()
     model = MediumModel(1.0, (), first_order_element=1.0)
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    inp = TwoParticleInput(pkt, pkt, 0, BOSE)
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     with pytest.raises(ValueError):
         rate_second_order(inp, basis.position((0.1,)), model)
 
@@ -336,7 +353,7 @@ def test_exponent_two_for_same_state_bosons():
     model = safe_model()
     w = 1 / math.sqrt(2)
     pkt = Wavepacket(basis, (0.0, w, w), 0)
-    inp = TwoParticleInput(pkt, pkt, 0, BOSE)
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     qs = [basis.position((x,)) for x in (0.2, 0.5, 0.8, 1.1, 1.35, 2.1, 2.6, 2.9)]
     assert abs(proportionality_exponent(inp, model, qs) - 2.0) < 1e-6
 
@@ -349,7 +366,7 @@ def test_exponent_two_for_any_boson_pair():
     rng = np.random.default_rng(8)
     a = random_packet(rng, basis)
     b = random_packet(rng, basis)
-    inp = TwoParticleInput(a, b, 0, BOSE)
+    inp = AbsorptionInput((a, b), 0, BOSE)
     qs = [basis.position((x,)) for x in (0.2, 0.5, 0.8, 1.1, 1.35, 2.1, 2.6, 2.9)]
     assert abs(proportionality_exponent(inp, model, qs) - 2.0) < 1e-6
 
@@ -371,7 +388,7 @@ def test_exponent_undefined_for_flat_density():
     basis = ModeBasis([TWO_PI], lowest_mode_numbers(1), spins=(0,))
     model = MediumModel(1.0, (MediumChannel("c", 1.0, 1.0, 1.0),))
     pkt = Wavepacket(basis, (1.0,), 0)
-    inp = TwoParticleInput(pkt, pkt, 0, BOSE)
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     qs = [basis.position((x,)) for x in (0.1, 0.9, 2.2, 3.3)]
     with pytest.raises(ValueError):
         proportionality_exponent(inp, model, qs)
