@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import copy
+import gc
 import math
 import sys
 import warnings
@@ -83,7 +84,8 @@ _NAME_TAGS = frozenset((_STR, _INT, _FLOAT, _BOOL))
 _SAFE_TAGS = frozenset(SafeConstructor.yaml_constructors) | {_MERGE}
 
 # numbers are converted, and merge keys applied, by the safe loader's own
-# methods, which keep no state between calls
+# methods, which keep no state between calls; a float such as 1.25e-3 that
+# float() accepts is read by float() alone, which gives the same value
 _SAFE = SafeConstructor()
 
 
@@ -181,7 +183,14 @@ def _as_float(node: Node, path: str, *index: int) -> float:
     tag = node.tag
     try:
         if tag == _FLOAT:
-            number = _SAFE.construct_yaml_float(node)
+            # the safe loader drops '_' and returns sign * float(rest), so
+            # where float() takes the text it gives that value bit for bit;
+            # what it refuses, such as '.inf', the base-60 '1:30.5' or a
+            # non-scalar node, goes to the loader
+            try:
+                number = float(node.value)
+            except (TypeError, ValueError):
+                number = _SAFE.construct_yaml_float(node)
         elif tag == _INT:
             number = float(_SAFE.construct_yaml_int(node))
         elif tag == _STR and isinstance(node, ScalarNode) and not node.style:
@@ -421,10 +430,19 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML experiment config.
 
     libyaml composes the document into a node tree, with YAML 1.1 tags
-    resolved, and each value is read from its node as its key requires:
-    numbers are converted by the safe loader's own methods, so they are the
-    values it would build.
+    resolved, and each value is read from its node as its key requires.
+    Numbers are the values the safe loader would build: a float that
+    ``float()`` accepts is read with it, which gives the same value, and any
+    other number by the safe loader's own methods.
+
+    A long position list allocates tens of thousands of nodes, and the
+    collections these would set off cost about as much as the parse itself,
+    so the cyclic garbage collector is paused while the document is
+    composed and read.  It is resumed on every exit, unless the caller had
+    already paused it.
     """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         root = yaml.compose(text, Loader=_YAML_LOADER)
         try:
@@ -448,6 +466,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"{what} at line {mark.line + 1}, column {mark.column + 1}: {exc}"
             ) from exc
         raise ConfigError(f"{what}: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # --------------------------------------------------------------------------

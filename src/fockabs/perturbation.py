@@ -204,6 +204,8 @@ def rate_second_order(
     inp: AbsorptionInput, q: tuple[float, ...], model: MediumModel
 ) -> float:
     """Two-particle absorption rate (2 pi / hbar^2)|coupling|^4 |sum of terms|^2."""
+    if len(inp.packets) != 2:
+        raise ValueError("a second-order rate needs a pair of packets, got one")
     return evaluate_rates(inp, model, [q]).rate_order2.item(0)
 
 

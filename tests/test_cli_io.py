@@ -1,5 +1,6 @@
 """Config parsing, scan driver, CSV output, and the CLI entry point."""
 
+import gc
 import math
 import os
 import re
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
+from yaml.constructor import SafeConstructor
 
 from fockabs import (
     ConfigError,
@@ -335,6 +337,96 @@ def test_reals_may_be_written_without_a_dot():
     for quoted in ("'1e0'", '"1.0"'):
         with pytest.raises(ConfigError, match="^basis.hbar: expected a real number"):
             parse_config(MINIMAL_ORDER1.replace("spins: [0]", f"spins: [0]\n  hbar: {quoted}"))
+
+
+_LOADERS = [
+    pytest.param(cli_io._YAML_LOADER, id="module-loader"),
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+]
+
+
+def _float_node(loader, text: str):
+    node = yaml.compose(f"x: {text}\n", Loader=loader).value[0][1]
+    if node.tag != "tag:yaml.org,2002:float":
+        # YAML 1.1 wants a dot in a float, so a plain 1e-05 resolves to a string
+        node = yaml.compose(f"x: !!float {text}\n", Loader=loader).value[0][1]
+    assert node.tag == "tag:yaml.org,2002:float"
+    return node
+
+
+@st.composite
+def _yaml_float_texts(draw):
+    x = draw(st.floats(allow_nan=False, allow_infinity=False))
+    text = draw(st.sampled_from([repr(x), f"{x:.17e}", f"{x:.3f}", f"{x:_.2f}"]))
+    if draw(st.booleans()):
+        text = text.upper()
+    if not text.startswith("-") and draw(st.booleans()):
+        text = "+" + text
+    return text
+
+
+_base60_texts = st.builds(
+    "{}{}:{:02d}.{}".format,
+    st.sampled_from(["", "+", "-"]), st.integers(0, 10**6), st.integers(0, 59),
+    st.integers(0, 10**6),
+)
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.one_of(
+    _yaml_float_texts(),
+    _base60_texts,
+    st.sampled_from(["1_000.5", "1:30.5", "-0.0", "+0.0", "-.5", "1.", "6.02E+23", "-1__0.0_1"]),
+))
+def test_floats_read_as_the_safe_loader_builds_them(loader, text):
+    node = _float_node(loader, text)
+    got = cli_io._as_float(node, "scan.positions", 3, 0)
+    assert got.hex() == SafeConstructor().construct_yaml_float(node).hex()
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+@pytest.mark.parametrize("text", [".inf", "-.Inf", "+.INF", ".NaN", ".nan"])
+def test_non_finite_floats_are_named(loader, text):
+    node = _float_node(loader, text)
+    message = f"scan.positions[3][0]: expected a finite number, got {text!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cli_io._as_float(node, "scan.positions", 3, 0)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        pytest.param(MINIMAL_ORDER1, None, id="valid"),
+        pytest.param(MINIMAL_ORDER1 + "extra: 1\n", "^extra: unknown section$", id="config-error"),
+        pytest.param("a: [1, 2\nb: 3\n", "^syntax error", id="syntax-error"),
+        pytest.param("x: !!python/object/apply:os.system ['true']\n",
+                     "^cannot construct a value", id="python-tag"),
+    ],
+)
+def test_parse_config_leaves_the_collector_as_it_found_it(monkeypatch, collecting, text, error):
+    during = []
+
+    def spy(root):
+        during.append(gc.isenabled())
+        return parse_document(root)
+
+    parse_document = cli_io._parse_document
+    monkeypatch.setattr(cli_io, "_parse_document", spy)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if error is None:
+            parse_config(text)
+        else:
+            with pytest.raises(ConfigError, match=error):
+                parse_config(text)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    # the document is read with the collector paused
+    assert not any(during)
 
 
 def test_scan_and_exponent_agree_on_a_tiny_negative_position(tmp_path, capsys):

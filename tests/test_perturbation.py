@@ -321,6 +321,17 @@ def test_second_order_requires_channels():
         rate_second_order(inp, basis.position((0.1,)), model)
 
 
+def test_second_order_rejects_a_single_packet():
+    # the packet's first-order rate is nonzero here, so a zero would be silent
+    basis = cos_basis()
+    model = MediumModel(1.0, (MediumChannel("c", 1.0, 1.0, 3.0),), first_order_element=1.0)
+    pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
+    q = basis.position((0.1,))
+    assert rate_first_order(pkt, 0, q, model) > 0.0
+    with pytest.raises(ValueError, match="needs a pair of packets, got one"):
+        rate_second_order(AbsorptionInput((pkt,), 0), q, model)
+
+
 # ----------------------------------------------------------------- exponents
 
 
