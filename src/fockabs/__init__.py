@@ -7,20 +7,15 @@ enumeration oracle that validates them.
 """
 
 from .fock_core import (
-    DEFAULT_OCCUPATION_CAP,
-    EMPTY_KET,
     FockState,
     OccupationKet,
     ParameterError,
     SlotKey,
     Statistics,
     annihilate,
-    check_commutation,
     create,
     inner_product,
-    superpose,
     vacuum,
-    zero_state,
 )
 from .field_ops import (
     ModeBasis,
@@ -30,11 +25,8 @@ from .field_ops import (
     lowest_mode_numbers,
     mean_kinetic_energy,
     mode_wavefunction,
-    overlap,
     packet_state,
-    position_amplitude,
     two_particle_state,
-    uniform_grid,
 )
 from .medium import (
     MediumChannel,
@@ -65,14 +57,11 @@ from .cli_io import (
     emit_csv,
     parse_config,
     run_scan,
-    serialize_config,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_OCCUPATION_CAP",
-    "EMPTY_KET",
     "AbsorptionInput",
     "ConfigError",
     "ExperimentConfig",
@@ -93,7 +82,6 @@ __all__ = [
     "annihilate",
     "apply_packet_creation",
     "channel_weight",
-    "check_commutation",
     "create",
     "efficiency_factor",
     "emit_csv",
@@ -105,21 +93,15 @@ __all__ = [
     "lowest_mode_numbers",
     "mean_kinetic_energy",
     "mode_wavefunction",
-    "overlap",
     "packet_state",
     "parse_config",
-    "position_amplitude",
     "proportionality_exponent",
     "rate_first_order",
     "rate_second_order",
     "run_scan",
     "second_order_amplitude",
-    "serialize_config",
     "single_absorption_vacuum_overlap",
-    "superpose",
     "two_particle_state",
-    "uniform_grid",
     "vacuum",
     "verify_closed_forms",
-    "zero_state",
 ]

@@ -7,6 +7,10 @@ grid), ``packets`` (named amplitude vectors with spins), ``medium``
 are written as ``[re, im]`` pairs; bare reals are accepted too.  The full
 grammar is documented in the package README.
 
+A parsed config holds the domain objects themselves: its run section is the
+``AbsorptionInput`` of the rates.  Each object's rules are checked once, by
+its constructor, and ``_checked`` names the config key of a rejected field.
+
 CSV output is deterministic byte for byte: fixed column order, reals
 printed with 12 significant digits, newline-separated rows.
 """
@@ -48,23 +52,18 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    """The run section; its order is the number of packet names."""
-
-    statistics: Statistics
-    packet_names: tuple[str, ...]
-    detector_spin: int
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed config: the domain objects, and the run section that ``run_input`` reads."""
+    """A parsed config: the domain objects, the run's rate input among them.
+
+    ``run`` holds the packets that ``run.packets`` names, the very objects of
+    ``packets``; its order is their number.
+    """
 
     basis: ModeBasis
     packets: dict[str, Wavepacket]
     medium: MediumModel
     positions: tuple[tuple[float, ...], ...]
-    run: RunSpec
+    run: AbsorptionInput
 
 
 # --------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def _as_float(node: Node, path: str, *index: int) -> float:
             raise ValueError
     except OverflowError:
         number = math.inf
-    except ValueError:
+    except (ValueError, IndexError):  # IndexError: the safe loader on an empty !!float ""
         raise ConfigError(
             f"{_where(path, index)}: expected a real number, got {_shown(node)}"
         ) from None
@@ -215,7 +214,7 @@ def _as_int(node: Node, path: str, *index: int) -> int:
     if node.tag == _INT:
         try:
             return _SAFE.construct_yaml_int(node)
-        except ValueError:
+        except (ValueError, IndexError):  # IndexError: the safe loader on an empty !!int ""
             pass
     raise ConfigError(f"{_where(path, index)}: expected an integer, got {_shown(node)}")
 
@@ -372,7 +371,7 @@ def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
     return result
 
 
-def _parse_run(node: Node, packets: dict[str, Wavepacket], basis: ModeBasis) -> RunSpec:
+def _parse_run(node: Node, packets: dict[str, Wavepacket]) -> AbsorptionInput:
     data = _require_map(node, "run")
     order = _as_int(_pop(data, "order", "run"), "run.order")
     if order not in (1, 2):
@@ -395,12 +394,10 @@ def _parse_run(node: Node, packets: dict[str, Wavepacket], basis: ModeBasis) -> 
     detector_spin = _as_int(
         _pop(data, "detector_spin", "run"), "run.detector_spin"
     )
-    if detector_spin not in basis.spins:
-        raise ConfigError(
-            f"run.detector_spin: {detector_spin} not in basis spin set"
-        )
     _no_leftovers(data, "run")
-    return RunSpec(statistics, names, detector_spin)
+    return _checked(
+        "run", AbsorptionInput, [packets[name] for name in names], detector_spin, statistics
+    )
 
 
 def _parse_document(root: Node | None) -> ExperimentConfig:
@@ -420,8 +417,8 @@ def _parse_document(root: Node | None) -> ExperimentConfig:
     }
     medium = _parse_medium(top["medium"])
     positions = _parse_scan(top["scan"], basis.dim)
-    run = _parse_run(top["run"], packets, basis)
-    if len(run.packet_names) == 2 and not medium.channels:
+    run = _parse_run(top["run"], packets)
+    if len(run.packets) == 2 and not medium.channels:
         raise ConfigError("medium.channels: required for an order-2 run")
     return ExperimentConfig(basis, packets, medium, positions, run)
 
@@ -472,76 +469,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config back to YAML; parse_config inverts this exactly."""
-    doc = {
-        "basis": {
-            "box_lengths": list(config.basis.box_lengths),
-            "modes": [list(vec) for vec in config.basis.mode_numbers],
-            "hbar": config.basis.hbar,
-            "mass": config.basis.mass,
-            "spins": list(config.basis.spins),
-        },
-        "packets": {
-            name: {
-                "spin": packet.spin,
-                "amplitudes": [_complex_pair(a) for a in packet.amplitudes],
-            }
-            for name, packet in config.packets.items()
-        },
-        "medium": {
-            "coupling": _complex_pair(config.medium.coupling),
-            "channels": [
-                {
-                    "label": ch.label,
-                    "element_in": _complex_pair(ch.element_in),
-                    "element_out": _complex_pair(ch.element_out),
-                    "energy": ch.energy,
-                }
-                for ch in config.medium.channels
-            ],
-            "first_order_element": _complex_pair(config.medium.first_order_element),
-        },
-        "scan": {"positions": [list(p) for p in config.positions]},
-        "run": {
-            "order": len(config.run.packet_names),
-            "statistics": config.run.statistics.value,
-            "packets": list(config.run.packet_names),
-            "detector_spin": config.run.detector_spin,
-        },
-    }
-    return yaml.safe_dump(doc, sort_keys=False)
-
-
-# --------------------------------------------------------------------------
 # scan execution
 # --------------------------------------------------------------------------
-
-
-def run_input(config: ExperimentConfig) -> AbsorptionInput:
-    """The run's input object, from the packets that ``run.packets`` names."""
-    run = config.run
-    packets = [config.packets[name] for name in run.packet_names]
-    return AbsorptionInput(packets, run.detector_spin, run.statistics)
 
 
 def run_scan(config: ExperimentConfig) -> RateBatch:
     """Evaluate the configured rates at every scan position, in order.
 
-    Order-1 runs fill the order-2 and second-density columns with 0.  The
-    forbidden same-state fermionic pair is rejected before any position is
-    evaluated.
+    Order-1 runs fill the order-2 and second-density columns with 0.
     """
     try:
-        return evaluate_rates(run_input(config), config.medium, config.positions)
+        return evaluate_rates(config.run, config.medium, config.positions)
     except ResonanceError as exc:
         # the channel weights come before any position, so the gate fails at all of them
         raise ResonanceError(f"at every scan position: {exc}") from exc
@@ -588,8 +526,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_exponent(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    value = proportionality_exponent(run_input(config), config.medium, config.positions)
-    print(f"order={len(config.run.packet_names)} exponent={value:.9f}")
+    value = proportionality_exponent(config.run, config.medium, config.positions)
+    print(f"order={len(config.run.packets)} exponent={value:.9f}")
     return 0
 
 

@@ -207,19 +207,6 @@ def phase_matrix(basis: ModeBasis, coords: np.ndarray) -> np.ndarray:
     return np.exp(phase * (1j / basis.hbar)) / math.sqrt(basis.volume)
 
 
-def position_amplitude(packet: Wavepacket, q: tuple[float, ...]) -> complex:
-    """Position-space amplitude: the mode sum of amplitude * wavefunction."""
-    row = phase_matrix(packet.basis, packet.basis.wrap([q]))
-    return complex(np.dot(row, np.array(packet.amplitudes))[0])
-
-
-def overlap(f: Wavepacket, g: Wavepacket) -> complex:
-    """Discrete momentum-space overlap <f|g>; spins are not compared."""
-    if f.basis != g.basis:
-        raise ValueError("wavepackets live on different bases")
-    return complex(np.vdot(np.array(f.amplitudes), np.array(g.amplitudes)))
-
-
 def mean_kinetic_energy(packet: Wavepacket) -> float:
     """Expectation of |p|^2 / 2m in the packet."""
     return sum(
@@ -269,17 +256,3 @@ def field_annihilate(
     modes = {s.mode for ket in state.terms for s, _ in ket.occupations if s.spin == spin}
     weighted_slots = [(mode_wavefunction(basis, i, q), SlotKey(i, spin)) for i in sorted(modes)]
     return ladder_sum(state, weighted_slots, raising=False)
-
-
-def uniform_grid(basis: ModeBasis, points_per_axis: int) -> tuple[list[tuple[float, ...]], float]:
-    """Uniform quadrature grid over the box and its per-point volume weight."""
-    if points_per_axis < 1:
-        raise ValueError("points_per_axis must be at least 1")
-    axes = [
-        np.linspace(0.0, length, points_per_axis, endpoint=False)
-        for length in basis.box_lengths
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=-1)
-    weight = basis.volume / coords.shape[0]
-    return [tuple(row) for row in coords.tolist()], weight

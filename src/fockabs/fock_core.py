@@ -11,9 +11,9 @@ are stored as sparse complex superpositions of occupation kets.  Conventions:
 
 ``ladder_sum`` is the one ladder primitive: it applies sum_s c_s a_s (or
 sum_s c_s adag_s) in a single pass over the slots and the state's terms, with
-no intermediate state per slot, and gives every amplitude bit for bit as a
-``superpose`` of single-slot results would.  ``create`` and ``annihilate``
-are its one-slot case.
+no intermediate state per slot, and gives every amplitude bit for bit as the
+weighted sum of single-slot results would (``tests/test_ladder_sum.py`` holds
+that literal reference).  ``create`` and ``annihilate`` are its one-slot case.
 
 Operators are time independent; energy bookkeeping happens in the modules
 that know about mode energies.
@@ -28,7 +28,8 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 PRUNE_THRESHOLD = 1e-14
-DEFAULT_OCCUPATION_CAP = 4
+# largest bosonic occupation of one slot
+OCCUPATION_CAP = 4
 
 
 # defined in the base module so that field_ops and medium raise the same type
@@ -137,11 +138,6 @@ def vacuum(statistics: Statistics) -> FockState:
     return FockState(statistics, {EMPTY_KET: 1.0 + 0.0j})
 
 
-def zero_state(statistics: Statistics) -> FockState:
-    """The zero vector: no terms at all."""
-    return FockState(statistics, {})
-
-
 def _pruned(terms: dict[OccupationKet, complex]) -> dict[OccupationKet, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_THRESHOLD}
 
@@ -150,18 +146,19 @@ def ladder_sum(
     state: FockState,
     weighted_slots: Iterable[tuple[complex, SlotKey]],
     raising: bool,
-    cap: int = DEFAULT_OCCUPATION_CAP,
 ) -> FockState:
     """Apply sum_s c_s adag_s (``raising``) or sum_s c_s a_s in one pass.
 
     The (c_s, slot) pairs act in the given order.  Bose: factor sqrt(n+1) up,
-    sqrt(n) down, occupations above ``cap`` rejected.  Fermi: creation on an
-    occupied slot drops the term (Pauli exclusion); every term picks up
-    (-1)**(occupation of the slots preceding the slot).  Each one-slot term is
-    pruned as if alone and the weighted terms are summed slot by slot, so the
-    result equals ``superpose`` of the one-slot results, bit for bit.
+    sqrt(n) down, occupations above ``OCCUPATION_CAP`` rejected.  Fermi:
+    creation on an occupied slot drops the term (Pauli exclusion); every term
+    picks up (-1)**(occupation of the slots preceding the slot).  Each one-slot
+    term is pruned as if alone and the weighted terms are summed slot by slot,
+    so the result equals the pruned sum of the weighted one-slot results, bit
+    for bit (the tests' ``superpose`` is that reference).
     """
     bose = state.statistics is Statistics.BOSE
+    cap = OCCUPATION_CAP  # a local: the loop below reads it once per term
     terms = state.terms.items()
     step = 1 if raising else -1
     out: dict[OccupationKet, complex] = {}
@@ -183,9 +180,9 @@ def ladder_sum(
     return FockState(state.statistics, _pruned(out))
 
 
-def create(state: FockState, slot: SlotKey, cap: int = DEFAULT_OCCUPATION_CAP) -> FockState:
+def create(state: FockState, slot: SlotKey) -> FockState:
     """Apply the creation operator for ``slot``: ``ladder_sum``'s one-slot case."""
-    return ladder_sum(state, ((1.0, slot),), raising=True, cap=cap)
+    return ladder_sum(state, ((1.0, slot),), raising=True)
 
 
 def annihilate(state: FockState, slot: SlotKey) -> FockState:
@@ -205,50 +202,3 @@ def inner_product(bra: FockState, ket: FockState) -> complex:
         if bra_amp is not None:
             total += bra_amp.conjugate() * amp
     return total
-
-
-def superpose(parts: Iterable[tuple[complex, FockState]]) -> FockState:
-    """Linear combination sum_i c_i |state_i>, pruned.
-
-    Empty input is not allowed because the statistics kind would be unknown.
-    """
-    out: dict[OccupationKet, complex] = {}
-    statistics: Statistics | None = None
-    for coeff, state in parts:
-        if statistics is None:
-            statistics = state.statistics
-        elif statistics is not state.statistics:
-            raise ValueError("cannot superpose states of different statistics")
-        for ket, amp in state.terms.items():
-            out[ket] = out.get(ket, 0.0 + 0.0j) + coeff * amp
-    if statistics is None:
-        raise ValueError("superpose needs at least one state")
-    return FockState(statistics, _pruned(out))
-
-
-def check_commutation(
-    slot_a: SlotKey,
-    slot_b: SlotKey,
-    statistics: Statistics,
-    probe: FockState,
-) -> complex:
-    """Expectation of the ladder bracket on a normalized probe state.
-
-    Returns <p|(a_a adag_b - adag_b a_a)|p> / <p|p> for bosons and the
-    anticommutator analogue for fermions.  Either way the result must equal
-    the Kronecker delta of the two slots.
-    """
-    if probe.statistics is not statistics:
-        raise ValueError("probe statistics does not match requested statistics")
-    norm_sq = inner_product(probe, probe).real
-    if norm_sq == 0.0:
-        raise ValueError("zero-norm probe")
-    first = annihilate(create(probe, slot_b), slot_a)
-    second = create(annihilate(probe, slot_a), slot_b)
-    ip_first = inner_product(probe, first)
-    ip_second = inner_product(probe, second)
-    if statistics is Statistics.BOSE:
-        bracket = ip_first - ip_second
-    else:
-        bracket = ip_first + ip_second
-    return bracket / norm_sq

@@ -12,8 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .fock_core import ParameterError
+
+if TYPE_CHECKING:
+    from .field_ops import ModeBasis
 
 RESONANCE_THRESHOLD = 1e-9
 
@@ -97,13 +101,10 @@ class MediumModel:
             object.__setattr__(self, "first_order_element", default)
 
 
-def efficiency_factor(model: MediumModel, hbar: float) -> float:
+def efficiency_factor(model: MediumModel, basis: ModeBasis) -> float:
     """First-order rate prefactor (2 pi / hbar^2) |coupling * element|^2."""
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
-    assert model.first_order_element is not None
     return (
-        2.0 * math.pi / hbar**2 * abs(model.coupling * model.first_order_element) ** 2
+        2.0 * math.pi / basis.hbar**2 * abs(model.coupling * model.first_order_element) ** 2
     )
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .fock_core import Statistics
+from .fock_core import ParameterError, Statistics
 from .field_ops import (
     Wavepacket,
     mean_kinetic_energy,
@@ -49,14 +49,18 @@ MIN_FIT_DENSITY = 1e-12
 CHUNK_ELEMENTS = 2**13
 
 
-class IndistinguishableFermionsError(ValueError):
+class IndistinguishableFermionsError(ParameterError):
     """Two fermions in exactly the same packet and spin are forbidden."""
 
 
 @dataclass(frozen=True)
 class AbsorptionInput:
     """One packet, absorbed at first order, or the pair (packet_a, packet_b), packet_b
-    created first, absorbed at second order; with the detector spin and statistics."""
+    created first, absorbed at second order; with the detector spin and statistics.
+
+    A rejected argument raises ``ParameterError`` naming ``packets`` or
+    ``detector_spin``, the keys of a config's run section.
+    """
 
     packets: tuple[Wavepacket, ...]
     detector_spin: int
@@ -66,16 +70,18 @@ class AbsorptionInput:
         packets = tuple(self.packets)
         object.__setattr__(self, "packets", packets)
         if len(packets) not in (1, 2):
-            raise ValueError(f"need one or two packets, got {len(packets)}")
+            raise ParameterError("packets", f"need one or two packets, got {len(packets)}")
         a, b = packets[0], packets[-1]
         if b.basis != a.basis:
-            raise ValueError("packets live on different bases")
+            raise ParameterError("packets", "packets live on different bases")
         if self.detector_spin not in a.basis.spins:
-            raise ValueError(f"detector spin {self.detector_spin} not in basis spin set")
+            raise ParameterError(
+                "detector_spin", f"detector spin {self.detector_spin} not in basis spin set"
+            )
         fermi_pair = len(packets) == 2 and self.statistics is Statistics.FERMI
         if fermi_pair and (a.spin, a.amplitudes) == (b.spin, b.amplitudes):
             raise IndistinguishableFermionsError(
-                "fermionic pair with identical packets and equal spins"
+                "packets", "fermionic pair with identical packets and equal spins"
             )
 
 
@@ -169,9 +175,8 @@ def evaluate_rates(
         sums[chunk] = phase_matrix(basis, wrapped[chunk]) @ modes
     psi = sums[:, :2]
     density = np.abs(psi) ** 2
-    hbar = basis.hbar
     if packets[0].spin == inp.detector_spin:
-        rate_order1 = efficiency_factor(model, hbar) * density[:, 0]
+        rate_order1 = efficiency_factor(model, basis) * density[:, 0]
     else:
         rate_order1 = np.zeros(rows)
     if not (pair and all(p.spin == inp.detector_spin for p in packets)):
@@ -184,7 +189,7 @@ def evaluate_rates(
         terms = first[:, ::-1] * psi
         if inp.statistics is Statistics.FERMI:
             terms[:, 0] *= -1.0
-        prefactor = 2.0 * math.pi / hbar**2 * abs(model.coupling) ** 4
+        prefactor = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
         rate_order2 = prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2
     return RateBatch(
         wrapped, psi[:, 0], psi[:, 1], density[:, 0], density[:, 1],

@@ -19,23 +19,19 @@ from fockabs import (
     SlotKey,
     Statistics,
     Wavepacket,
-    check_commutation,
     efficiency_factor,
     lowest_mode_numbers,
-    overlap,
-    position_amplitude,
     proportionality_exponent,
     rate_first_order,
     rate_second_order,
     second_order_amplitude,
     single_absorption_vacuum_overlap,
-    superpose,
     two_particle_state,
-    uniform_grid,
     log_log_slope,
     FockState,
     OccupationKet,
 )
+from helpers import check_commutation, overlap, position_amplitude, superpose, uniform_grid
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -91,7 +87,7 @@ def test_criterion_2_born_distribution():
     """First-order rate integrates to the efficiency factor; plane wave is flat 1.0."""
     basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     model = MediumModel(1.3 - 0.4j, (), first_order_element=0.8 + 0.1j)
-    beta = efficiency_factor(model, basis.hbar)
+    beta = efficiency_factor(model, basis)
     rng = np.random.default_rng(102)
     positions, weight = uniform_grid(basis, 16)
     worst = 0.0

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from yaml.constructor import SafeConstructor
 
 from fockabs import (
+    AbsorptionInput,
     ConfigError,
     IndistinguishableFermionsError,
     MediumChannel,
@@ -27,10 +28,10 @@ from fockabs import (
     emit_csv,
     parse_config,
     run_scan,
-    serialize_config,
 )
 from fockabs import cli_io
-from fockabs.cli_io import ExperimentConfig, RunSpec, main
+from fockabs.cli_io import ExperimentConfig, main
+from helpers import serialize_config
 
 TWO_PI = 2 * math.pi
 
@@ -81,7 +82,8 @@ run:
 
 def test_minimal_config_parses():
     cfg = parse_config(MINIMAL_ORDER1)
-    assert cfg.run.packet_names == ("beam",)
+    assert cfg.run == AbsorptionInput((cfg.packets["beam"],), 0, Statistics.BOSE)
+    assert cfg.run.packets[0] is cfg.packets["beam"]
     assert isinstance(cfg.basis, ModeBasis)
     assert cfg.basis.mode_numbers == ((0,),)
     assert list(cfg.packets) == ["beam"]
@@ -139,11 +141,14 @@ def experiment_configs(draw):
     )
     first = draw(_complexes) if not channels else draw(st.none() | _complexes)
     order = draw(st.sampled_from((1, 2) if channels else (1,)))
-    run = RunSpec(
-        draw(st.sampled_from(Statistics)),
-        tuple(draw(st.lists(st.sampled_from(sorted(packets)), min_size=order, max_size=order))),
-        draw(st.sampled_from(basis.spins)),
-    )
+    statistics = draw(st.sampled_from(Statistics))
+    names = draw(st.lists(st.sampled_from(sorted(packets)), min_size=order, max_size=order))
+    try:
+        run = AbsorptionInput(
+            [packets[name] for name in names], draw(st.sampled_from(basis.spins)), statistics
+        )
+    except IndistinguishableFermionsError:
+        assume(False)
     positions = draw(st.lists(st.tuples(*[_finite] * dim), min_size=1, max_size=5))
     return ExperimentConfig(
         basis, packets, MediumModel(draw(_complexes), channels, first), tuple(positions), run
@@ -179,7 +184,7 @@ def _listed_config(count: int) -> str:
     [
         pytest.param(MINIMAL_ORDER1, id="minimal-order1"),
         pytest.param(ORDER2_TEMPLATE % ("bose", "partner"), id="order2-bose"),
-        pytest.param(ORDER2_TEMPLATE % ("fermi", "beam"), id="order2-fermi"),
+        pytest.param(ORDER2_TEMPLATE % ("fermi", "partner"), id="order2-fermi"),
         pytest.param(_readme_example(), id="readme-example"),
         pytest.param(
             serialize_config(parse_config(ORDER2_TEMPLATE % ("bose", "partner"))),
@@ -394,6 +399,35 @@ def test_non_finite_floats_are_named(loader, text):
         cli_io._as_float(node, "scan.positions", 3, 0)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param("hbar: 1.0 ", 'hbar: !!float "" ',
+                     "basis.hbar: expected a real number, got ''", id="hbar"),
+        pytest.param("mass: 1.0 ", 'mass: !!int "" ',
+                     "basis.mass: expected a real number, got ''", id="int-tagged-mass"),
+        pytest.param("spins: [0, 1] ", 'spins: [!!int "", 1] ',
+                     "basis.spins[0]: expected an integer, got ''", id="spin"),
+        pytest.param("positions: [[0.0],", 'positions: [[!!float ""],',
+                     "scan.positions[0][0]: expected a real number, got ''", id="position"),
+        pytest.param("- [0.7071067811865476, 0.0]", '- [!!float "", 0.0]',
+                     "packets.beam.amplitudes[0][0]: expected a real number, got ''",
+                     id="re-im-part"),
+    ],
+)
+def test_empty_tagged_numbers_are_named(tmp_path, capsys, old, new, message):
+    # the safe loader's number methods raise IndexError on an empty text
+    text = _readme_example()
+    assert old in text
+    text = text.replace(old, new, 1)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+    path = tmp_path / "empty.yaml"
+    path.write_text(text)
+    assert main(["scan", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-enabled", "gc-disabled"])
 @pytest.mark.parametrize(
     "text, error",
@@ -556,9 +590,35 @@ def test_scan_order2_same_state_boson_ratio_constant():
 
 
 def test_scan_fermi_same_state_rejected_before_evaluation():
+    # rejected at parse time, by the AbsorptionInput that is the run section
     text = ORDER2_TEMPLATE % ("fermi", "beam")
-    with pytest.raises(IndistinguishableFermionsError):
-        run_scan(parse_config(text))
+    with pytest.raises(ConfigError, match=r"^run\.packets: fermionic pair") as err:
+        parse_config(text)
+    assert isinstance(err.value.__cause__, IndistinguishableFermionsError)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # the example's run names the packet beam twice
+        pytest.param("statistics: bose ", "statistics: fermi ",
+                     "run.packets: fermionic pair with identical packets and equal spins",
+                     id="fermion-pair"),
+        pytest.param("detector_spin: 0 ", "detector_spin: 4 ",
+                     "run.detector_spin: detector spin 4 not in basis spin set",
+                     id="detector-spin"),
+    ],
+)
+def test_cli_names_the_run_key_of_a_rejected_input(tmp_path, capsys, old, new, message):
+    text = _readme_example()
+    assert old in text
+    path = tmp_path / "run.yaml"
+    path.write_text(text.replace(old, new))
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_scan_resonance_error_names_position():
@@ -767,6 +827,44 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     missing = run("scan", "--config", str(tmp_path / "missing.yaml"))
     assert missing.returncode == 1
     assert "error:" in missing.stderr
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        pytest.param(["verify", "--trials", "300", "--seed", "7"], None, id="verify"),
+        pytest.param(["scan", "listed"], "readme_listed.csv", id="scan-listed"),
+        pytest.param(["exponent", "listed"], None, id="exponent-listed"),
+        pytest.param(["scan", "order1"], "readme_order1_range32.csv", id="scan-order1"),
+        pytest.param(["exponent", "order1"], None, id="exponent-order1"),
+    ],
+)
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path, args, golden):
+    """PYTHONHASHSEED changes the iteration order of sets and str-keyed dicts;
+    no output byte may depend on it.  The configs are the README example as
+    written and its 32-point range at order 1."""
+    if args[0] != "verify":
+        text = {"listed": _readme_example(), "order1": _at_order1(_readme_range32())}[args[1]]
+        (tmp_path / "cfg.yaml").write_text(text)
+        args = [args[0], "--config", "cfg.yaml"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for hashseed in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(src),
+            "PYTHONHASHSEED": hashseed,
+            "PYTHONWARNINGS": "error::RuntimeWarning",
+        }
+        result = subprocess.run(
+            [sys.executable, "-m", "fockabs", *args],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    if golden is not None:
+        assert outputs[0] == (GOLDEN / golden).read_bytes()
 
 
 def test_cli_exponent_subcommand(tmp_path, capsys):

@@ -19,14 +19,12 @@ from fockabs import (
     lowest_mode_numbers,
     mean_kinetic_energy,
     mode_wavefunction,
-    overlap,
     packet_state,
-    position_amplitude,
     two_particle_state,
-    uniform_grid,
     vacuum,
 )
 from fockabs.field_ops import phase_matrix
+from helpers import overlap, position_amplitude, uniform_grid
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI

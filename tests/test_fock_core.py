@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from fockabs import (
-    EMPTY_KET,
     FockState,
     OccupationKet,
     SlotKey,
     Statistics,
     annihilate,
-    check_commutation,
     create,
     inner_product,
-    superpose,
     vacuum,
-    zero_state,
 )
+from fockabs.fock_core import EMPTY_KET, OCCUPATION_CAP
+from helpers import check_commutation, superpose
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -55,7 +53,7 @@ def test_vacuum_is_single_empty_ket():
 
 
 def test_zero_state_is_distinct_from_vacuum():
-    z = zero_state(BOSE)
+    z = FockState(BOSE, {})
     assert z.is_zero()
     assert not vacuum(BOSE).is_zero()
     assert inner_product(z, vacuum(BOSE)) == 0.0
@@ -129,10 +127,10 @@ def test_bose_ladder_factors_track_occupation():
 def test_occupation_cap_enforced():
     s = SlotKey(0, 0)
     state = vacuum(BOSE)
-    for _ in range(2):
-        state = create(state, s, cap=2)
-    with pytest.raises(ValueError):
-        create(state, s, cap=2)
+    for _ in range(OCCUPATION_CAP):
+        state = create(state, s)
+    with pytest.raises(ValueError, match=f"occupation cap {OCCUPATION_CAP} exceeded"):
+        create(state, s)
 
 
 def test_adjointness_of_create_and_annihilate():
@@ -217,7 +215,7 @@ def test_commutation_trivial_cases():
 
 def test_commutation_rejects_zero_probe():
     with pytest.raises(ValueError):
-        check_commutation(SlotKey(0, 0), SlotKey(0, 0), BOSE, zero_state(BOSE))
+        check_commutation(SlotKey(0, 0), SlotKey(0, 0), BOSE, FockState(BOSE, {}))
 
 
 def test_commutation_delta_small_basis():

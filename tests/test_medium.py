@@ -27,28 +27,26 @@ def two_channel_model():
     )
 
 
+# hbar = 1
+UNIT_BASIS = ModeBasis([2 * math.pi], lowest_mode_numbers(3))
+
+
 def test_efficiency_factor_unit_values():
     unit = MediumModel(1.0, (), first_order_element=1.0)
-    assert abs(efficiency_factor(unit, 1.0) - 2 * math.pi) < 1e-12
+    assert abs(efficiency_factor(unit, UNIT_BASIS) - 2 * math.pi) < 1e-12
 
     dark = MediumModel(0.0, (), first_order_element=1.0)
-    assert efficiency_factor(dark, 1.0) == 0.0
+    assert efficiency_factor(dark, UNIT_BASIS) == 0.0
 
     phased = MediumModel(1.0j, (), first_order_element=2.0)
-    assert abs(efficiency_factor(phased, 1.0) - 8 * math.pi) < 1e-12
+    assert abs(efficiency_factor(phased, UNIT_BASIS) - 8 * math.pi) < 1e-12
 
 
 def test_efficiency_factor_quadratic_in_coupling():
     base = MediumModel(0.7 - 0.2j, (), first_order_element=1.3 + 0.4j)
     doubled = MediumModel(1.4 - 0.4j, (), first_order_element=1.3 + 0.4j)
-    ratio = efficiency_factor(doubled, 1.0) / efficiency_factor(base, 1.0)
+    ratio = efficiency_factor(doubled, UNIT_BASIS) / efficiency_factor(base, UNIT_BASIS)
     assert abs(ratio - 4.0) < 1e-12
-
-
-def test_efficiency_factor_rejects_bad_hbar():
-    model = MediumModel(1.0, (), first_order_element=1.0)
-    with pytest.raises(ValueError):
-        efficiency_factor(model, 0.0)
 
 
 def test_channel_weight_values():
@@ -84,7 +82,6 @@ def test_channel_weight_resonance():
 
 NAN = math.nan
 INF = math.inf
-UNIT_BASIS = ModeBasis([2 * math.pi], lowest_mode_numbers(3))
 UNIT_CHANNEL = MediumChannel("c", 1.0, 1.0, 0.5)
 NON_FINITE_CASES = [
     (lambda: ModeBasis([NAN], [[0]]), "box_lengths"),
@@ -103,8 +100,8 @@ NON_FINITE_CASES = [
     (lambda: MediumModel(1.0, (), first_order_element=INF), "first_order_element"),
     (lambda: channel_weight(UNIT_CHANNEL, NAN), "nan"),
     (lambda: channel_weight(UNIT_CHANNEL, complex(NAN, 1.0)), "nan"),
-    (lambda: efficiency_factor(MediumModel(1.0, (UNIT_CHANNEL,)), NAN), "hbar"),
-    (lambda: efficiency_factor(MediumModel(1.0, (UNIT_CHANNEL,)), INF), "hbar"),
+    (lambda: ModeBasis([1.0], [[0]], hbar=-INF), "hbar"),
+    (lambda: MediumModel(complex(0.0, INF), (UNIT_CHANNEL,)), "coupling"),
     # finite, but past what the rate prefactors can hold
     (lambda: MediumModel(1e100, (UNIT_CHANNEL,)), "coupling"),
     (lambda: MediumModel(complex(1e308, 1e308), (UNIT_CHANNEL,)), "coupling"),
@@ -185,6 +182,7 @@ PARAMETER_CASES = [
     (lambda: ModeBasis([1e110] * 3, [[0, 0, 0]]), "box_lengths"),
     # a kinetic energy that overflows to inf in a box whose 1/V is a float
     (lambda: ModeBasis([1e-160], [[0], [1]]), "modes"),
+    (lambda: ModeBasis([1.0], [[0]], hbar=0.0), "hbar"),
 ]
 
 

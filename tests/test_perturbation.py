@@ -12,6 +12,7 @@ from fockabs import (
     MediumChannel,
     MediumModel,
     ModeBasis,
+    ParameterError,
     ResonanceError,
     Statistics,
     Wavepacket,
@@ -22,8 +23,8 @@ from fockabs import (
     proportionality_exponent,
     rate_first_order,
     rate_second_order,
-    uniform_grid,
 )
+from helpers import position_amplitude, uniform_grid
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -100,7 +101,7 @@ def test_first_order_rejects_unknown_detector_spin():
 def test_born_quadrature_integrates_to_efficiency():
     basis = cos_basis()
     model = safe_model()
-    beta = efficiency_factor(model, basis.hbar)
+    beta = efficiency_factor(model, basis)
     rng = np.random.default_rng(1)
     positions, weight = uniform_grid(basis, 16)
     for _ in range(10):
@@ -117,8 +118,10 @@ def test_born_quadrature_integrates_to_efficiency():
 def test_fermi_same_state_input_rejected():
     basis = cos_basis()
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    with pytest.raises(IndistinguishableFermionsError):
+    with pytest.raises(IndistinguishableFermionsError) as err:
         AbsorptionInput((pkt, pkt), 0, FERMI)
+    # a ParameterError, so a parsed config names its run key
+    assert isinstance(err.value, ParameterError) and err.value.field == "packets"
 
 
 def test_fermi_same_amplitudes_different_spins_allowed():
@@ -137,22 +140,25 @@ def test_bose_same_state_input_allowed():
 def test_input_requires_shared_basis():
     a = Wavepacket(cos_basis(), (1.0, 0.0, 0.0), 0)
     b = Wavepacket(ModeBasis([4.0], lowest_mode_numbers(3)), (1.0, 0.0, 0.0), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^packets live on different bases$") as err:
         AbsorptionInput((a, b), 0, BOSE)
+    assert err.value.field == "packets"
 
 
 def test_input_validates_detector_spin():
     basis = cos_basis()
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^detector spin 4 not in basis spin set$") as err:
         AbsorptionInput((pkt, pkt), 4, BOSE)
+    assert err.value.field == "detector_spin"
 
 
 @pytest.mark.parametrize("count", [0, 3])
 def test_input_holds_one_or_two_packets(count):
     pkt = Wavepacket(cos_basis(), (0.0, 1.0, 0.0), 0)
-    with pytest.raises(ValueError, match=f"need one or two packets, got {count}"):
+    with pytest.raises(ParameterError, match=f"need one or two packets, got {count}") as err:
         AbsorptionInput((pkt,) * count, 0, BOSE)
+    assert err.value.field == "packets"
 
 
 def test_input_stores_a_packet_list_as_a_tuple():
@@ -234,8 +240,6 @@ def test_orthogonal_packets_obey_product_density_law():
     basis = cos_basis()
     model = safe_model()
     rng = np.random.default_rng(5)
-    from fockabs import position_amplitude
-
     for stats in (BOSE, FERMI):
         f, g = orthogonal_pair(rng, basis)
         inp = AbsorptionInput((f, g), 0, stats)
@@ -260,8 +264,6 @@ def test_same_state_boson_quartic_scaling():
     w = 1 / math.sqrt(2)
     pkt = Wavepacket(basis, (0.0, w, w), 0)
     inp = AbsorptionInput((pkt, pkt), 0, BOSE)
-    from fockabs import position_amplitude
-
     qs = [basis.position((x,)) for x in (0.3, 0.9, 1.3, 2.2, 2.8)]
     rates = [rate_second_order(inp, q, model) for q in qs]
     amps = [abs(position_amplitude(pkt, q)) for q in qs]
@@ -387,8 +389,6 @@ def test_exponent_one_for_first_order():
     model = safe_model()
     w = 1 / math.sqrt(2)
     pkt = Wavepacket(basis, (0.0, w, w), 0)
-    from fockabs import position_amplitude
-
     qs = [basis.position((x,)) for x in (0.2, 0.5, 0.8, 1.1, 1.35, 2.1, 2.6, 2.9)]
     rates = [rate_first_order(pkt, 0, q, model) for q in qs]
     dens = [abs(position_amplitude(pkt, q)) ** 2 for q in qs]
