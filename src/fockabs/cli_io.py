@@ -26,6 +26,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 from yaml.constructor import SafeConstructor
 from yaml.nodes import MappingNode, Node, ScalarNode, SequenceNode
@@ -84,7 +85,8 @@ _SAFE_TAGS = frozenset(SafeConstructor.yaml_constructors) | {_MERGE}
 
 # numbers are converted, and merge keys applied, by the safe loader's own
 # methods, which keep no state between calls; a float such as 1.25e-3 that
-# float() accepts is read by float() alone, which gives the same value
+# float() accepts is read by float() alone, and an int such as -12 by int(),
+# which give the same value
 _SAFE = SafeConstructor()
 
 
@@ -191,7 +193,7 @@ def _as_float(node: Node, path: str, *index: int) -> float:
             except (TypeError, ValueError):
                 number = _SAFE.construct_yaml_float(node)
         elif tag == _INT:
-            number = float(_SAFE.construct_yaml_int(node))
+            number = float(_yaml_int(node))
         elif tag == _STR and isinstance(node, ScalarNode) and not node.style:
             # YAML 1.1 wants a dot in a float, so a plain 1e-17 resolves to a string
             number = float(node.value)
@@ -210,10 +212,27 @@ def _as_float(node: Node, path: str, *index: int) -> float:
     return number
 
 
+def _yaml_int(node: Node) -> int:
+    """The safe loader's value of a node tagged int.
+
+    ``int()`` reads a signed decimal with single '_' between digits as the
+    loader does, unless a 0 leads it: the loader reads 017 as octal 15 and
+    ``int()`` as 17.  That, and what ``int()`` refuses, such as 0x1f, the
+    base-60 1:30, 1__0 or a non-scalar node, goes to the loader.
+    """
+    text = node.value
+    if isinstance(text, str) and (text == "0" or text.lstrip("+-")[:1] != "0"):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return _SAFE.construct_yaml_int(node)
+
+
 def _as_int(node: Node, path: str, *index: int) -> int:
     if node.tag == _INT:
         try:
-            return _SAFE.construct_yaml_int(node)
+            return _yaml_int(node)
         except (ValueError, IndexError):  # IndexError: the safe loader on an empty !!int ""
             pass
     raise ConfigError(f"{_where(path, index)}: expected an integer, got {_shown(node)}")
@@ -360,13 +379,14 @@ def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
         if count < 1:
             raise ConfigError("scan.range.count: must be at least 1")
         # endpoint excluded: the box is periodic, so stop == start + L would
-        # duplicate the first point
-        result = tuple(
-            tuple(
-                start[ax] + (stop[ax] - start[ax]) * k / count for ax in range(dim)
-            )
-            for k in range(count)
-        )
+        # duplicate the first point.  Row k is start + (stop - start) * k / count,
+        # the same float operations in the same order on every coordinate; a
+        # span that overflows gives inf or nan silently, as Python floats do,
+        # and the evaluator rejects the position
+        first, last = np.array(start), np.array(stop)
+        with np.errstate(all="ignore"):
+            rows = first + (last - first) * np.arange(count)[:, None] / count
+        result = tuple(map(tuple, rows.tolist()))
     _no_leftovers(data, "scan")
     return result
 
@@ -429,8 +449,9 @@ def parse_config(text: str) -> ExperimentConfig:
     libyaml composes the document into a node tree, with YAML 1.1 tags
     resolved, and each value is read from its node as its key requires.
     Numbers are the values the safe loader would build: a float that
-    ``float()`` accepts is read with it, which gives the same value, and any
-    other number by the safe loader's own methods.
+    ``float()`` accepts, or an int that ``int()`` reads as the loader does, is
+    read with it, which gives the same value, and any other number by the
+    safe loader's own methods.
 
     A long position list allocates tens of thousands of nodes, and the
     collections these would set off cost about as much as the parse itself,
@@ -490,10 +511,10 @@ def emit_csv(batch: RateBatch) -> str:
     header = [f"q{i}" for i in range(batch.coords.shape[1])]
     header += ["rate_order1", "rate_order2", "density_a", "density_b"]
     columns = (*batch.coords.T, batch.rate_order1, batch.rate_order2, batch.density_a, batch.density_b)
-    # one format call per row is faster than joining one f-string per cell
-    row = ",".join(["{:.12g}"] * len(columns))
-    lines = [",".join(header)] + [row.format(*cells) for cells in zip(*(c.tolist() for c in columns))]
-    return "\n".join(lines) + "\n"
+    # one % per row is faster than a format call per row or an f-string per cell
+    template = ",".join(["%.12g"] * len(columns)) + "\n"
+    rows = zip(*(c.tolist() for c in columns))
+    return ",".join(header) + "\n" + "".join([template % cells for cells in rows])
 
 
 # --------------------------------------------------------------------------

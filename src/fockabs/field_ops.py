@@ -28,6 +28,15 @@ def lowest_mode_numbers(count: int) -> tuple[tuple[int], ...]:
     return tuple(((i + 1) // 2 if i % 2 else -(i // 2),) for i in range(count))
 
 
+def _real(value) -> float:
+    """``float(value)``, with a number too large for a float read as +-inf,
+    which the checks then reject under the field's own name."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class ModeBasis:
     """Finite plane-wave basis on a periodic box.
@@ -48,10 +57,10 @@ class ModeBasis:
     def __post_init__(self) -> None:
         # any sequences are accepted; the fields hold tuples of floats and ints
         set_field = object.__setattr__
-        set_field(self, "box_lengths", tuple(map(float, self.box_lengths)))
+        set_field(self, "box_lengths", tuple(map(_real, self.box_lengths)))
         set_field(self, "mode_numbers", tuple(map(tuple, self.mode_numbers)))
-        set_field(self, "hbar", float(self.hbar))
-        set_field(self, "mass", float(self.mass))
+        set_field(self, "hbar", _real(self.hbar))
+        set_field(self, "mass", _real(self.mass))
         set_field(self, "spins", tuple(self.spins))
         dim = len(self.box_lengths)
         if dim not in (1, 2, 3):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from yaml.constructor import SafeConstructor
 
 from fockabs import (
@@ -399,6 +399,66 @@ def test_non_finite_floats_are_named(loader, text):
         cli_io._as_float(node, "scan.positions", 3, 0)
 
 
+# the forms a YAML 1.1 int can take, and texts int() reads otherwise: leading
+# zeros (octal to the loader), doubled or stray underscores, prefixes, base 60,
+# Unicode digits and digit strings beyond int()'s 4300-digit limit
+_int_bodies = st.one_of(
+    st.integers(0, 10**30).map(str),
+    st.builds("{}{}".format, st.sampled_from(["0", "00", "0_"]), st.integers(0, 10**9)),
+    st.builds("_".join, st.lists(st.integers(0, 999).map(str), min_size=1, max_size=4)),
+    st.builds("__".join, st.lists(st.integers(1, 99).map(str), min_size=2, max_size=3)),
+    st.builds("{}{:x}".format, st.sampled_from(["0x", "0X", "0x_"]), st.integers(0, 2**64)),
+    st.builds("{}{:b}".format, st.sampled_from(["0b", "0b_"]), st.integers(0, 2**20)),
+    st.builds("0o{:o}".format, st.integers(0, 2**20)),
+    st.builds("{}:{:02d}:{}".format, st.integers(1, 10**4), st.integers(0, 59), st.integers(0, 59)),
+    st.sampled_from(["\u0663", "\u0660\u0661\u0667", "\uff11\uff12", "0\u0661", "", "_1", "1_", "1.0"]),
+    st.builds("{}{}".format, st.sampled_from(["", "0", "1_"]),
+              st.integers(4290, 4310).map(lambda n: "7" * n)),
+    st.text(alphabet="0123456789+-_xbo:. abcdef\u0663", max_size=8),
+)
+
+
+@st.composite
+def _int_texts(draw):
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    pad = st.sampled_from(["", " ", "\t", "\u2003"])
+    return draw(pad) + sign + draw(_int_bodies) + draw(pad)
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_int_texts())
+def test_ints_read_as_the_safe_loader_builds_them(loader, text):
+    node = yaml.compose(f'x: !!int "{text}"\n', Loader=loader).value[0][1]
+    assert (node.tag, node.value) == ("tag:yaml.org,2002:int", text)
+    try:
+        want = SafeConstructor().construct_yaml_int(node)
+    except (ValueError, IndexError):
+        message = f"basis.spins[2]: expected an integer, got {text!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cli_io._as_int(node, "basis.spins", 2)
+        with pytest.raises(ConfigError, match="^basis.mass: expected a real number"):
+            cli_io._as_float(node, "basis.mass")
+        return
+    got = cli_io._as_int(node, "basis.spins", 2)
+    assert type(got) is int and got == want
+    # an !!int read as a real is the same integer, and one too large for a float is named
+    try:
+        want_real = float(want)
+    except OverflowError:
+        with pytest.raises(ConfigError, match="^basis.mass: expected a finite number"):
+            cli_io._as_float(node, "basis.mass")
+    else:
+        assert cli_io._as_float(node, "basis.mass").hex() == want_real.hex()
+
+
+@pytest.mark.parametrize("text, value", [("017", 15), ("-017", -15), ("017 ", 15), (" 017", 17)])
+def test_a_leading_zero_is_octal_as_under_the_safe_loader(text, value):
+    node = yaml.compose(f'x: !!int "{text}"\n', Loader=cli_io._YAML_LOADER).value[0][1]
+    assert cli_io._as_int(node, "run.order") == value
+    assert cli_io._as_float(node, "basis.mass") == float(value)
+
+
 @pytest.mark.parametrize(
     "old, new, message",
     [
@@ -556,6 +616,45 @@ def test_range_scan_generates_count_positions():
     assert cfg.positions[0] == (0.0,)
 
 
+def _per_coordinate_range(start, stop, count):
+    """The reference range: one coordinate at a time, in Python floats."""
+    dim = len(start)
+    return tuple(
+        tuple(start[ax] + (stop[ax] - start[ax]) * k / count for ax in range(dim))
+        for k in range(count)
+    )
+
+
+_range_ends = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, TWO_PI, -TWO_PI, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    ends=st.integers(1, 3).flatmap(
+        lambda dim: st.tuples(st.lists(_range_ends, min_size=dim, max_size=dim),
+                              st.lists(_range_ends, min_size=dim, max_size=dim))
+    ),
+    count=st.one_of(st.integers(1, 50), st.integers(1, 2000)),
+)
+@example(ends=([0.3], [-TWO_PI]), count=20_000)
+@example(ends=([1.5, -0.25], [-2.75, 7.0]), count=20_000)
+@example(ends=([4.0, 0.1, -1e-3], [-4.0, 5.2, -6.5]), count=10**5)
+def test_range_rows_are_the_per_coordinate_formula_bit_for_bit(ends, count):
+    start, stop = ends
+    start_text, stop_text = (", ".join(map(repr, values)) for values in ends)
+    text = f"range: {{start: [{start_text}], stop: [{stop_text}], count: {count}}}"
+    node = yaml.compose(text, Loader=cli_io._YAML_LOADER)
+    got = cli_io._parse_scan(node, len(start))
+    want = _per_coordinate_range(tuple(start), tuple(stop), count)
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert all(type(c) is float for c in got[0])
+    assert [c.hex() for row in got for c in row] == [c.hex() for row in want for c in row]
+
+
 def test_scan_wants_exactly_one_source():
     bad = MINIMAL_ORDER1.replace(
         "positions: [[0.0], [1.0], [2.0]]",
@@ -654,6 +753,47 @@ def test_emit_csv_12_significant_digits():
     text = emit_csv(_batch([[1.0 / 3.0]], [2.0 / 3.0], [0.0], [0.0], [0.0]))
     assert "0.333333333333" in text
     assert "0.666666666667" in text
+
+
+def _emit_csv_by_format(batch: RateBatch) -> str:
+    """The reference CSV: one ``str.format`` call per row."""
+    header = [f"q{i}" for i in range(batch.coords.shape[1])]
+    header += ["rate_order1", "rate_order2", "density_a", "density_b"]
+    columns = (*batch.coords.T, batch.rate_order1, batch.rate_order2, batch.density_a, batch.density_b)
+    row = ",".join(["{:.12g}"] * len(columns))
+    lines = [",".join(header)] + [row.format(*cells) for cells in zip(*(c.tolist() for c in columns))]
+    return "\n".join(lines) + "\n"
+
+
+# signed zero, the smallest subnormal, where %g turns to exponents, and values
+# that sit on a rounding half at 12 significant digits
+_CSV_EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4, 9.99999999999e-5, 999999999999.5,
+    0.5, 2.5, 1.0000000000005, 0.1234567890125, 123456789012.5, -2.5e-7, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 3),
+    values=st.lists(
+        st.one_of(st.sampled_from(_CSV_EDGE_VALUES), st.floats()), min_size=1, max_size=60
+    ),
+)
+def test_emit_csv_equals_one_format_call_per_row(dim, values):
+    rows = len(values)
+    rolled = [values[(i + j) % rows] for j in range(dim + 4) for i in range(rows)]
+    cols = np.array(rolled, dtype=float).reshape(dim + 4, rows)
+    batch = _batch(cols[:dim].T, *cols[dim:])
+    assert emit_csv(batch) == _emit_csv_by_format(batch)
+
+
+def test_emit_csv_edge_values_byte_for_byte():
+    values = _CSV_EDGE_VALUES
+    batch = _batch([[v] for v in values], values, values[::-1], values, values)
+    assert emit_csv(batch) == _emit_csv_by_format(batch)
+    assert emit_csv(batch).splitlines()[1] == "-0,-0,nan,-0,-0"
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

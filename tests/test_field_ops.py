@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fockabs import (
     ModeBasis,
+    ParameterError,
     SlotKey,
     Statistics,
     Wavepacket,
@@ -131,6 +132,28 @@ def test_basis_stores_any_sequences_as_tuples_of_floats():
     assert hash(listed) == hash(strict)
     # an int equals its float, so compare the reprs too: the verify digest reads them
     assert repr(listed) == repr(strict)
+
+
+@pytest.mark.parametrize("huge", [10**400, -10**400], ids=["positive", "negative"])
+@pytest.mark.parametrize("field", ["box_lengths", "hbar", "mass"])
+def test_an_int_too_large_for_a_float_is_named(field, huge):
+    args = {"box_lengths": [1.0, 2.0], "mode_numbers": [[0, 0]]}
+    args[field] = [1.0, huge] if field == "box_lengths" else huge
+    with pytest.raises(ParameterError) as caught:
+        ModeBasis(**args)
+    assert caught.value.field == field
+
+
+def test_oversized_ints_are_named_in_the_check_order():
+    with pytest.raises(ParameterError) as caught:
+        ModeBasis([10**400], [[0]], hbar=10**400, mass=10**400)
+    assert caught.value.field == "box_lengths"
+    with pytest.raises(ParameterError) as caught:
+        ModeBasis([1.0], [[0], [0]], hbar=10**400)
+    assert caught.value.field == "modes"
+    with pytest.raises(ParameterError) as caught:
+        ModeBasis([1.0], [[0]], hbar=10**400, mass=10**400)
+    assert caught.value.field == "hbar"
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fockabs import (
     FockState,
@@ -133,8 +133,21 @@ def ladder_cases(draw):
     return state, pairs, draw(st.booleans())
 
 
+# a raising sum over several slots, one of them a full Bose slot of a ket that
+# shares the state with another: the draws above seldom reach that slot
+_FULL_SLOT_CASE = (
+    FockState(BOSE, {
+        OccupationKet.from_counts({SlotKey(0, 0): 1, SlotKey(2, 1): 2}): 0.6 + 0.0j,
+        OccupationKet.from_counts({SlotKey(1, 0): OCCUPATION_CAP}): 0.0 + 0.8j,
+    }),
+    [(0.5 + 0.25j, SlotKey(0, 0)), (2.0 + 0.0j, SlotKey(1, 0)), (1.0 + 0.0j, SlotKey(3, 1))],
+    True,
+)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=ladder_cases())
+@example(case=_FULL_SLOT_CASE)
 def test_ladder_sum_equals_superposed_single_slots(case):
     state, pairs, raising = case
     got = outcome(ladder_sum, state, pairs, raising)
@@ -163,6 +176,12 @@ def test_one_slot_operators_equal_the_literal_ones(statistics, data, slot):
     state = data.draw(states(statistics))
     assert_same_state(outcome(create, state, slot), outcome(literal_op, state, slot, True))
     assert_same_state(outcome(annihilate, state, slot), outcome(literal_op, state, slot, False))
+
+
+def test_the_full_slot_case_reaches_the_cap_error():
+    state, pairs, raising = _FULL_SLOT_CASE
+    message = f"occupation cap {OCCUPATION_CAP} exceeded at slot {SlotKey(1, 0)}"
+    assert outcome(ladder_sum, state, pairs, raising) == ("error", message)
 
 
 def test_cap_error_is_the_same():
