@@ -131,10 +131,13 @@ class ModeBasis:
 
     @cached_property
     def momenta(self) -> tuple[tuple[float, ...], ...]:
-        """Momentum 2*pi*hbar*n/L per axis of every mode, in mode order."""
+        """Momentum 2*pi*hbar*n/L per axis of every mode, in mode order.
+
+        A mode number too large for a float gives an infinite momentum, which
+        the kinetic-energy check rejects under ``modes``."""
         return tuple(
             tuple(
-                2 * math.pi * self.hbar * n / self.box_lengths[ax]
+                2 * math.pi * self.hbar * _real(n) / self.box_lengths[ax]
                 for ax, n in enumerate(vec)
             )
             for vec in self.mode_numbers
@@ -262,6 +265,6 @@ def field_annihilate(
         raise ValueError(f"spin {spin} not in basis spin set")
     if len(q) != basis.dim:
         raise ValueError(f"position dim {len(q)} does not match basis {basis.dim}")
-    modes = {s.mode for ket in state.terms for s, _ in ket.occupations if s.spin == spin}
+    modes = {s.mode for ket in state.terms for s, _ in ket if s.spin == spin}
     weighted_slots = [(mode_wavefunction(basis, i, q), SlotKey(i, spin)) for i in sorted(modes)]
     return ladder_sum(state, weighted_slots, raising=False)

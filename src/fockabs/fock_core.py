@@ -1,7 +1,9 @@
 """Sparse occupation-number algebra for identical bosons and fermions.
 
 States live on discrete single-particle slots (mode index, spin label) and
-are stored as sparse complex superpositions of occupation kets.  Conventions:
+are stored as sparse complex superpositions of occupation kets.  A ket is an
+immutable tuple of its sorted (slot, count) pairs, so it hashes and compares
+as a plain tuple does.  Conventions:
 
 * canonical slot order is mode-major, then spin; fermionic signs count the
   occupied slots that precede the acted-on slot in that order,
@@ -14,6 +16,11 @@ sum_s c_s adag_s) in a single pass over the slots and the state's terms, with
 no intermediate state per slot, and gives every amplitude bit for bit as the
 weighted sum of single-slot results would (``tests/test_ladder_sum.py`` holds
 that literal reference).  ``create`` and ``annihilate`` are its one-slot case.
+Each (slot, ket) step is one scan of the ket, and its results are valid by
+construction rather than re-checked: Pauli exclusion drops a raise onto an
+occupied fermion slot, lowering never adds, and a bosonic raise past
+``OCCUPATION_CAP`` is an error.  The public ``FockState`` constructor still
+rejects a fermionic count above 1.
 
 Operators are time independent; energy bookkeeping happens in the modules
 that know about mode energies.
@@ -62,19 +69,19 @@ def _validate_slot(slot: SlotKey) -> SlotKey:
     return slot
 
 
-@dataclass(frozen=True)
-class OccupationKet:
-    """One basis ket: sorted tuple of (slot, count) pairs, zero counts absent."""
+class OccupationKet(tuple):
+    """One basis ket: the sorted tuple of its (slot, count) pairs, zero counts absent.
 
-    occupations: tuple[tuple[SlotKey, int], ...]
-    # hashed once: every operation looks kets up in dicts
-    _hash: int = field(init=False, repr=False, compare=False)
+    A ket is that tuple itself, so hashing and equality run in C and
+    ``hash(ket) == hash(ket.occupations)``.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.occupations))
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    occupations = property(tuple, doc="The (slot, count) pairs as a plain tuple.")
+
+    def __repr__(self) -> str:
+        return f"OccupationKet(occupations={tuple(self)!r})"
 
     @staticmethod
     def from_counts(counts: dict[SlotKey, int]) -> "OccupationKet":
@@ -85,22 +92,21 @@ class OccupationKet:
         return OccupationKet(items)
 
     def occupation(self, slot: SlotKey) -> int:
-        for s, n in self.occupations:
+        for s, n in self:
             if s == slot:
                 return n
         return 0
 
     def total(self) -> int:
-        return sum(n for _, n in self.occupations)
+        return sum(n for _, n in self)
 
     def with_delta(self, slot: SlotKey, delta: int) -> "OccupationKet":
-        occ = self.occupations
-        i = bisect_left(occ, (slot,))
-        present = i < len(occ) and occ[i][0] == slot
-        n = (occ[i][1] if present else 0) + delta
+        i = bisect_left(self, (slot,))
+        present = i < len(self) and self[i][0] == slot
+        n = (self[i][1] if present else 0) + delta
         if n < 0:
             raise ValueError(f"negative occupation {n} at slot {slot}")
-        return OccupationKet(occ[:i] + (((slot, n),) if n else ()) + occ[i + present :])
+        return OccupationKet(self[:i] + (((slot, n),) if n else ()) + self[i + present :])
 
 
 EMPTY_KET = OccupationKet(())
@@ -120,7 +126,7 @@ class FockState:
     def __post_init__(self) -> None:
         if self.statistics is Statistics.FERMI:
             for ket in self.terms:
-                for slot, n in ket.occupations:
+                for slot, n in ket:
                     if n > 1:
                         raise ValueError(
                             f"fermionic occupation {n} > 1 at slot {slot}"
@@ -133,9 +139,17 @@ class FockState:
         return math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
 
 
+def _valid_state(statistics: Statistics, terms: dict[OccupationKet, complex]) -> FockState:
+    """A ``FockState`` of terms that are valid by construction, built without
+    ``__post_init__``'s Fermi re-scan."""
+    state = object.__new__(FockState)
+    state.__dict__.update(statistics=statistics, terms=terms)
+    return state
+
+
 def vacuum(statistics: Statistics) -> FockState:
     """No-particle state (a single empty ket with amplitude 1)."""
-    return FockState(statistics, {EMPTY_KET: 1.0 + 0.0j})
+    return _valid_state(statistics, {EMPTY_KET: 1.0 + 0.0j})
 
 
 def _pruned(terms: dict[OccupationKet, complex]) -> dict[OccupationKet, complex]:
@@ -165,7 +179,14 @@ def ladder_sum(
     for coeff, slot in weighted_slots:
         slot = _validate_slot(slot)
         for ket, amp in terms:
-            n = ket.occupation(slot)
+            # the slot's count n and its index i, where it is or would be inserted
+            n = i = 0
+            for s, c in ket:
+                if s >= slot:
+                    if s == slot:
+                        n = c
+                    break
+                i += 1
             if raising and bose and n + 1 > cap:
                 raise ValueError(f"occupation cap {cap} exceeded at slot {slot}")
             if (n == 1 and not bose) if raising else n == 0:
@@ -173,11 +194,14 @@ def ladder_sum(
             if bose:
                 term = amp * math.sqrt(n + 1 if raising else n)
             else:
-                term = amp * (-1) ** sum(c for s, c in ket.occupations if s < slot)
+                # Fermi counts are 1, so i is the occupation before the slot
+                term = amp * (-1) ** i
             if abs(term) > PRUNE_THRESHOLD:
-                new_ket = ket.with_delta(slot, step)
+                head, rest = ket[:i], ket[i + 1 :] if n else ket[i:]
+                n += step
+                new_ket = OccupationKet(head + ((slot, n),) + rest if n else head + rest)
                 out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + coeff * term
-    return FockState(state.statistics, _pruned(out))
+    return _valid_state(state.statistics, _pruned(out))
 
 
 def create(state: FockState, slot: SlotKey) -> FockState:

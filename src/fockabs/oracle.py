@@ -85,7 +85,7 @@ def second_order_amplitude(
     total = 0.0 + 0.0j
     for ket, amp in particle.terms.items():
         single = FockState(statistics, {ket: amp})
-        for i in [s.mode for s, _ in ket.occupations if s.spin == detector_spin]:
+        for i in [s.mode for s, _ in ket if s.spin == detector_spin]:
             lowered = annihilate(single, SlotKey(i, detector_spin))
             if lowered.is_zero():
                 continue

@@ -222,6 +222,9 @@ def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    # checked before any draw: numpy's own error would name neither the seed nor its value
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     report = VerificationReport()
     two_pi = 2.0 * math.pi
     for index in range(trials):

@@ -947,6 +947,11 @@ def test_cli_verify_subcommand(capsys):
     assert "failures=0" in out
 
 
+def test_cli_verify_names_a_negative_seed(capsys):
+    assert main(["verify", "--trials", "5", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer, got -1\n")
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
 
@@ -1092,6 +1097,20 @@ def test_cli_rejects_a_box_whose_inverse_volume_is_no_float(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: basis.box_lengths: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_cli_rejects_a_mode_number_too_large_for_a_float(tmp_path, capsys, sign):
+    text = MINIMAL_ORDER1.replace("modes: [[0]]", f"modes: [[{sign}1{'0' * 400}]]")
+    assert "0" * 400 in text
+    path = tmp_path / "modes.yaml"
+    path.write_text(text)
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: basis.modes: kinetic energy of mode 0 ")
         assert err.count("\n") == 1
 
 

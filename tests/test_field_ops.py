@@ -156,6 +156,21 @@ def test_oversized_ints_are_named_in_the_check_order():
     assert caught.value.field == "hbar"
 
 
+@pytest.mark.parametrize("huge", [10**400, -10**400], ids=["positive", "negative"])
+def test_a_mode_number_too_large_for_a_float_is_named(huge):
+    # its momentum 2*pi*hbar*n/L would convert n to a float and overflow
+    for box, mode in (([1.0], [huge]), ([1.0, 2.0], [0, huge])):
+        with pytest.raises(ParameterError, match=r"^kinetic energy of mode 1 ") as caught:
+            ModeBasis(box, [[0] * len(box), mode])
+        assert caught.value.field == "modes"
+    # in the check order: after hbar and mass, before spins
+    for kwargs, field in (({"hbar": 10**400}, "hbar"), ({"mass": 0.0}, "mass"),
+                          ({"spins": ()}, "modes")):
+        with pytest.raises(ParameterError) as caught:
+            ModeBasis([1.0], [[huge]], **kwargs)
+        assert caught.value.field == field
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -123,14 +123,14 @@ def states(draw, statistics):
     return FockState(statistics, terms)
 
 
+weighted_slots = st.lists(st.tuples(amplitudes, st.sampled_from(OPERATOR_SLOTS)), max_size=5)
+
+
 @st.composite
 def ladder_cases(draw):
     statistics = draw(st.sampled_from([BOSE, FERMI]))
     state = draw(states(statistics))
-    pairs = draw(
-        st.lists(st.tuples(amplitudes, st.sampled_from(OPERATOR_SLOTS)), max_size=5)
-    )
-    return state, pairs, draw(st.booleans())
+    return state, draw(weighted_slots), draw(st.booleans())
 
 
 # a raising sum over several slots, one of them a full Bose slot of a ket that
@@ -145,9 +145,36 @@ _FULL_SLOT_CASE = (
 )
 
 
+# a 3-slot ket and a 1-slot one, acted on at every position of the one-pass
+# step: before, on and between the occupied slots (0, 1), (2, 0), (3, 0),
+# and after them
+_THREE_SLOTS = (SlotKey(0, 1), SlotKey(2, 0), SlotKey(3, 0))
+_EVERY_POSITION = [
+    (complex(0.5 + k, 0.25 * k), slot)
+    for k, slot in enumerate([
+        SlotKey(0, 0), SlotKey(0, 1), SlotKey(1, 0), SlotKey(2, 0),
+        SlotKey(2, 1), SlotKey(3, 0), SlotKey(3, 1), SlotKey(4, 0),
+    ])
+]
+
+
+def _position_case(statistics, raising):
+    # Bose counts 1, 2 and cap - 1: lowering empties one slot and keeps the
+    # others, raising fills the last one to the cap
+    counts = (1, 1, 1) if statistics is FERMI else (1, 2, OCCUPATION_CAP - 1)
+    three = OccupationKet.from_counts(dict(zip(_THREE_SLOTS, counts)))
+    one = OccupationKet.from_counts({SlotKey(2, 0): 1})
+    state = FockState(statistics, {three: 0.6 + 0.0j, one: 0.0 + 0.8j})
+    return state, _EVERY_POSITION, raising
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=ladder_cases())
 @example(case=_FULL_SLOT_CASE)
+@example(case=_position_case(BOSE, True))
+@example(case=_position_case(BOSE, False))
+@example(case=_position_case(FERMI, True))
+@example(case=_position_case(FERMI, False))
 def test_ladder_sum_equals_superposed_single_slots(case):
     state, pairs, raising = case
     got = outcome(ladder_sum, state, pairs, raising)
@@ -176,6 +203,26 @@ def test_one_slot_operators_equal_the_literal_ones(statistics, data, slot):
     state = data.draw(states(statistics))
     assert_same_state(outcome(create, state, slot), outcome(literal_op, state, slot, True))
     assert_same_state(outcome(annihilate, state, slot), outcome(literal_op, state, slot, False))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=ladder_cases(), more=st.lists(st.tuples(weighted_slots, st.booleans()), max_size=2))
+def test_ladder_sum_builds_canonical_states(case, more):
+    # the kernel skips FockState's re-check: every state it returns, and every
+    # state built from those, must pass it and the other invariants anyway
+    state, pairs, raising = case
+    for pairs, raising in [(pairs, raising), *more]:
+        got = outcome(ladder_sum, state, pairs, raising)
+        if isinstance(got, tuple):
+            return
+        assert got.statistics is state.statistics
+        top = 1 if got.statistics is FERMI else OCCUPATION_CAP
+        for ket, amp in got.terms.items():
+            assert type(ket) is OccupationKet
+            assert ket == OccupationKet.from_counts(dict(ket.occupations))
+            assert all(1 <= n <= top for _, n in ket.occupations)
+            assert abs(amp) > PRUNE_THRESHOLD
+        state = got
 
 
 def test_the_full_slot_case_reaches_the_cap_error():

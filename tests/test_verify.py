@@ -9,8 +9,11 @@ relative 1e-9, so the test does not hang on the last bit of libm.
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from fockabs.cli_io import main
-from fockabs.verify import TOLERANCE
+from fockabs.verify import TOLERANCE, verify_closed_forms
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_seed7_trials40.txt"
 
@@ -40,3 +43,14 @@ def test_verify_output_matches_the_golden_stream(capsys):
                 ), (number, key, value, expected)
             else:
                 assert value == expected, (number, key)
+
+
+@pytest.mark.parametrize("seed", [-1, -7])
+def test_a_negative_seed_is_rejected_before_any_draw(monkeypatch, seed):
+    def no_draw(*args):
+        raise AssertionError("drew a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    message = f"seed must be a nonnegative integer, got {seed}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_closed_forms(3, seed=seed)
