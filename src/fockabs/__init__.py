@@ -8,7 +8,6 @@ enumeration oracle that validates them.
 
 from .fock_core import (
     FockState,
-    OccupationKet,
     ParameterError,
     SlotKey,
     Statistics,
@@ -70,7 +69,6 @@ __all__ = [
     "MediumChannel",
     "MediumModel",
     "ModeBasis",
-    "OccupationKet",
     "ParameterError",
     "RateBatch",
     "ResonanceError",

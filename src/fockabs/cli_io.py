@@ -32,7 +32,13 @@ from yaml.constructor import SafeConstructor
 from yaml.nodes import MappingNode, Node, ScalarNode, SequenceNode
 
 from .fock_core import ParameterError, Statistics
-from .field_ops import NORMALIZATION_TOLERANCE, ModeBasis, Wavepacket, lowest_mode_numbers
+from .field_ops import (
+    NORMALIZATION_TOLERANCE,
+    ModeBasis,
+    Wavepacket,
+    lowest_mode_numbers,
+    norm_squared,
+)
 from .medium import MediumChannel, MediumModel, ResonanceError
 from .perturbation import AbsorptionInput, RateBatch, evaluate_rates, proportionality_exponent
 from .verify import verify_closed_forms
@@ -309,7 +315,7 @@ def _parse_packet(name: str, node: Node, basis: ModeBasis) -> Wavepacket:
     amps = _vector(
         _pop(data, "amplitudes", path), _as_complex, f"{path}.amplitudes", size=basis.n_modes
     )
-    norm_sq = sum(abs(a) ** 2 for a in amps)
+    norm_sq = norm_squared(amps)
     off = abs(norm_sq - 1.0)
     if off > NORMALIZE_WARN_LIMIT:
         raise ConfigError(
@@ -337,7 +343,9 @@ def _parse_medium(node: Node) -> MediumModel:
             path = f"medium.channels[{i}]"
             ch = _require_map(ch_node, path)
             channels.append(
-                MediumChannel(
+                _checked(
+                    path,
+                    MediumChannel,
                     label=_as_name(_pop(ch, "label", path), f"{path}.label"),
                     element_in=_as_complex(_pop(ch, "element_in", path), f"{path}.element_in"),
                     element_out=_as_complex(_pop(ch, "element_out", path), f"{path}.element_out"),

@@ -28,6 +28,33 @@ def lowest_mode_numbers(count: int) -> tuple[tuple[int], ...]:
     return tuple(((i + 1) // 2 if i % 2 else -(i // 2),) for i in range(count))
 
 
+def norm_squared(amplitudes: Sequence[complex]) -> float:
+    """sum |a|^2 of the amplitudes, with a sum too large for a float read as inf."""
+    try:
+        return sum(abs(a) ** 2 for a in amplitudes)
+    except OverflowError:  # abs() or ** past the largest float
+        return math.inf
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of ``n`` > 0, counted without ``str(n)``."""
+    d = int(math.log10(n))  # the count, or one or two below it
+    return d + (n >= 10**d) + (n >= 10 ** (d + 1))
+
+
+def _shown(numbers: tuple) -> str:
+    """``repr(numbers)``, with an int of over 600 digits shown by its digit
+    count: the interpreter may refuse to convert one to str (from 640 digits
+    on, under the lowest limit it can be set to)."""
+    parts = [
+        f"{'-' * (c < 0)}<int of {_digits(abs(c))} digits>"
+        if isinstance(c, int) and abs(c) >= 10**600
+        else repr(c)
+        for c in numbers
+    ]
+    return f"({', '.join(parts)}{',' * (len(parts) == 1)})"
+
+
 def _real(value) -> float:
     """``float(value)``, with a number too large for a float read as +-inf,
     which the checks then reject under the field's own name."""
@@ -82,7 +109,7 @@ class ModeBasis:
         for n in self.mode_numbers:
             # bool is an int subclass, and neither it nor a float is a mode number
             if len(n) != dim or any(type(c) is not int for c in n):
-                raise ParameterError("modes", f"mode numbers {n!r} are not {dim} integers")
+                raise ParameterError("modes", f"mode numbers {_shown(n)} are not {dim} integers")
         if len(set(self.mode_numbers)) != len(self.mode_numbers):
             raise ParameterError("modes", "mode numbers must be distinct")
         # every rate holds 1/hbar^2, a finite nonzero float only for 1e-154 < hbar < 1e154 or so
@@ -102,7 +129,7 @@ class ModeBasis:
             if not math.isfinite(energy):
                 raise ParameterError(
                     "modes",
-                    f"kinetic energy of mode {k} {self.mode_numbers[k]!r} must be finite, "
+                    f"kinetic energy of mode {k} {_shown(self.mode_numbers[k])} must be finite, "
                     f"got {energy!r} from hbar = {self.hbar!r}, mass = {self.mass!r}, "
                     f"box_lengths = {self.box_lengths!r}",
                 )
@@ -191,7 +218,7 @@ class Wavepacket:
             )
         if self.spin not in self.basis.spins:
             raise ParameterError("spin", f"{self.spin} not in basis spin set")
-        norm_sq = sum(abs(a) ** 2 for a in self.amplitudes)
+        norm_sq = norm_squared(self.amplitudes)
         # written so that a nan norm fails the gate too
         if not abs(norm_sq - 1.0) <= NORMALIZATION_TOLERANCE:
             raise ParameterError(

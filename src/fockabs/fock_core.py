@@ -1,9 +1,9 @@
 """Sparse occupation-number algebra for identical bosons and fermions.
 
 States live on discrete single-particle slots (mode index, spin label) and
-are stored as sparse complex superpositions of occupation kets.  A ket is an
-immutable tuple of its sorted (slot, count) pairs, so it hashes and compares
-as a plain tuple does.  Conventions:
+are stored as sparse complex superpositions of occupation kets.  A ket is the
+plain tuple of its (slot, count) pairs, sorted by slot with zero counts
+absent; the vacuum ket is ``()``.  Conventions:
 
 * canonical slot order is mode-major, then spin; fermionic signs count the
   occupied slots that precede the acted-on slot in that order,
@@ -29,7 +29,6 @@ that know about mode energies.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -69,47 +68,7 @@ def _validate_slot(slot: SlotKey) -> SlotKey:
     return slot
 
 
-class OccupationKet(tuple):
-    """One basis ket: the sorted tuple of its (slot, count) pairs, zero counts absent.
-
-    A ket is that tuple itself, so hashing and equality run in C and
-    ``hash(ket) == hash(ket.occupations)``.
-    """
-
-    __slots__ = ()
-
-    occupations = property(tuple, doc="The (slot, count) pairs as a plain tuple.")
-
-    def __repr__(self) -> str:
-        return f"OccupationKet(occupations={tuple(self)!r})"
-
-    @staticmethod
-    def from_counts(counts: dict[SlotKey, int]) -> "OccupationKet":
-        items = tuple(sorted((s, n) for s, n in counts.items() if n != 0))
-        for slot, n in items:
-            if n < 0:
-                raise ValueError(f"negative occupation {n} at slot {slot}")
-        return OccupationKet(items)
-
-    def occupation(self, slot: SlotKey) -> int:
-        for s, n in self:
-            if s == slot:
-                return n
-        return 0
-
-    def total(self) -> int:
-        return sum(n for _, n in self)
-
-    def with_delta(self, slot: SlotKey, delta: int) -> "OccupationKet":
-        i = bisect_left(self, (slot,))
-        present = i < len(self) and self[i][0] == slot
-        n = (self[i][1] if present else 0) + delta
-        if n < 0:
-            raise ValueError(f"negative occupation {n} at slot {slot}")
-        return OccupationKet(self[:i] + (((slot, n),) if n else ()) + self[i + present :])
-
-
-EMPTY_KET = OccupationKet(())
+Ket = tuple[tuple[SlotKey, int], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +80,7 @@ class FockState:
     """
 
     statistics: Statistics
-    terms: dict[OccupationKet, complex] = field(default_factory=dict)
+    terms: dict[Ket, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.statistics is Statistics.FERMI:
@@ -139,7 +98,7 @@ class FockState:
         return math.sqrt(sum(abs(a) ** 2 for a in self.terms.values()))
 
 
-def _valid_state(statistics: Statistics, terms: dict[OccupationKet, complex]) -> FockState:
+def _valid_state(statistics: Statistics, terms: dict[Ket, complex]) -> FockState:
     """A ``FockState`` of terms that are valid by construction, built without
     ``__post_init__``'s Fermi re-scan."""
     state = object.__new__(FockState)
@@ -149,10 +108,10 @@ def _valid_state(statistics: Statistics, terms: dict[OccupationKet, complex]) ->
 
 def vacuum(statistics: Statistics) -> FockState:
     """No-particle state (a single empty ket with amplitude 1)."""
-    return _valid_state(statistics, {EMPTY_KET: 1.0 + 0.0j})
+    return _valid_state(statistics, {(): 1.0 + 0.0j})
 
 
-def _pruned(terms: dict[OccupationKet, complex]) -> dict[OccupationKet, complex]:
+def _pruned(terms: dict[Ket, complex]) -> dict[Ket, complex]:
     return {k: a for k, a in terms.items() if abs(a) > PRUNE_THRESHOLD}
 
 
@@ -175,7 +134,7 @@ def ladder_sum(
     cap = OCCUPATION_CAP  # a local: the loop below reads it once per term
     terms = state.terms.items()
     step = 1 if raising else -1
-    out: dict[OccupationKet, complex] = {}
+    out: dict[Ket, complex] = {}
     for coeff, slot in weighted_slots:
         slot = _validate_slot(slot)
         for ket, amp in terms:
@@ -199,7 +158,7 @@ def ladder_sum(
             if abs(term) > PRUNE_THRESHOLD:
                 head, rest = ket[:i], ket[i + 1 :] if n else ket[i:]
                 n += step
-                new_ket = OccupationKet(head + ((slot, n),) + rest if n else head + rest)
+                new_ket = head + ((slot, n),) + rest if n else head + rest
                 out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + coeff * term
     return _valid_state(state.statistics, _pruned(out))
 

@@ -34,9 +34,8 @@ def _check_prefactor(field: str, name: str, value: complex, power: int) -> None:
     except OverflowError:  # abs() or ** past the largest float
         finite = False
     if not finite:
-        raise ParameterError(
-            field, f"|{name}|^{power} must be a finite float, got {name} = {value!r}"
-        )
+        shown = f"|{name}|" if power == 1 else f"|{name}|^{power}"
+        raise ParameterError(field, f"{shown} must be a finite float, got {name} = {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,9 @@ class MediumChannel:
                 raise ParameterError(
                     name, f"channel {self.label!r}: {name} must be finite, got {value!r}"
                 )
+        # every second-order rate holds it; one that overflows makes the rate nan
+        product = self.element_out * self.element_in
+        _check_prefactor("element_in", "element_out * element_in", product, 1)
 
 
 @dataclass(frozen=True)

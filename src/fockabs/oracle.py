@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .fock_core import (
     FockState,
-    OccupationKet,
+    Ket,
     SlotKey,
     annihilate,
     inner_product,
@@ -72,16 +72,17 @@ def second_order_amplitude(
         raise ValueError("second-order amplitudes require at least one channel")
     statistics = particle.statistics
     for ket in particle.terms:
-        if ket.total() != 2:
+        particles = sum(n for _, n in ket)
+        if particles != 2:
             raise ValueError(
                 f"two-particle initial state required, found a ket with "
-                f"{ket.total()} particles"
+                f"{particles} particles"
             )
     vac = vacuum(statistics)
     mode_values = [
         mode_wavefunction(basis, i, q) for i in range(basis.n_modes)
     ]
-    vacuum_overlap_cache: dict[OccupationKet, complex] = {}
+    vacuum_overlap_cache: dict[Ket, complex] = {}
     total = 0.0 + 0.0j
     for ket, amp in particle.terms.items():
         single = FockState(statistics, {ket: amp})

@@ -1,10 +1,11 @@
 """Reference functions that only the tests use.
 
-``superpose`` is the literal reference for ``ladder_sum``;
-``check_commutation`` probes the ladder brackets; ``position_amplitude``,
-``overlap`` and ``uniform_grid`` are one-position and quadrature helpers for
-wavepackets; ``serialize_config`` renders a parsed config back to YAML for
-the round-trip tests.
+``ket`` builds an occupation ket from a counts dict; ``superpose`` is the
+literal reference for ``ladder_sum``; ``check_commutation`` probes the
+ladder brackets; ``position_amplitude``, ``overlap`` and ``uniform_grid``
+are one-position and quadrature helpers for wavepackets;
+``serialize_config`` renders a parsed config back to YAML for the
+round-trip tests.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from fockabs import (
     inner_product,
 )
 from fockabs.field_ops import phase_matrix
-from fockabs.fock_core import OccupationKet, _pruned
+from fockabs.fock_core import Ket, _pruned
+
+
+def ket(counts: dict[SlotKey, int]) -> Ket:
+    """The ket of ``counts``: its (slot, count) pairs sorted, zero counts dropped."""
+    return tuple(sorted((s, n) for s, n in counts.items() if n))
 
 
 def superpose(parts: Iterable[tuple[complex, FockState]]) -> FockState:
@@ -34,7 +40,7 @@ def superpose(parts: Iterable[tuple[complex, FockState]]) -> FockState:
 
     Empty input is not allowed because the statistics kind would be unknown.
     """
-    out: dict[OccupationKet, complex] = {}
+    out: dict[Ket, complex] = {}
     statistics: Statistics | None = None
     for coeff, state in parts:
         if statistics is None:

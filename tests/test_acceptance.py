@@ -29,9 +29,8 @@ from fockabs import (
     two_particle_state,
     log_log_slope,
     FockState,
-    OccupationKet,
 )
-from helpers import check_commutation, overlap, position_amplitude, superpose, uniform_grid
+from helpers import check_commutation, ket, overlap, position_amplitude, superpose, uniform_grid
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -50,7 +49,7 @@ def _random_probe(rng, statistics, slots):
         parts.append(
             (
                 complex(rng.normal(), rng.normal()),
-                FockState(statistics, {OccupationKet.from_counts(counts): 1.0 + 0.0j}),
+                FockState(statistics, {ket(counts): 1.0 + 0.0j}),
             )
         )
     state = superpose(parts)

@@ -720,6 +720,33 @@ def test_cli_names_the_run_key_of_a_rejected_input(tmp_path, capsys, old, new, m
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        # |a|^2 overflows a float; the norm is read as inf
+        pytest.param("      - 0.0\n", "      - [1e200, 0.0]\n",
+                     "packets.beam.amplitudes: norm^2 = inf is too far from 1",
+                     id="amplitude"),
+        # each element is finite, and their product, in every second-order rate, is not
+        pytest.param("element_in: [1.1, -0.2], element_out: [0.7, 0.5]",
+                     "element_in: [1e200, 0.0], element_out: [1e200, 0.0]",
+                     "medium.channels[0].element_in: |element_out * element_in| must be "
+                     "a finite float, got element_out * element_in = (inf+0j)",
+                     id="channel-product"),
+    ],
+)
+def test_cli_rejects_a_product_that_overflows(tmp_path, capsys, old, new, message):
+    text = _readme_example()
+    assert old in text
+    path = tmp_path / "overflow.yaml"
+    path.write_text(text.replace(old, new))
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 def test_scan_resonance_error_names_position():
     text = ORDER2_TEMPLATE % ("bose", "partner")
     resonant = text.replace("energy: 2.3", "energy: 0.5")

@@ -172,6 +172,27 @@ def test_a_mode_number_too_large_for_a_float_is_named(huge):
 
 
 @pytest.mark.parametrize(
+    "n, shown",
+    [
+        pytest.param(10**5000, "<int of 5001 digits>", id="past-4300-digits"),
+        pytest.param(-(10**5000), "-<int of 5001 digits>", id="negative"),
+        pytest.param(10**5000 - 1, "<int of 5000 digits>", id="all-nines"),
+        pytest.param(10**600, "<int of 601 digits>", id="601-digits"),
+        pytest.param(10**600 - 1, "9" * 600, id="600-digits-in-full"),
+    ],
+)
+def test_a_mode_number_too_long_to_print_is_named(n, shown):
+    # str() of an int fails past 4300 digits where the interpreter limits the
+    # conversion, and from 640 digits on under the lowest limit it can be set to
+    for modes, message in (([[n]], f"kinetic energy of mode 0 ({shown},) must be finite"),
+                           ([[n, 1]], f"mode numbers ({shown}, 1) are not 1 integers")):
+        with pytest.raises(ParameterError) as caught:
+            ModeBasis([1.0], modes)
+        assert caught.value.field == "modes"
+        assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         pytest.param(lambda: create(vacuum(BOSE), SlotKey(True, 0)), id="slot-mode"),
@@ -375,6 +396,10 @@ def test_wavepacket_normalization_gate():
         Wavepacket(basis, (1.0, 0.1), 0)
     with pytest.raises(ValueError):
         Wavepacket(basis, (math.nan, 0.0), 0)
+    # |a|^2 overflows a float: the norm is read as inf
+    with pytest.raises(ParameterError, match=r"norm\^2 = inf ") as caught:
+        Wavepacket(basis, (1e200, 0.0), 0)
+    assert caught.value.field == "amplitudes"
 
 
 def test_wavepacket_spin_must_be_declared():

@@ -7,7 +7,6 @@ import pytest
 
 from fockabs import (
     FockState,
-    OccupationKet,
     SlotKey,
     Statistics,
     annihilate,
@@ -15,8 +14,8 @@ from fockabs import (
     inner_product,
     vacuum,
 )
-from fockabs.fock_core import EMPTY_KET, OCCUPATION_CAP
-from helpers import check_commutation, superpose
+from fockabs.fock_core import OCCUPATION_CAP
+from helpers import check_commutation, ket, superpose
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -36,9 +35,8 @@ def random_state(rng, statistics, slots, n_terms=3):
             n = int(rng.integers(0, top + 1))
             if n:
                 counts[slot] = n
-        ket = OccupationKet.from_counts(counts)
         amp = complex(rng.normal(), rng.normal())
-        parts.append((amp, FockState(statistics, {ket: 1.0 + 0.0j})))
+        parts.append((amp, FockState(statistics, {ket(counts): 1.0 + 0.0j})))
     state = superpose(parts)
     assert state.norm() > 1e-9
     return state
@@ -47,8 +45,8 @@ def random_state(rng, statistics, slots, n_terms=3):
 def test_vacuum_is_single_empty_ket():
     for stats in (BOSE, FERMI):
         vac = vacuum(stats)
-        assert list(vac.terms) == [EMPTY_KET]
-        assert vac.terms[EMPTY_KET] == 1.0 + 0.0j
+        assert list(vac.terms) == [()]
+        assert vac.terms[()] == 1.0 + 0.0j
         assert inner_product(vac, vac) == 1.0 + 0.0j
 
 
@@ -63,15 +61,13 @@ def test_create_on_vacuum():
     s = SlotKey(1, 0)
     for stats in (BOSE, FERMI):
         one = create(vacuum(stats), s)
-        ket = OccupationKet.from_counts({s: 1})
-        assert states_close(one, FockState(stats, {ket: 1.0 + 0.0j}))
+        assert states_close(one, FockState(stats, {ket({s: 1}): 1.0 + 0.0j}))
 
 
 def test_bose_double_create_sqrt2():
     s = SlotKey(0, 0)
     two = create(create(vacuum(BOSE), s), s)
-    ket = OccupationKet.from_counts({s: 2})
-    assert abs(two.terms[ket] - math.sqrt(2)) < 1e-15
+    assert abs(two.terms[ket({s: 2})] - math.sqrt(2)) < 1e-15
 
 
 def test_fermi_double_create_is_zero():
@@ -106,12 +102,10 @@ def test_fermi_sign_worked_example():
     stacked = create(create(vacuum(FERMI), s1), s2)
 
     drop_s2 = annihilate(stacked, s2)
-    ket_s1 = OccupationKet.from_counts({s1: 1})
-    assert states_close(drop_s2, FockState(FERMI, {ket_s1: 1.0 + 0.0j}))
+    assert states_close(drop_s2, FockState(FERMI, {ket({s1: 1}): 1.0 + 0.0j}))
 
     drop_s1 = annihilate(stacked, s1)
-    ket_s2 = OccupationKet.from_counts({s2: 1})
-    assert states_close(drop_s1, FockState(FERMI, {ket_s2: -1.0 + 0.0j}))
+    assert states_close(drop_s1, FockState(FERMI, {ket({s2: 1}): -1.0 + 0.0j}))
 
 
 def test_bose_ladder_factors_track_occupation():
@@ -119,9 +113,8 @@ def test_bose_ladder_factors_track_occupation():
     state = vacuum(BOSE)
     for n in range(1, 4):
         state = create(state, s)
-        ket = OccupationKet.from_counts({s: n})
         expected = math.sqrt(math.factorial(n))
-        assert abs(state.terms[ket] - expected) < 1e-12
+        assert abs(state.terms[ket({s: n})] - expected) < 1e-12
 
 
 def test_occupation_cap_enforced():
@@ -199,9 +192,8 @@ def test_superpose_prunes_dust():
 
 
 def test_fermi_state_rejects_double_occupation():
-    ket = OccupationKet.from_counts({SlotKey(0, 0): 2})
     with pytest.raises(ValueError):
-        FockState(FERMI, {ket: 1.0 + 0.0j})
+        FockState(FERMI, {ket({SlotKey(0, 0): 2}): 1.0 + 0.0j})
 
 
 def test_commutation_trivial_cases():
@@ -229,20 +221,3 @@ def test_commutation_delta_small_basis():
                     got = check_commutation(sa, sb, stats, probe)
                     want = 1.0 if sa == sb else 0.0
                     assert abs(got - want) < 1e-12
-
-
-def test_occupation_ket_is_immutable_hashable_and_keeps_its_repr():
-    occupations = ((SlotKey(0, 1), 2), (SlotKey(3, 0), 1))
-    ket = OccupationKet(occupations)
-    with pytest.raises(AttributeError):
-        ket.occupations = ()
-    assert ket.occupations == occupations
-    twin = OccupationKet.from_counts({SlotKey(3, 0): 1, SlotKey(0, 1): 2})
-    assert twin == ket and twin is not ket
-    assert hash(twin) == hash(ket) == hash(occupations)
-    assert {ket: 1.0}[twin] == 1.0
-    assert repr(ket) == (
-        "OccupationKet(occupations=((SlotKey(mode=0, spin=1), 2), "
-        "(SlotKey(mode=3, spin=0), 1)))"
-    )
-    assert EMPTY_KET == OccupationKet(()) and hash(EMPTY_KET) == hash(())

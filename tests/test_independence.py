@@ -77,8 +77,10 @@ def test_oracle_and_closed_forms_share_no_module(module, forbidden):
     assert not reached_modules(module) & forbidden
 
 
-def test_oracle_does_not_import_numpy():
-    assert "numpy" not in direct_imports("oracle")
+# the oracle and the ladder algebra under it are plain Python
+@pytest.mark.parametrize("module", ["oracle", "fock_core"])
+def test_oracle_does_not_import_numpy(module):
+    assert "numpy" not in direct_imports(module)
 
 
 def test_import_scan_sees_the_harness_imports():

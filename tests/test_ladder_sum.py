@@ -7,7 +7,6 @@ the order of the kets), never a tolerance.
 """
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from fockabs import (
     FockState,
     ModeBasis,
-    OccupationKet,
     SlotKey,
     Statistics,
     Wavepacket,
@@ -33,7 +31,7 @@ from fockabs import (
 )
 from fockabs.fock_core import OCCUPATION_CAP, PRUNE_THRESHOLD, ladder_sum
 from fockabs.verify import _random_basis, _random_model, _random_packet
-from helpers import superpose
+from helpers import ket, superpose
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -50,18 +48,13 @@ NEAR_THRESHOLD = [
 ]
 
 
-def literal_counts_ket(ket, slot, delta):
-    counts = dict(ket.occupations)
-    counts[slot] = counts.get(slot, 0) + delta
-    return OccupationKet.from_counts(counts)
-
-
 def literal_op(state, slot, raising):
     """One ladder operator on one slot, term by term."""
     out = {}
-    for ket, amp in state.terms.items():
-        n = ket.occupation(slot)
-        before = sum(c for s, c in ket.occupations if s < slot)
+    for old, amp in state.terms.items():
+        counts = dict(old)
+        n = counts.get(slot, 0)
+        before = sum(c for s, c in old if s < slot)
         if raising:
             if state.statistics is BOSE:
                 if n + 1 > OCCUPATION_CAP:
@@ -78,7 +71,8 @@ def literal_op(state, slot, raising):
                 new_amp = amp * math.sqrt(n)
             else:
                 new_amp = amp * (-1) ** before
-        new_ket = literal_counts_ket(ket, slot, +1 if raising else -1)
+        counts[slot] = n + 1 if raising else n - 1
+        new_ket = ket(counts)
         out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + new_amp
     return FockState(
         state.statistics, {k: a for k, a in out.items() if abs(a) > PRUNE_THRESHOLD}
@@ -119,7 +113,7 @@ def states(draw, statistics):
         counts = draw(
             st.dictionaries(st.sampled_from(KET_SLOTS), st.integers(1, top), max_size=3)
         )
-        terms[OccupationKet.from_counts(counts)] = draw(amplitudes)
+        terms[ket(counts)] = draw(amplitudes)
     return FockState(statistics, terms)
 
 
@@ -137,8 +131,8 @@ def ladder_cases(draw):
 # shares the state with another: the draws above seldom reach that slot
 _FULL_SLOT_CASE = (
     FockState(BOSE, {
-        OccupationKet.from_counts({SlotKey(0, 0): 1, SlotKey(2, 1): 2}): 0.6 + 0.0j,
-        OccupationKet.from_counts({SlotKey(1, 0): OCCUPATION_CAP}): 0.0 + 0.8j,
+        ket({SlotKey(0, 0): 1, SlotKey(2, 1): 2}): 0.6 + 0.0j,
+        ket({SlotKey(1, 0): OCCUPATION_CAP}): 0.0 + 0.8j,
     }),
     [(0.5 + 0.25j, SlotKey(0, 0)), (2.0 + 0.0j, SlotKey(1, 0)), (1.0 + 0.0j, SlotKey(3, 1))],
     True,
@@ -162,8 +156,8 @@ def _position_case(statistics, raising):
     # Bose counts 1, 2 and cap - 1: lowering empties one slot and keeps the
     # others, raising fills the last one to the cap
     counts = (1, 1, 1) if statistics is FERMI else (1, 2, OCCUPATION_CAP - 1)
-    three = OccupationKet.from_counts(dict(zip(_THREE_SLOTS, counts)))
-    one = OccupationKet.from_counts({SlotKey(2, 0): 1})
+    three = ket(dict(zip(_THREE_SLOTS, counts)))
+    one = ket({SlotKey(2, 0): 1})
     state = FockState(statistics, {three: 0.6 + 0.0j, one: 0.0 + 0.8j})
     return state, _EVERY_POSITION, raising
 
@@ -217,10 +211,10 @@ def test_ladder_sum_builds_canonical_states(case, more):
             return
         assert got.statistics is state.statistics
         top = 1 if got.statistics is FERMI else OCCUPATION_CAP
-        for ket, amp in got.terms.items():
-            assert type(ket) is OccupationKet
-            assert ket == OccupationKet.from_counts(dict(ket.occupations))
-            assert all(1 <= n <= top for _, n in ket.occupations)
+        for k, amp in got.terms.items():
+            assert type(k) is tuple
+            assert k == ket(dict(k))
+            assert all(1 <= n <= top for _, n in k)
             assert abs(amp) > PRUNE_THRESHOLD
         state = got
 
@@ -232,7 +226,7 @@ def test_the_full_slot_case_reaches_the_cap_error():
 
 
 def test_cap_error_is_the_same():
-    full = OccupationKet.from_counts({SlotKey(1, 0): OCCUPATION_CAP})
+    full = ket({SlotKey(1, 0): OCCUPATION_CAP})
     state = FockState(BOSE, {full: 1.0 + 0.0j})
     pairs = [(0.5 + 0.0j, SlotKey(0, 0)), (2.0 + 0.0j, SlotKey(1, 0))]
     with pytest.raises(ValueError) as got:
@@ -244,13 +238,13 @@ def test_cap_error_is_the_same():
 
 
 def test_terms_are_pruned_before_they_are_weighted():
-    ket = OccupationKet.from_counts({SlotKey(0, 0): 1})
+    one = ket({SlotKey(0, 0): 1})
     for statistics in (BOSE, FERMI):
         # a term of exactly the threshold is dropped by the one-slot operator,
         # so a weight of 2 applied after it must not bring it back
-        at = FockState(statistics, {ket: complex(PRUNE_THRESHOLD, 0.0)})
+        at = FockState(statistics, {one: complex(PRUNE_THRESHOLD, 0.0)})
         assert ladder_sum(at, [(2.0, SlotKey(0, 0))], raising=False).is_zero()
-        above = FockState(statistics, {ket: complex(1.01 * PRUNE_THRESHOLD, 0.0)})
+        above = FockState(statistics, {one: complex(1.01 * PRUNE_THRESHOLD, 0.0)})
         lowered = ladder_sum(above, [(0.5, SlotKey(1, 0)), (2.0, SlotKey(0, 0))], raising=False)
         assert not lowered.is_zero()
         assert_same_state(lowered, superpose([(2.0, literal_op(above, SlotKey(0, 0), False))]))
@@ -261,45 +255,6 @@ def test_slots_no_ket_occupies_leave_the_zero_state():
     lowered = ladder_sum(state, [(1.0, SlotKey(3, 0)), (2.0, SlotKey(0, 1))], raising=False)
     assert lowered.is_zero() and lowered.statistics is FERMI
     assert ladder_sum(state, [], raising=True).is_zero()
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    particles=st.lists(st.sampled_from(OPERATOR_SLOTS), max_size=4),
-    slot=st.sampled_from(OPERATOR_SLOTS),
-    delta=st.integers(-2, 2),
-)
-def test_with_delta_matches_from_counts(particles, slot, delta):
-    ket = OccupationKet.from_counts(dict(Counter(particles)))
-    got = outcome(ket.with_delta, slot, delta)
-    want = outcome(literal_counts_ket, ket, slot, delta)
-    assert got == want
-    if not isinstance(want, tuple):
-        assert got.occupations == want.occupations
-        assert hash(got) == hash(want)
-        assert {got: 1}[want] == 1
-
-
-def test_with_delta_keeps_the_negative_occupation_error():
-    ket = OccupationKet.from_counts({SlotKey(0, 0): 1})
-    with pytest.raises(ValueError, match=r"negative occupation -1 at slot"):
-        ket.with_delta(SlotKey(1, 0), -1)
-    with pytest.raises(ValueError, match=r"negative occupation -1 at slot"):
-        ket.with_delta(SlotKey(0, 0), -2)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(particles=st.lists(st.sampled_from(KET_SLOTS), max_size=4))
-def test_hash_and_equality_agree_for_kets_built_either_way(particles):
-    from_counts = OccupationKet.from_counts(dict(Counter(particles)))
-    stepped = OccupationKet(())
-    for slot in particles:
-        stepped = stepped.with_delta(slot, +1)
-    direct = OccupationKet(from_counts.occupations)
-    assert from_counts == stepped == direct
-    assert hash(from_counts) == hash(stepped) == hash(direct) == hash(from_counts.occupations)
-    assert len({from_counts, stepped, direct}) == 1
-    assert from_counts != OccupationKet.from_counts({SlotKey(5, 1): 1})
 
 
 # --------------------------------------------------------------------------
@@ -328,7 +283,7 @@ def test_packet_creation_skips_zero_amplitudes():
     # mode 0 would place |0,2> ahead of |1,2>, changing the order of later sums
     basis = ModeBasis([2 * math.pi], lowest_mode_numbers(3), spins=(0,))
     packet = Wavepacket(basis, (0.0, 0.0, 1.0), 0)
-    one = {m: OccupationKet.from_counts({SlotKey(m, 0): 1}) for m in range(3)}
+    one = {m: ket({SlotKey(m, 0): 1}) for m in range(3)}
     for statistics in (BOSE, FERMI):
         state = FockState(statistics, {one[1]: 0.6 + 0.0j, one[0]: 0.0 + 0.8j, one[2]: 0.1})
         created = apply_packet_creation(state, packet)

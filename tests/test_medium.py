@@ -108,6 +108,7 @@ NON_FINITE_CASES = [
     (lambda: MediumModel(1.0, (), first_order_element=1e200), "first_order_element"),
     (lambda: MediumModel(1e160, (), first_order_element=1e160), "coupling"),
     (lambda: MediumModel(1e-100, (MediumChannel("c", 1e300, 1.0, 0.5),)), "first_order_element"),
+    (lambda: MediumChannel("c", 1e200, 1e200, 0.5), "element_in"),
 ]
 
 
