@@ -22,9 +22,12 @@ import cmath
 import copy
 import gc
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterator
 
 import numpy as np
 import yaml
@@ -47,11 +50,6 @@ from .verify import verify_closed_forms
 NORMALIZE_WARN_LIMIT = 1e-6
 
 _SECTIONS = ("basis", "packets", "medium", "scan", "run")
-
-# libyaml's scanner, parser and composer under the safe loader's resolver, so
-# the node tree and its tags are the same; the pure-Python SafeLoader serves a
-# PyYAML built without libyaml
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ConfigError(ValueError):
@@ -94,6 +92,40 @@ _SAFE_TAGS = frozenset(SafeConstructor.yaml_constructors) | {_MERGE}
 # float() accepts is read by float() alone, and an int such as -12 by int(),
 # which give the same value
 _SAFE = SafeConstructor()
+
+# libyaml's scanner, parser and composer under the safe loader's resolver, so
+# the node tree and its tags are the same; the pure-Python SafeLoader serves a
+# PyYAML built without libyaml
+_BASE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# a plain decimal float with a dot, or a decimal int with no leading 0: each
+# is a strict subset of the YAML 1.1 float or int resolver, and for a text
+# that starts with a sign or a digit the float resolver is tried first, the
+# int resolver second, and no resolver before them matches such a text
+_PLAIN_NUMBER = re.compile(
+    r"[-+]?(?:[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|0|[1-9][0-9]*)"
+).fullmatch
+
+
+class _YamlLoader(_BASE_LOADER):
+    """The safe loader, with the tags of plain decimal numbers and of
+    collections given directly rather than by the resolver's regex loop.
+
+    Every tag is the one the inherited ``resolve`` gives: a float has a dot
+    and an int none, and without path resolvers a collection takes its
+    default tag.
+    """
+
+    def resolve(self, kind, value, implicit):
+        if kind is ScalarNode:
+            if implicit[0] and _PLAIN_NUMBER(value):
+                return _FLOAT if "." in value else _INT
+        elif not self.yaml_path_resolvers:
+            return _SEQ if kind is SequenceNode else _MAP
+        return _BASE_LOADER.resolve(self, kind, value, implicit)
+
+
+_YAML_LOADER = _YamlLoader
 
 
 def _where(path: str, index: tuple[int, ...]) -> str:
@@ -167,11 +199,79 @@ def _require_list(node: Node, path: str, *index: int) -> list[Node]:
 
 
 def _vector(node: Node, read, path: str, *index: int, size: int | None = None) -> tuple:
-    """A nonempty list with each entry read by ``read``, and ``size`` entries if given."""
+    """A nonempty list with each entry read by ``read``, and ``size`` entries if given.
+
+    The whole list is read at once where ``read`` has a bulk reader that takes
+    it, and entry by entry otherwise, so a bad entry gets ``read``'s error.
+    """
     items = _require_list(node, path, *index)
     if size is not None and len(items) != size:
         raise ConfigError(f"{_where(path, index)}: expected {size} entries, got {len(items)}")
-    return tuple([read(v, path, *index, i) for i, v in enumerate(items)])
+    bulk = _BULK_READERS.get(read)
+    values = None if bulk is None else bulk(items)
+    if values is None:
+        values = [read(v, path, *index, i) for i, v in enumerate(items)]
+    return tuple(values)
+
+
+# Bulk readers: the values of a whole list of nodes, the very values the
+# per-entry reader gives each, or None where any entry needs that reader.
+_TAG, _VALUE = attrgetter("tag"), attrgetter("value")
+
+
+def _decimal_ints(texts: list) -> list[int] | None:
+    """The texts as ints where ``int()`` reads each and prints it back unchanged:
+    decimals with no leading 0, '+' or '_', which ``_yaml_int`` reads with
+    ``int()`` too."""
+    try:
+        values = list(map(int, texts))
+    except (TypeError, ValueError):  # TypeError: a collection tagged !!int
+        return None
+    return values if list(map(str, values)) == texts else None
+
+
+def _bulk_ints(nodes: list[Node]) -> list[int] | None:
+    """Int-tagged decimals, as ``_as_int`` reads them."""
+    if list(map(_TAG, nodes)).count(_INT) != len(nodes):
+        return None
+    return _decimal_ints(list(map(_VALUE, nodes)))
+
+
+def _bulk_floats(nodes: list[Node]) -> list[float] | None:
+    """Float-tagged texts and int-tagged decimals that ``float()`` reads as
+    finite numbers, as ``_as_float`` does: ``float()`` of a decimal and of its
+    int round alike."""
+    floats = list(map(_TAG, nodes)).count(_FLOAT)
+    if floats != len(nodes):
+        ints = [n.value for n in nodes if n.tag == _INT]
+        if floats + len(ints) != len(nodes) or _decimal_ints(ints) is None:
+            return None
+    try:
+        values = list(map(float, map(_VALUE, nodes)))
+    except (TypeError, ValueError):  # TypeError: a collection tagged !!float
+        return None
+    # a sum is finite only if every term is; finite terms whose sum
+    # overflows merely take the per-entry path
+    return values if math.isfinite(sum(values)) else None
+
+
+def _bulk_rows(nodes: list[Node], width: int, bulk) -> Iterator[tuple] | None:
+    """Lists of ``width`` entries, read as one flat list by ``bulk``, as row tuples."""
+    rows = [
+        n.value
+        for n in nodes
+        if type(n) is SequenceNode and n.tag == _SEQ and len(n.value) == width
+    ]
+    if len(rows) != len(nodes):
+        return None
+    values = bulk([entry for row in rows for entry in row])
+    return None if values is None else zip(*[iter(values)] * width)
+
+
+def _bulk_complexes(nodes: list[Node]) -> list[complex] | None:
+    """``[re, im]`` pairs of entries that ``_bulk_floats`` reads, as ``_as_complex`` does."""
+    pairs = _bulk_rows(nodes, 2, _bulk_floats)
+    return None if pairs is None else [complex(real, imag) for real, imag in pairs]
 
 
 def _pop(section: dict, key: str, path: str) -> Node:
@@ -269,8 +369,25 @@ def _as_complex(node: Node, path: str, *index: int) -> complex:
     )
 
 
+_BULK_READERS = {_as_float: _bulk_floats, _as_int: _bulk_ints, _as_complex: _bulk_complexes}
+
+
+def _rows(node: Node, read, path: str, width: int) -> tuple[tuple, ...]:
+    """A nonempty list of lists of ``width`` entries, each entry read by ``read``.
+
+    All rows are read as one flat list where the bulk reader takes it, and
+    row by row otherwise, so a bad row or entry gets ``_vector``'s error.
+    """
+    rows = _require_list(node, path)
+    values = _bulk_rows(rows, width, _BULK_READERS[read])
+    if values is None:
+        values = [_vector(row, read, path, i, size=width) for i, row in enumerate(rows)]
+    return tuple(values)
+
+
 def _checked(path: str, constructor, *args, **kwargs):
-    """Build a domain object, naming the rejected key under ``path`` in its error."""
+    """Build a domain object, or evaluate its rates, naming the rejected key
+    under ``path`` in the error."""
     try:
         return constructor(*args, **kwargs)
     except ParameterError as exc:
@@ -292,10 +409,7 @@ def _parse_basis(node: Node) -> ModeBasis:
             raise ConfigError("basis.lowest_modes: must be at least 1")
         modes = lowest_mode_numbers(count)
     else:
-        modes = tuple(
-            _vector(vec, _as_int, "basis.modes", i, size=len(lengths))
-            for i, vec in enumerate(_require_list(data.pop("modes"), "basis.modes"))
-        )
+        modes = _rows(data.pop("modes"), _as_int, "basis.modes", len(lengths))
     # only the keys the config gives: the defaults are ModeBasis's own
     options = {}
     if "hbar" in data:
@@ -366,18 +480,7 @@ def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
     if has_positions == has_range:
         raise ConfigError("scan: give exactly one of 'positions' or 'range'")
     if has_positions:
-        # rows are read inline, not by _vector: its call overhead shows on 20 000 rows
-        positions = []
-        for i, vec in enumerate(_require_list(data.pop("positions"), "scan.positions")):
-            coords = _require_list(vec, "scan.positions", i)
-            if len(coords) != dim:
-                raise ConfigError(
-                    f"scan.positions[{i}]: expected {dim} entries, got {len(coords)}"
-                )
-            positions.append(
-                tuple([_as_float(c, "scan.positions", i, ax) for ax, c in enumerate(coords)])
-            )
-        result = tuple(positions)
+        result = _rows(data.pop("positions"), _as_float, "scan.positions", dim)
     else:
         rng = _require_map(data.pop("range"), "scan.range")
         start = _vector(_pop(rng, "start", "scan.range"), _as_float, "scan.range.start", size=dim)
@@ -392,9 +495,18 @@ def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
         # span that overflows gives inf or nan silently, as Python floats do,
         # and the evaluator rejects the position
         first, last = np.array(start), np.array(stop)
-        with np.errstate(all="ignore"):
-            rows = first + (last - first) * np.arange(count)[:, None] / count
-        result = tuple(map(tuple, rows.tolist()))
+        try:
+            steps = np.arange(count)
+            # numpy sizes arange by a float: from about 2**63 on it comes back empty
+            if len(steps) != count:
+                raise ValueError
+            with np.errstate(all="ignore"):
+                rows = first + (last - first) * steps[:, None] / count
+            result = tuple(map(tuple, rows.tolist()))
+        except (MemoryError, OverflowError, ValueError) as exc:  # past numpy's largest array
+            raise ConfigError(
+                "scan.range.count: too many positions to hold in memory"
+            ) from exc
     _no_leftovers(data, "scan")
     return result
 
@@ -459,7 +571,10 @@ def parse_config(text: str) -> ExperimentConfig:
     Numbers are the values the safe loader would build: a float that
     ``float()`` accepts, or an int that ``int()`` reads as the loader does, is
     read with it, which gives the same value, and any other number by the
-    safe loader's own methods.
+    safe loader's own methods.  Plain decimal numbers and collections get
+    their tags without the resolver's loop over its patterns, and a list of
+    plain numbers, or of ``[re, im]`` pairs of them, is read in one pass;
+    the tags, values and errors are the same.
 
     A long position list allocates tens of thousands of nodes, and the
     collections these would set off cost about as much as the parse itself,
@@ -508,7 +623,7 @@ def run_scan(config: ExperimentConfig) -> RateBatch:
     Order-1 runs fill the order-2 and second-density columns with 0.
     """
     try:
-        return evaluate_rates(config.run, config.medium, config.positions)
+        return _checked("medium", evaluate_rates, config.run, config.medium, config.positions)
     except ResonanceError as exc:
         # the channel weights come before any position, so the gate fails at all of them
         raise ResonanceError(f"at every scan position: {exc}") from exc
@@ -555,7 +670,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_exponent(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    value = proportionality_exponent(config.run, config.medium, config.positions)
+    value = _checked(
+        "medium", proportionality_exponent, config.run, config.medium, config.positions
+    )
     print(f"order={len(config.run.packets)} exponent={value:.9f}")
     return 0
 

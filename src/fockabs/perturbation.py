@@ -127,6 +127,40 @@ def _channel_sum(
     raise ValueError(f"unknown energy convention {convention!r}")
 
 
+def _check_order2_bound(
+    packets: tuple[Wavepacket, ...], weights: list, prefactor: float
+) -> None:
+    """Raise ``ParameterError`` for ``channels`` unless the bound on the pair's
+    second-order rate at every position is a finite float.
+
+    |psi| <= sum_k |a_k| / sqrt(V), and the packet absorbed first, with its
+    channel weights, is bounded alike, so each ordering amplitude is bounded
+    by a product of two such sums; the rate is the prefactor times the
+    squared sum of both.
+    """
+    # plain Python: verify calls this once per pair at 2-4 modes, where a
+    # numpy call costs more than the sums
+    psi = [sum(map(abs, p.amplitudes)) for p in packets]
+    try:
+        first = [
+            sum([abs(a * w) for a, w in zip(p.amplitudes, ws)])
+            if isinstance(ws, list)
+            else abs(ws) * total
+            for p, ws, total in zip(packets, weights, psi)
+        ]
+        product_sum = first[1] * psi[0] + first[0] * psi[1]
+        bound = prefactor * (product_sum / packets[0].basis.volume) ** 2
+    except OverflowError:  # abs() or ** past the largest float
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ParameterError(
+            "channels",
+            "the second-order rate bound (2 pi / hbar^2) |coupling|^4 "
+            "(sum |W_b b_k| sum |a_k| + sum |W_a a_k| sum |b_k|)^2 / V^2 "
+            f"must be a finite float, got {bound!r}",
+        )
+
+
 def evaluate_rates(
     inp: AbsorptionInput,
     model: MediumModel,
@@ -141,8 +175,9 @@ def evaluate_rates(
     field operator through the first-created packet.  Channel weights do
     not depend on position and are computed once per packet, before any
     position, so a resonant denominator raises ResonanceError even where
-    the spin deltas zero the rate.  Positions go through the phase matrix
-    in chunks of at most CHUNK_ELEMENTS entries.
+    the spin deltas zero the rate, and a pair whose second-order rate has
+    no finite bound raises ParameterError for ``channels``.  Positions go
+    through the phase matrix in chunks of at most CHUNK_ELEMENTS entries.
     """
     packets = inp.packets
     pair = len(packets) == 2
@@ -167,6 +202,8 @@ def evaluate_rates(
                 [a * w for a, w in zip(p.amplitudes, ws)]
                 for p, ws in zip(packets, weights)
             ]
+        prefactor = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
+        _check_order2_bound(packets, weights, prefactor)
     modes = np.array(columns, dtype=complex).T
     step = max(1, CHUNK_ELEMENTS // basis.n_modes)
     sums = np.empty((rows, modes.shape[1]), dtype=complex)
@@ -189,7 +226,6 @@ def evaluate_rates(
         terms = first[:, ::-1] * psi
         if inp.statistics is Statistics.FERMI:
             terms[:, 0] *= -1.0
-        prefactor = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
         rate_order2 = prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2
     return RateBatch(
         wrapped, psi[:, 0], psi[:, 1], density[:, 0], density[:, 1],

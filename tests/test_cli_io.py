@@ -1,6 +1,7 @@
 """Config parsing, scan driver, CSV output, and the CLI entry point."""
 
 import gc
+import itertools
 import math
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 import yaml
 from hypothesis import assume, example, given, settings, strategies as st
 from yaml.constructor import SafeConstructor
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from fockabs import (
     AbsorptionInput,
@@ -179,6 +181,31 @@ def _listed_config(count: int) -> str:
     )
 
 
+def _scan_3d_config() -> str:
+    """A config shaped like the benchmark's scan_3d: a 3D box, 7^3 = 343 listed
+    modes, two packets of [re, im] amplitudes, order 2, Fermi."""
+    modes = itertools.product(range(-3, 4), repeat=3)
+    rng = np.random.default_rng(3)
+    lines = ["basis:", "  box_lengths: [4.0, 5.0, 6.5]", "  modes:"]
+    lines += [f"    - [{x}, {y}, {z}]" for x, y, z in modes]
+    lines += ["  hbar: 0.9", "  mass: 1.2", "packets:"]
+    for name in ("a", "b"):
+        amps = rng.normal(size=343) + 1j * rng.normal(size=343)
+        amps /= np.linalg.norm(amps)
+        lines += [f"  {name}:", "    spin: 0", "    amplitudes:"]
+        lines += [f"      - [{a.real!r}, {a.imag!r}]" for a in amps.tolist()]
+    lines += [
+        "medium:",
+        "  coupling: [0.9, 0.3]",
+        "  channels:",
+        "    - {label: ch0, element_in: [1.1, -0.2], element_out: [0.7, 0.5], energy: -2.3}",
+        "scan:",
+        "  range: {start: [0.5, 1.0, 1.5], stop: [4.5, 6.0, 8.0], count: 20}",
+        "run: {order: 2, statistics: fermi, packets: [a, b], detector_spin: 0}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -191,10 +218,14 @@ def _listed_config(count: int) -> str:
             id="serialized",
         ),
         pytest.param(_listed_config(2000), id="listed-2000"),
+        pytest.param(_scan_3d_config(), id="scan-3d"),
     ],
 )
 def test_loaders_parse_equal_configs(monkeypatch, text):
-    assert cli_io._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # the module loader is built on libyaml's where PyYAML has it; the stock
+    # SafeLoader below resolves tags with its own resolver
+    base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert issubclass(cli_io._YAML_LOADER, base)
     config = parse_config(text)
     monkeypatch.setattr(cli_io, "_YAML_LOADER", yaml.SafeLoader)
     assert parse_config(text) == config
@@ -348,6 +379,157 @@ _LOADERS = [
     pytest.param(cli_io._YAML_LOADER, id="module-loader"),
     pytest.param(yaml.SafeLoader, id="SafeLoader"),
 ]
+
+
+# texts around the YAML 1.1 number forms: signs, dots, exponents, '_' and
+# base-60 ':' separators, and the starts of other resolvers' texts
+_RESOLVER_PIECES = [
+    "0", "1", "7", "9", "-", "+", ".", "_", ":", "e", "E", " ",
+    "inf", "nan", "yes", "null", "~", "<<", "=",
+]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from([ScalarNode, SequenceNode, MappingNode]),
+    text=st.lists(st.sampled_from(_RESOLVER_PIECES), max_size=8).map("".join),
+    implicit=st.tuples(st.booleans(), st.booleans()),
+)
+@example(kind=ScalarNode, text="017", implicit=(True, False))
+@example(kind=ScalarNode, text="09", implicit=(True, False))  # no octal digit: a string
+@example(kind=ScalarNode, text="-0", implicit=(True, False))
+@example(kind=ScalarNode, text="1.5e3", implicit=(True, False))
+@example(kind=ScalarNode, text="1e+5", implicit=(True, False))
+@example(kind=ScalarNode, text="-.5", implicit=(True, False))
+@example(kind=ScalarNode, text="1:30.5", implicit=(True, False))
+@example(kind=ScalarNode, text="1.5", implicit=(False, True))
+def test_resolve_gives_the_stock_safe_loader_tag(kind, text, implicit):
+    # a composer passes a scalar's text and (plain, quoted) implicit flags,
+    # and a collection None and one flag
+    args = (text, implicit) if kind is ScalarNode else (None, implicit[0])
+    fast, stock = cli_io._YAML_LOADER(""), yaml.SafeLoader("")
+    assert fast.resolve(kind, *args) == stock.resolve(kind, *args)
+
+
+@pytest.mark.parametrize(
+    "kind, value, tag",
+    [
+        (ScalarNode, "-0.011088673282171346", "float"),
+        (ScalarNode, "6.02e+23", "float"),
+        (ScalarNode, "-3", "int"),
+        (ScalarNode, "0", "int"),
+        (SequenceNode, None, "seq"),
+        (MappingNode, None, "map"),
+    ],
+)
+def test_plain_numbers_and_collections_skip_the_resolver_loop(monkeypatch, kind, value, tag):
+    def loop(*args):
+        raise AssertionError("the inherited resolve was called")
+    monkeypatch.setattr(cli_io._BASE_LOADER, "resolve", loop)
+    implicit = (True, False) if kind is ScalarNode else True
+    got = cli_io._YAML_LOADER("").resolve(kind, value, implicit)
+    assert got == f"tag:yaml.org,2002:{tag}"
+
+
+# per reader: entries every bulk reader takes, entries only the per-entry
+# reader reads, and entries it rejects
+_BULK_CASES = [
+    pytest.param(
+        cli_io._as_float, cli_io._bulk_floats,
+        ["1.5", "-0.0", "+2.", "6.02e+23", "-1.25e-3", "1_000.5", "!!float 7", "12", "-3"],
+        # the safe loader reads 017 as 15 and -0 as the int 0, so as +0.0
+        ["1:30.5", "1e-05", "017", "-0", "+3", "1_000", "!!int ' 7'"],
+        [".inf", "-.nan", "'1.5'", "abc", "[1.0]", "1.0e400", "!!float '1e'", "1" * 400],
+        id="floats",
+    ),
+    pytest.param(
+        cli_io._as_int, cli_io._bulk_ints,
+        ["0", "-3", "12", "987654321987654321987654321"],
+        ["+3", "017", "-0", "1_000", "0x1f", "1:30", "!!int ' 7'"],
+        ["1.5", "'3'", "abc", "[1]", "!!int ''", "!!int '1 2'"],
+        id="ints",
+    ),
+    pytest.param(
+        cli_io._as_complex, cli_io._bulk_complexes,
+        ["[1.5, -0.0]", "[0.1, 2.0e-3]", "[-7.25, 3.5]", "[1_0.5, 0.0]", "[1, -2]"],
+        ["0.5", "'1+2j'", "[017, 2.0]", "[1:30.5, 0.0]"],
+        ["[1.0]", "[.nan, 0.0]", "abc", "[1.0, '2']", "[1.0, 2.0, 3.0]", "{a: 1}",
+         "[1.0e200, 1.0e400]", "!!seq ab"],
+        id="complexes",
+    ),
+]
+
+
+def _read(read, text: str) -> str:
+    """The repr of every value of the YAML list ``text`` read by ``read`` one
+    entry at a time, or the text of its ConfigError."""
+    nodes = yaml.compose(text, Loader=cli_io._YAML_LOADER).value
+    try:
+        return repr(tuple([read(n, "x.values", i) for i, n in enumerate(nodes)]))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def _vector_read(read, text: str) -> str:
+    try:
+        return repr(cli_io._vector(yaml.compose(text, Loader=cli_io._YAML_LOADER), read, "x.values"))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@pytest.mark.parametrize("read, bulk, good, slow, bad", _BULK_CASES)
+def test_bulk_reads_equal_the_per_entry_readers(read, bulk, good, slow, bad):
+    text = "[" + ", ".join(good) + "]"
+    assert bulk(yaml.compose(text, Loader=cli_io._YAML_LOADER).value) is not None
+    # repr tells -0.0 from 0.0 and prints every bit of a float
+    assert _vector_read(read, text) == _read(read, text)
+    for odd in slow + bad:
+        for at in (0, len(good) // 2, len(good)):
+            text = "[" + ", ".join(good[:at] + [odd] + good[at:]) + "]"
+            assert bulk(yaml.compose(text, Loader=cli_io._YAML_LOADER).value) is None
+            got = _vector_read(read, text)
+            assert got == _read(read, text)
+            assert got.startswith("ConfigError") == (odd in bad)
+            if odd in bad:
+                assert got.startswith(f"ConfigError: x.values[{at}]")
+
+
+@pytest.mark.parametrize(
+    "section, rows",
+    [
+        pytest.param("scan", ["[0.5, -1.25]", "[2.0, 0.0]", "[-0.0, 3.75]"], id="positions"),
+        pytest.param("basis", ["[0, 1]", "[-2, 3]", "[4, -5]"], id="modes"),
+    ],
+)
+@pytest.mark.parametrize(
+    "odd",
+    ["[1.5]", "[1.5, 2.0, 3.0]", "[.inf, 0.5]", "[1_0.5, 2.0]", "[017, 1]", "[+3, 1]",
+     "[-0, 2]", "[0.5, 'x']", "[]", "7", "{a: 1}", "!!seq ab"],
+)
+def test_bulk_rows_equal_the_per_row_readers(monkeypatch, section, rows, odd):
+    def read(text: str) -> str:
+        if section == "scan":
+            node = yaml.compose(f"positions: [{text}]", Loader=cli_io._YAML_LOADER)
+            parse = lambda: cli_io._parse_scan(node, 2)
+        else:
+            node = yaml.compose(
+                f"box_lengths: [1.0, 2.0]\nmodes: [{text}]", Loader=cli_io._YAML_LOADER
+            )
+            parse = lambda: cli_io._parse_basis(node).mode_numbers
+        try:
+            return repr(parse())
+        except ConfigError as exc:
+            return f"ConfigError: {exc}"
+
+    for at in (0, 1, 3):
+        text = ", ".join(rows[:at] + [odd] + rows[at:])
+        got = read(text)
+        with monkeypatch.context() as per_row:
+            per_row.setattr(cli_io, "_bulk_rows", lambda nodes, width, bulk: None)
+            per_row.setattr(
+                cli_io, "_BULK_READERS", dict.fromkeys(cli_io._BULK_READERS, lambda nodes: None)
+            )
+            assert read(text) == got
 
 
 def _float_node(loader, text: str):
@@ -616,6 +798,33 @@ def test_range_scan_generates_count_positions():
     assert cfg.positions[0] == (0.0,)
 
 
+_COUNT_ERROR = "error: scan.range.count: too many positions to hold in memory\n"
+
+
+@pytest.mark.parametrize("count", [2**63 - 1, 2**63, 2**64, 10**100])
+def test_cli_names_a_range_count_too_large_for_an_array(tmp_path, capsys, count):
+    # numpy returns an empty arange up to about 2**63 and refuses one past it,
+    # so none of these allocates
+    text = _readme_example().replace(
+        "  positions: [[0.0], [0.5], [1.0]]\n  # range:", "  range:"
+    ).replace("count: 32", f"count: {count}")
+    path = tmp_path / "count.yaml"
+    path.write_text(text)
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", _COUNT_ERROR)
+
+
+def test_a_range_count_out_of_memory_is_named(tmp_path, capsys, monkeypatch):
+    def no_memory(count):
+        raise MemoryError
+    monkeypatch.setattr(cli_io.np, "arange", no_memory)
+    path = tmp_path / "count.yaml"
+    path.write_text(ORDER2_TEMPLATE % ("bose", "partner"))
+    assert main(["scan", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", _COUNT_ERROR)
+
+
 def _per_coordinate_range(start, stop, count):
     """The reference range: one coordinate at a time, in Python floats."""
     dim = len(start)
@@ -733,6 +942,13 @@ def test_cli_names_the_run_key_of_a_rejected_input(tmp_path, capsys, old, new, m
                      "medium.channels[0].element_in: |element_out * element_in| must be "
                      "a finite float, got element_out * element_in = (inf+0j)",
                      id="channel-product"),
+        # the product is finite, and the second-order rate it gives, ~1e320, is not
+        pytest.param("element_in: [1.1, -0.2], element_out: [0.7, 0.5]",
+                     "element_in: [1.0e150, 0.0], element_out: [1.0e10, 0.0]",
+                     "medium.channels: the second-order rate bound (2 pi / hbar^2) "
+                     "|coupling|^4 (sum |W_b b_k| sum |a_k| + sum |W_a a_k| sum |b_k|)^2 "
+                     "/ V^2 must be a finite float, got inf",
+                     id="second-order-rate"),
     ],
 )
 def test_cli_rejects_a_product_that_overflows(tmp_path, capsys, old, new, message):
@@ -1026,7 +1242,10 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path, args, golden):
             **os.environ,
             "PYTHONPATH": str(src),
             "PYTHONHASHSEED": hashseed,
-            "PYTHONWARNINGS": "error::RuntimeWarning",
+            "PYTHONWARNINGS": (
+                "error::RuntimeWarning,error::DeprecationWarning,"
+                "error::PendingDeprecationWarning"
+            ),
         }
         result = subprocess.run(
             [sys.executable, "-m", "fockabs", *args],

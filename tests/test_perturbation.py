@@ -314,6 +314,26 @@ def test_resonance_checked_even_when_spins_kill_rate():
         rate_second_order(inp, basis.position((0.5,)), model)
 
 
+@pytest.mark.parametrize("convention", ["mean", "per_mode"])
+@pytest.mark.parametrize("spins", [(0, 0), (0, 1)])
+def test_a_pair_whose_rate_bound_overflows_is_rejected_before_any_position(convention, spins):
+    # each factor is finite, and so is element_out * element_in; the rate
+    # |coupling|^4 |W psi_a psi_b|^2 ~ 1e320 is not, where the spins match
+    basis = cos_basis()
+    model = MediumModel(1.0, (MediumChannel("big", 1e150, 1e10, 3.0),))
+    a = Wavepacket(basis, (0.0, 1.0, 0.0), spins[0])
+    b = Wavepacket(basis, (1.0, 0.0, 0.0), spins[1])
+    inp = AbsorptionInput((a, b), 0, BOSE)
+    for coords in ([], [(0.5,)]):
+        with pytest.raises(ParameterError, match="second-order rate bound") as err:
+            evaluate_rates(inp, model, coords, energy_convention=convention)
+        assert err.value.field == "channels"
+    # with a 1e10 times smaller element the bound, ~1e299, is finite, and so is the rate
+    small = MediumModel(1.0, (MediumChannel("big", 1e140, 1e10, 3.0),))
+    rate = evaluate_rates(inp, small, [(0.5,)], energy_convention=convention).rate_order2
+    assert np.isfinite(rate).all()
+
+
 def test_second_order_requires_channels():
     basis = cos_basis()
     model = MediumModel(1.0, (), first_order_element=1.0)
