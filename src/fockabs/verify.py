@@ -1,11 +1,15 @@
 """Randomized comparison of the closed-form rates against the oracle.
 
-``verify_closed_forms`` draws random configurations and reports one line per
-comparison.  For spread packets whose occupied modes are not degenerate in
-energy, a mean-energy closed form may legitimately differ from the oracle;
-such discrepancies are flagged, not failed, after confirming that the
-per-mode variant of the closed form does match the oracle.
-"""
+``verify_closed_forms`` runs each trial in two steps.  ``_draw`` draws a
+random configuration as the domain objects a parsed config also holds: a
+basis, a medium, the detector spin and position, and four
+``AbsorptionInput``s.  ``_compare`` then checks one input's closed-form rate
+from ``evaluate_rates`` against the oracle's rate from its literal Fock
+state, at either order, and returns one record per comparison.  For spread
+packets whose occupied modes are not degenerate in energy, a mean-energy
+closed form may legitimately differ from the oracle; such discrepancies are
+flagged, not failed, after confirming that the per-mode variant of the
+closed form does match the oracle."""
 
 from __future__ import annotations
 
@@ -13,23 +17,19 @@ import cmath
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .fock_core import Statistics
 from .field_ops import ModeBasis, Wavepacket, packet_state, two_particle_state
 from .medium import MediumChannel, MediumModel
-from .oracle import (
-    first_order_amplitude,
-    second_order_amplitude,
-    single_absorption_vacuum_overlap,
-)
+from .oracle import first_order_amplitude, second_order_amplitude, single_absorption_vacuum_overlap
 from .perturbation import (
     AbsorptionInput,
     IndistinguishableFermionsError,
     RateBatch,
     evaluate_rates,
-    rate_first_order,
 )
 
 # largest relative error at which a closed form and the oracle agree
@@ -213,12 +213,86 @@ def _digest(*parts: object) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:10]
 
 
+def _draw(
+    rng: np.random.Generator, statistics: Statistics
+) -> tuple[ModeBasis, MediumModel, int, tuple[float, ...], list[AbsorptionInput]]:
+    """One trial's configuration, as the domain objects a parsed config holds.
+
+    Returns the basis, the medium, the detector spin and position, and four
+    inputs: one packet, sharp then spread, and a pair, sharp then spread.
+    """
+    basis = _random_basis(rng)
+    model = _random_model(rng, basis)
+    detector_spin = basis.spins[int(rng.integers(0, len(basis.spins)))]
+    q = basis.position([rng.uniform(0.0, length) for length in basis.box_lengths])
+    inputs = []
+    for order, sharp in ((1, True), (1, False), (2, True), (2, False)):
+        spins = [_pick_spin(rng, basis, detector_spin) for _ in range(order)]
+        packets = [_random_packet(rng, basis, sharp, spin) for spin in spins]
+        try:
+            inputs.append(AbsorptionInput(packets, detector_spin, statistics))
+        except IndistinguishableFermionsError:
+            # only sharp draws can collide, and a sharp packet leaves at
+            # least one of the >= 2 modes free: move packet_b there
+            packets[1] = _sharp_packet(basis, packets[0].amplitudes.index(0.0), spins[1])
+            inputs.append(AbsorptionInput(packets, detector_spin, statistics))
+    return basis, model, detector_spin, q, inputs
+
+
+def _compare(
+    inp: AbsorptionInput, model: MediumModel, q: tuple[float, ...], index: int, seed: int,
+    digest: str,
+) -> list[TrialRecord]:
+    """Compare the closed-form rate of ``inp`` at ``q`` with the oracle's.
+
+    One packet gives one first-order record.  A pair gives its second-order
+    record, and, unless its state is zero, a "single" record checking that
+    one interaction absorbs nothing from it.  A packet is sharp when it
+    occupies one mode.
+    """
+    packets = inp.packets
+    basis = packets[0].basis
+    statistics, spin = inp.statistics, inp.detector_spin
+    kind = "sharp" if all(sum(map(bool, p.amplitudes)) == 1 for p in packets) else "spread"
+    record = partial(TrialRecord, index, seed, digest, len(packets), statistics)
+    scale = 2.0 * math.pi / basis.hbar**2
+    batch = evaluate_rates(inp, model, [q])
+    if len(packets) == 1:
+        amp = first_order_amplitude(packet_state(packets[0], statistics), basis, q, model, spin)
+        oracle_rate = scale * abs(amp) ** 2
+        closed = batch.rate_order1.item(0)
+        rel = _relative_error(closed, oracle_rate)
+        return [record(kind, closed, oracle_rate, rel, "ok" if rel <= TOLERANCE else "fail")]
+
+    state = two_particle_state(packets[0], packets[1], statistics)
+    amp = 0.0 if state.is_zero() else second_order_amplitude(state, basis, q, model, spin)
+    oracle_rate = scale * abs(amp) ** 2
+    prefactor = scale * abs(model.coupling) ** 4
+    closed = batch.rate_order2.item(0)
+    rel = _second_order_error(batch, oracle_rate, prefactor)
+    status = "ok" if rel <= TOLERANCE else "fail"
+    if status == "fail" and not all(map(_degenerate_support, packets)):
+        # attribute the discrepancy: the per-mode variant of the closed
+        # form must match the oracle, otherwise it is a bug
+        exact = evaluate_rates(inp, model, [q], "per_mode")
+        if _second_order_error(exact, oracle_rate, prefactor) <= TOLERANCE:
+            status = "flagged"
+    records = [record(kind, closed, oracle_rate, rel, status)]
+    # a single interaction can never absorb two particles
+    if not state.is_zero():
+        z2 = abs(single_absorption_vacuum_overlap(state, basis, q, spin))
+        rel = _relative_error(z2, 0.0)
+        records.append(record("single", z2, 0.0, rel, "ok" if z2 == 0.0 else "fail"))
+    return records
+
+
 def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
     """Compare closed-form and brute-force rates on random configurations.
 
-    Each trial draws a fresh basis, medium and detector position, then runs
-    first- and second-order comparisons with both sharp and spread packets.
-    Statistics alternate between trials so both kinds are always covered.
+    Each trial draws a fresh basis, medium and detector position, then
+    compares first- and second-order rates with both sharp and spread
+    packets.  Statistics alternate between trials so both kinds are always
+    covered.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -226,88 +300,12 @@ def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     report = VerificationReport()
-    two_pi = 2.0 * math.pi
     for index in range(trials):
         trial_seed = seed * 1_000_003 + index
-        rng = np.random.default_rng(trial_seed)
-        basis = _random_basis(rng)
-        model = _random_model(rng, basis)
         statistics = Statistics.BOSE if index % 2 == 0 else Statistics.FERMI
-        detector_spin = basis.spins[int(rng.integers(0, len(basis.spins)))]
-        q = basis.position([rng.uniform(0.0, length) for length in basis.box_lengths])
-        hbar_sq = basis.hbar**2
-        prefactor = two_pi / hbar_sq * abs(model.coupling) ** 4
+        rng = np.random.default_rng(trial_seed)
+        basis, model, detector_spin, q, inputs = _draw(rng, statistics)
         digest = _digest(basis, model, statistics, detector_spin, q)
-
-        def record(order, kind, closed, oracle_val, rel, status=None):
-            if status is None:
-                status = "ok" if rel <= TOLERANCE else "fail"
-            report.records.append(
-                TrialRecord(
-                    index,
-                    trial_seed,
-                    digest,
-                    order,
-                    statistics,
-                    kind,
-                    closed,
-                    oracle_val,
-                    rel,
-                    status,
-                )
-            )
-
-        # first order, sharp and spread
-        for kind, sharp in (("sharp", True), ("spread", False)):
-            packet = _random_packet(
-                rng, basis, sharp, _pick_spin(rng, basis, detector_spin)
-            )
-            closed = rate_first_order(packet, detector_spin, q, model)
-            state = packet_state(packet, statistics)
-            amp = first_order_amplitude(state, basis, q, model, detector_spin)
-            oracle_rate = two_pi / hbar_sq * abs(amp) ** 2
-            record(1, kind, closed, oracle_rate, _relative_error(closed, oracle_rate))
-
-        # second order, sharp and spread
-        for kind, sharp in (("sharp", True), ("spread", False)):
-            spin_a = _pick_spin(rng, basis, detector_spin)
-            spin_b = _pick_spin(rng, basis, detector_spin)
-            packet_a = _random_packet(rng, basis, sharp, spin_a)
-            packet_b = _random_packet(rng, basis, sharp, spin_b)
-            try:
-                inp = AbsorptionInput((packet_a, packet_b), detector_spin, statistics)
-            except IndistinguishableFermionsError:
-                # only sharp draws can collide, and a sharp packet leaves at
-                # least one of the >= 2 modes free: move packet_b there
-                free = packet_a.amplitudes.index(0.0)
-                packet_b = _sharp_packet(basis, free, spin_b)
-                inp = AbsorptionInput((packet_a, packet_b), detector_spin, statistics)
-            batch = evaluate_rates(inp, model, [q])
-            closed = batch.rate_order2.item(0)
-            pair_state = two_particle_state(packet_a, packet_b, statistics)
-            if pair_state.is_zero():
-                oracle_rate = 0.0
-            else:
-                amp = second_order_amplitude(pair_state, basis, q, model, detector_spin)
-                oracle_rate = two_pi / hbar_sq * abs(amp) ** 2
-
-            degenerate = _degenerate_support(packet_a) and _degenerate_support(
-                packet_b
-            )
-            rel = _second_order_error(batch, oracle_rate, prefactor)
-            if rel <= TOLERANCE or degenerate:
-                record(2, kind, closed, oracle_rate, rel)
-            else:
-                # attribute the discrepancy: the per-mode variant of the
-                # closed form must match the oracle, otherwise it is a bug
-                exact_batch = evaluate_rates(inp, model, [q], "per_mode")
-                exact = _second_order_error(exact_batch, oracle_rate, prefactor) <= TOLERANCE
-                record(
-                    2, kind, closed, oracle_rate, rel, status="flagged" if exact else "fail"
-                )
-
-            # a single interaction can never absorb two particles
-            if not pair_state.is_zero():
-                z2 = abs(single_absorption_vacuum_overlap(pair_state, basis, q, detector_spin))
-                record(2, "single", z2, 0.0, _relative_error(z2, 0.0), "ok" if z2 == 0.0 else "fail")
+        for inp in inputs:
+            report.records += _compare(inp, model, q, index, trial_seed, digest)
     return report
