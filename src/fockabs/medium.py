@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .fock_core import ParameterError
@@ -74,6 +74,10 @@ class MediumModel:
     coupling: complex
     channels: tuple[MediumChannel, ...] = ()
     first_order_element: complex | None = None
+    # the config key that set first_order_element, named by errors raised later
+    _first_order_key: str = field(
+        default="first_order_element", init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # the second-order rate holds |coupling|^4, the first-order one
@@ -101,6 +105,7 @@ class MediumModel:
             default = self.channels[0].element_in
             _check_prefactor("channels", product, self.coupling * default, 2)
             object.__setattr__(self, "first_order_element", default)
+            object.__setattr__(self, "_first_order_key", "channels")
 
 
 def efficiency_factor(model: MediumModel, basis: ModeBasis) -> float:

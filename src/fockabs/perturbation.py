@@ -92,7 +92,9 @@ class RateBatch(NamedTuple):
     ordering amplitudes (packet_b absorbed first, packet_a absorbed first),
     excluding the coupling constant, so that
     rate_order2 = (2 pi / hbar^2) |coupling|^4 |sum(terms)|^2.
-    Second-order columns are zero for a one-packet input.
+    Second-order columns are zero for a one-packet input.  ``bound_order1``
+    and ``bound_order2`` are finite bounds on the rates at every position
+    (0 at second order for one packet).
     """
 
     coords: np.ndarray
@@ -103,6 +105,8 @@ class RateBatch(NamedTuple):
     rate_order1: np.ndarray
     rate_order2: np.ndarray
     terms: np.ndarray
+    bound_order1: float
+    bound_order2: float
 
 
 def _channel_sum(
@@ -127,20 +131,39 @@ def _channel_sum(
     raise ValueError(f"unknown energy convention {convention!r}")
 
 
-def _check_order2_bound(
-    packets: tuple[Wavepacket, ...], weights: list, prefactor: float
-) -> None:
-    """Raise ``ParameterError`` for ``channels`` unless the bound on the pair's
-    second-order rate at every position is a finite float.
+def _rate_bounds(
+    packets: tuple[Wavepacket, ...],
+    model: MediumModel,
+    efficiency: float,
+    weights: list | None = None,
+    prefactor: float = 0.0,
+) -> tuple[float, float]:
+    """Bounds on the first- and second-order rates at every position (the
+    second is 0 without ``weights``, for one packet).
 
     |psi| <= sum_k |a_k| / sqrt(V), and the packet absorbed first, with its
     channel weights, is bounded alike, so each ordering amplitude is bounded
-    by a product of two such sums; the rate is the prefactor times the
-    squared sum of both.
+    by a product of two such sums; the second-order rate is the prefactor
+    times the squared sum of both.  Raise ``ParameterError`` unless each
+    bound is a finite float: for the key that set ``first_order_element``,
+    or for ``channels``.
     """
-    # plain Python: verify calls this once per pair at 2-4 modes, where a
+    # plain Python: verify calls this once per input at 2-4 modes, where a
     # numpy call costs more than the sums
     psi = [sum(map(abs, p.amplitudes)) for p in packets]
+    volume = packets[0].basis.volume
+    try:
+        bound1 = efficiency * (psi[0] ** 2 / volume)
+    except OverflowError:  # ** past the largest float
+        bound1 = math.inf
+    if not math.isfinite(bound1):
+        raise ParameterError(
+            model._first_order_key,
+            "the first-order rate bound (2 pi / hbar^2) |coupling * first_order_element|^2 "
+            f"(sum |a_k|)^2 / V must be a finite float, got {bound1!r}",
+        )
+    if weights is None:
+        return bound1, 0.0
     try:
         first = [
             sum([abs(a * w) for a, w in zip(p.amplitudes, ws)])
@@ -149,16 +172,17 @@ def _check_order2_bound(
             for p, ws, total in zip(packets, weights, psi)
         ]
         product_sum = first[1] * psi[0] + first[0] * psi[1]
-        bound = prefactor * (product_sum / packets[0].basis.volume) ** 2
+        bound2 = prefactor * (product_sum / volume) ** 2
     except OverflowError:  # abs() or ** past the largest float
-        bound = math.inf
-    if not math.isfinite(bound):
+        bound2 = math.inf
+    if not math.isfinite(bound2):
         raise ParameterError(
             "channels",
             "the second-order rate bound (2 pi / hbar^2) |coupling|^4 "
             "(sum |W_b b_k| sum |a_k| + sum |W_a a_k| sum |b_k|)^2 / V^2 "
-            f"must be a finite float, got {bound!r}",
+            f"must be a finite float, got {bound2!r}",
         )
+    return bound1, bound2
 
 
 def evaluate_rates(
@@ -175,9 +199,10 @@ def evaluate_rates(
     field operator through the first-created packet.  Channel weights do
     not depend on position and are computed once per packet, before any
     position, so a resonant denominator raises ResonanceError even where
-    the spin deltas zero the rate, and a pair whose second-order rate has
-    no finite bound raises ParameterError for ``channels``.  Positions go
-    through the phase matrix in chunks of at most CHUNK_ELEMENTS entries.
+    the spin deltas zero the rate.  A rate that has no finite bound raises
+    ParameterError before any position, at first order for order-2 inputs
+    too, which carry ``rate_order1``.  Positions go through the phase
+    matrix in chunks of at most CHUNK_ELEMENTS entries.
     """
     packets = inp.packets
     pair = len(packets) == 2
@@ -190,8 +215,10 @@ def evaluate_rates(
     # product to threaded matrix-vector code that ran 100-1000x slower on a
     # 2-core machine.
     columns = [p.amplitudes for p in packets]
+    efficiency = efficiency_factor(model, basis)
     if not pair:
         columns.append((0,) * basis.n_modes)
+        bounds = _rate_bounds(packets, model, efficiency)
     else:
         if not model.channels:
             raise ValueError("second-order rates require at least one medium channel")
@@ -203,7 +230,7 @@ def evaluate_rates(
                 for p, ws in zip(packets, weights)
             ]
         prefactor = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
-        _check_order2_bound(packets, weights, prefactor)
+        bounds = _rate_bounds(packets, model, efficiency, weights, prefactor)
     modes = np.array(columns, dtype=complex).T
     step = max(1, CHUNK_ELEMENTS // basis.n_modes)
     sums = np.empty((rows, modes.shape[1]), dtype=complex)
@@ -213,7 +240,7 @@ def evaluate_rates(
     psi = sums[:, :2]
     density = np.abs(psi) ** 2
     if packets[0].spin == inp.detector_spin:
-        rate_order1 = efficiency_factor(model, basis) * density[:, 0]
+        rate_order1 = efficiency * density[:, 0]
     else:
         rate_order1 = np.zeros(rows)
     if not (pair and all(p.spin == inp.detector_spin for p in packets)):
@@ -229,7 +256,7 @@ def evaluate_rates(
         rate_order2 = prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2
     return RateBatch(
         wrapped, psi[:, 0], psi[:, 1], density[:, 0], density[:, 1],
-        rate_order1, rate_order2, terms,
+        rate_order1, rate_order2, terms, *bounds,
     )
 
 

@@ -9,7 +9,8 @@ state, at either order, and returns one record per comparison.  For spread
 packets whose occupied modes are not degenerate in energy, a mean-energy
 closed form may legitimately differ from the oracle; such discrepancies are
 flagged, not failed, after confirming that the per-mode variant of the
-closed form does match the oracle."""
+closed form does match the oracle.
+"""
 
 from __future__ import annotations
 
@@ -125,17 +126,17 @@ def _relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _second_order_error(batch: RateBatch, oracle_rate: float, prefactor: float) -> float:
+def _second_order_error(batch: RateBatch, oracle_rate: float) -> float:
     """Relative error of the one-row ``batch``'s second-order rate.
 
-    Orderings that cancel leave round-off set by their own size, so the
-    scale is at least 1e-12 U, where U = prefactor * (|t0| + |t1|)^2 is the
-    rate of the row's two terms added in phase.
+    Orderings that cancel, and a position on a node of a packet, leave
+    round-off set by the pair's size, not the rate's, so the scale is at
+    least 1e-12 times the batch's bound on the rate at any position.
     """
     rate = batch.rate_order2.item(0)
     if rate == oracle_rate:
         return 0.0
-    floor = 1e-12 * prefactor * float(np.abs(batch.terms[0]).sum()) ** 2
+    floor = 1e-12 * batch.bound_order2
     return abs(rate - oracle_rate) / max(abs(rate), abs(oracle_rate), floor)
 
 
@@ -267,15 +268,14 @@ def _compare(
     state = two_particle_state(packets[0], packets[1], statistics)
     amp = 0.0 if state.is_zero() else second_order_amplitude(state, basis, q, model, spin)
     oracle_rate = scale * abs(amp) ** 2
-    prefactor = scale * abs(model.coupling) ** 4
     closed = batch.rate_order2.item(0)
-    rel = _second_order_error(batch, oracle_rate, prefactor)
+    rel = _second_order_error(batch, oracle_rate)
     status = "ok" if rel <= TOLERANCE else "fail"
     if status == "fail" and not all(map(_degenerate_support, packets)):
         # attribute the discrepancy: the per-mode variant of the closed
         # form must match the oracle, otherwise it is a bug
         exact = evaluate_rates(inp, model, [q], "per_mode")
-        if _second_order_error(exact, oracle_rate, prefactor) <= TOLERANCE:
+        if _second_order_error(exact, oracle_rate) <= TOLERANCE:
             status = "flagged"
     records = [record(kind, closed, oracle_rate, rel, status)]
     # a single interaction can never absorb two particles

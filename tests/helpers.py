@@ -5,11 +5,14 @@ literal reference for ``ladder_sum``; ``check_commutation`` probes the
 ladder brackets; ``position_amplitude``, ``overlap`` and ``uniform_grid``
 are one-position and quadrature helpers for wavepackets;
 ``serialize_config`` renders a parsed config back to YAML for the
-round-trip tests.
+round-trip tests; ``readme_example``, ``readme_range32`` and ``at_order1``
+give the README's example config and its variants.
 """
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -156,3 +159,25 @@ def serialize_config(config: ExperimentConfig) -> str:
         },
     }
     return yaml.safe_dump(doc, sort_keys=False)
+
+
+def readme_example() -> str:
+    """The example config in README.md, as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+
+
+def readme_range32() -> str:
+    """The README example with its commented-out ``range`` of 32 points."""
+    old = "  positions: [[0.0], [0.5], [1.0]]\n  # range:"
+    text = readme_example()
+    assert old in text
+    return text.replace(old, "  range:")
+
+
+def at_order1(text: str) -> str:
+    """A README example config run at order 1 on its one packet."""
+    for old, new in (("order: 2 ", "order: 1 "), ("packets: [beam, beam]", "packets: [beam]")):
+        assert old in text
+        text = text.replace(old, new)
+    return text

@@ -33,7 +33,7 @@ from fockabs import (
 )
 from fockabs import cli_io
 from fockabs.cli_io import ExperimentConfig, main
-from helpers import serialize_config
+from helpers import at_order1, readme_example, readme_range32, serialize_config
 
 TWO_PI = 2 * math.pi
 
@@ -169,11 +169,6 @@ def test_syntax_error_reports_location():
     assert "line" in str(err.value)
 
 
-def _readme_example() -> str:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
-
-
 def _listed_config(count: int) -> str:
     listed = "".join(f"\n    - [{k * TWO_PI / count!r}]" for k in range(count))
     return MINIMAL_ORDER1.replace(
@@ -212,7 +207,7 @@ def _scan_3d_config() -> str:
         pytest.param(MINIMAL_ORDER1, id="minimal-order1"),
         pytest.param(ORDER2_TEMPLATE % ("bose", "partner"), id="order2-bose"),
         pytest.param(ORDER2_TEMPLATE % ("fermi", "partner"), id="order2-fermi"),
-        pytest.param(_readme_example(), id="readme-example"),
+        pytest.param(readme_example(), id="readme-example"),
         pytest.param(
             serialize_config(parse_config(ORDER2_TEMPLATE % ("bose", "partner"))),
             id="serialized",
@@ -659,7 +654,7 @@ def test_a_leading_zero_is_octal_as_under_the_safe_loader(text, value):
 )
 def test_empty_tagged_numbers_are_named(tmp_path, capsys, old, new, message):
     # the safe loader's number methods raise IndexError on an empty text
-    text = _readme_example()
+    text = readme_example()
     assert old in text
     text = text.replace(old, new, 1)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -710,7 +705,7 @@ def test_scan_and_exponent_agree_on_a_tiny_negative_position(tmp_path, capsys):
     outputs = []
     for first in ("0.0", "-1e-17", "-1.0e-17"):
         path = tmp_path / "cfg.yaml"
-        path.write_text(_readme_example().replace("positions: [[0.0],", f"positions: [[{first}],"))
+        path.write_text(readme_example().replace("positions: [[0.0],", f"positions: [[{first}],"))
         assert main(["scan", "--config", str(path)]) == 0
         assert main(["exponent", "--config", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
@@ -805,7 +800,7 @@ _COUNT_ERROR = "error: scan.range.count: too many positions to hold in memory\n"
 def test_cli_names_a_range_count_too_large_for_an_array(tmp_path, capsys, count):
     # numpy returns an empty arange up to about 2**63 and refuses one past it,
     # so none of these allocates
-    text = _readme_example().replace(
+    text = readme_example().replace(
         "  positions: [[0.0], [0.5], [1.0]]\n  # range:", "  range:"
     ).replace("count: 32", f"count: {count}")
     path = tmp_path / "count.yaml"
@@ -918,7 +913,7 @@ def test_scan_fermi_same_state_rejected_before_evaluation():
     ],
 )
 def test_cli_names_the_run_key_of_a_rejected_input(tmp_path, capsys, old, new, message):
-    text = _readme_example()
+    text = readme_example()
     assert old in text
     path = tmp_path / "run.yaml"
     path.write_text(text.replace(old, new))
@@ -952,7 +947,7 @@ def test_cli_names_the_run_key_of_a_rejected_input(tmp_path, capsys, old, new, m
     ],
 )
 def test_cli_rejects_a_product_that_overflows(tmp_path, capsys, old, new, message):
-    text = _readme_example()
+    text = readme_example()
     assert old in text
     path = tmp_path / "overflow.yaml"
     path.write_text(text.replace(old, new))
@@ -961,6 +956,37 @@ def test_cli_rejects_a_product_that_overflows(tmp_path, capsys, old, new, messag
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        pytest.param(("first_order_element: [1.0,", "first_order_element: [1.0e153,"),
+                     "first_order_element", id="given"),
+        pytest.param(("element_in: [1.1, -0.2]", "element_in: [1.0e153, 0.0]"),
+                     "channels", id="defaulted"),
+    ],
+)
+def test_cli_rejects_a_first_order_rate_bound_that_overflows(tmp_path, capsys, order, edit, key):
+    # |coupling * element|^2 = 1e306 passes MediumModel, but 2 pi / hbar^2
+    # times it is past the largest float, on every row of order-2 runs too
+    edits = [("hbar: 1.0 ", "hbar: 0.01 "), edit]
+    if key == "channels":
+        edits.append(("first_order_element: [1.0, 0.0]", "first_order_element: null"))
+    text = readme_example()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "overflow.yaml"
+    path.write_text(at_order1(text) if order == 1 else text)
+    message = (
+        f"error: medium.{key}: the first-order rate bound (2 pi / hbar^2) "
+        "|coupling * first_order_element|^2 (sum |a_k|)^2 / V must be a finite float, got inf\n"
+    )
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", message)
 
 
 def test_scan_resonance_error_names_position():
@@ -977,7 +1003,8 @@ def _batch(coords, rate_order1, rate_order2, density_a, density_b) -> RateBatch:
     coords = np.array(coords, dtype=float)
     zeros = np.zeros(len(coords), dtype=complex)
     columns = [np.array(c, dtype=float) for c in (density_a, density_b, rate_order1, rate_order2)]
-    return RateBatch(coords, zeros, zeros, *columns, np.zeros((len(coords), 2), dtype=complex))
+    terms = np.zeros((len(coords), 2), dtype=complex)
+    return RateBatch(coords, zeros, zeros, *columns, terms, 0.0, 0.0)
 
 
 def test_emit_csv_shapes():
@@ -1042,28 +1069,12 @@ def test_emit_csv_edge_values_byte_for_byte():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _readme_range32() -> str:
-    """The README example with its commented-out ``range`` of 32 points."""
-    old = "  positions: [[0.0], [0.5], [1.0]]\n  # range:"
-    text = _readme_example()
-    assert old in text
-    return text.replace(old, "  range:")
-
-
-def _at_order1(text: str) -> str:
-    """A README example config run at order 1 on its one packet."""
-    for old, new in (("order: 2 ", "order: 1 "), ("packets: [beam, beam]", "packets: [beam]")):
-        assert old in text
-        text = text.replace(old, new)
-    return text
-
-
 @pytest.mark.parametrize(
     "text, golden",
     [
-        pytest.param(_readme_example(), "readme_listed.csv", id="listed"),
-        pytest.param(_readme_range32(), "readme_range32.csv", id="range-32"),
-        pytest.param(_at_order1(_readme_range32()), "readme_order1_range32.csv", id="order1-range-32"),
+        pytest.param(readme_example(), "readme_listed.csv", id="listed"),
+        pytest.param(readme_range32(), "readme_range32.csv", id="range-32"),
+        pytest.param(at_order1(readme_range32()), "readme_order1_range32.csv", id="order1-range-32"),
     ],
 )
 def test_readme_example_csv_is_pinned(tmp_path, text, golden):
@@ -1079,7 +1090,7 @@ def test_readme_example_csv_is_pinned(tmp_path, text, golden):
 
 def test_a_channel_may_be_labelled_m1():
     # a label is only a name in messages: no label is reserved
-    text = _readme_range32()
+    text = readme_range32()
     assert text.count("label: ch0") == 1
     renamed = parse_config(text.replace("label: ch0", "label: M1"))
     assert renamed.medium.channels[0].label == "M1"
@@ -1232,7 +1243,7 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path, args, golden):
     no output byte may depend on it.  The configs are the README example as
     written and its 32-point range at order 1."""
     if args[0] != "verify":
-        text = {"listed": _readme_example(), "order1": _at_order1(_readme_range32())}[args[1]]
+        text = {"listed": readme_example(), "order1": at_order1(readme_range32())}[args[1]]
         (tmp_path / "cfg.yaml").write_text(text)
         args = [args[0], "--config", "cfg.yaml"]
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1320,7 +1331,7 @@ def test_two_faults_in_one_section_name_the_same_key_first(edits, key):
 def test_cli_rejects_an_hbar_whose_inverse_square_is_no_float(tmp_path, capsys, hbar):
     # 1e-200 and 1e200 square to 0 and past the largest float; 1e-160 squares
     # to a subnormal whose inverse, a factor of every rate, is infinite
-    text = _readme_example().replace("hbar: 1.0 ", f"hbar: {hbar} ")
+    text = readme_example().replace("hbar: 1.0 ", f"hbar: {hbar} ")
     assert f"hbar: {hbar} " in text
     path = tmp_path / "hbar.yaml"
     path.write_text(text)
@@ -1334,7 +1345,7 @@ def test_cli_rejects_an_hbar_whose_inverse_square_is_no_float(tmp_path, capsys, 
 
 def test_cli_rejects_a_box_whose_inverse_volume_is_no_float(tmp_path, capsys):
     # a subnormal volume has an infinite inverse, a factor of every density
-    text = _readme_example().replace("[6.283185307179586]   #", "[1.0e-310]   #")
+    text = readme_example().replace("[6.283185307179586]   #", "[1.0e-310]   #")
     assert "box_lengths: [1.0e-310]" in text
     path = tmp_path / "box.yaml"
     path.write_text(text)
@@ -1370,10 +1381,10 @@ def test_cli_rejects_a_mode_number_too_large_for_a_float(tmp_path, capsys, sign)
 @pytest.mark.parametrize("order", [1, 2])
 def test_cli_rejects_a_kinetic_energy_that_overflows(tmp_path, capsys, old, new, order):
     # p^2 / 2m overflows to inf, and a mean kinetic energy holding 0 * inf is nan
-    text = _readme_example().replace(old, new)
+    text = readme_example().replace(old, new)
     assert new in text
     if order == 1:
-        text = _at_order1(text)
+        text = at_order1(text)
     path = tmp_path / "modes.yaml"
     path.write_text(text)
     for command in ("scan", "exponent"):

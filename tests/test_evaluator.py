@@ -23,6 +23,7 @@ from fockabs import (
     rate_second_order,
 )
 from fockabs import perturbation
+from fockabs.verify import _draw
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -326,3 +327,20 @@ def test_evaluator_rejects_positions_of_wrong_dimension():
     with pytest.raises(ValueError):
         evaluate_rates(inp, model, [(0.1, 0.2)])
     assert evaluate_rates(inp, model, []).rate_order1.shape == (0,)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("convention", ["mean", "per_mode"])
+def test_the_rate_bounds_hold_at_every_position(seed, convention):
+    # each bound is a sum of moduli, so no position may exceed it, nodes and
+    # cancelling orderings included; the draws are verify's own
+    rng = np.random.default_rng(seed)
+    basis, model, _, _, inputs = _draw(rng, (BOSE, FERMI)[seed % 2])
+    coords = [[rng.uniform(0.0, length) for length in basis.box_lengths] for _ in range(64)]
+    for inp in inputs:
+        batch = evaluate_rates(inp, model, coords, convention)
+        assert 0.0 < batch.bound_order1 < math.inf
+        assert (batch.rate_order1 <= batch.bound_order1 * (1 + REL_TOL)).all()
+        if len(inp.packets) == 1:
+            assert batch.bound_order2 == 0.0
+        assert (batch.rate_order2 <= batch.bound_order2 * (1 + REL_TOL)).all()

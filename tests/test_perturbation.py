@@ -334,6 +334,25 @@ def test_a_pair_whose_rate_bound_overflows_is_rejected_before_any_position(conve
     assert np.isfinite(rate).all()
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("spin", [0, 1])
+def test_a_first_order_rate_bound_that_overflows_is_rejected_before_any_position(order, spin):
+    # |coupling * element|^2 = 1e306 is finite, (2 pi / hbar^2) times it is not
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3), hbar=0.01)
+    channel = MediumChannel("c", 1.0, 1.0, 3.0)
+    models = [
+        (MediumModel(1.0, (channel,), first_order_element=1e153), "first_order_element"),
+        (MediumModel(1.0, (MediumChannel("c", 1e153, 1.0, 3.0),)), "channels"),
+    ]
+    a = Wavepacket(basis, (0.0, 1.0, 0.0), spin)
+    inp = AbsorptionInput((a, Wavepacket(basis, (1.0, 0.0, 0.0), 0))[:order], 0, BOSE)
+    for model, key in models:
+        for coords in ([], [(0.5,)]):
+            with pytest.raises(ParameterError, match="first-order rate bound") as err:
+                evaluate_rates(inp, model, coords)
+            assert err.value.field == key
+
+
 def test_second_order_requires_channels():
     basis = cos_basis()
     model = MediumModel(1.0, (), first_order_element=1.0)

@@ -1,4 +1,5 @@
-"""The draw stream of ``fockabs verify``, pinned by a golden run.
+"""The draw stream of ``fockabs verify``, pinned by a golden run, and its
+comparison routine run on parsed configs.
 
 ``golden/verify_seed7_trials40.txt`` is the output of
 ``fockabs verify --trials 40 --seed 7``.  A changed draw, statistics kind,
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockabs.cli_io import main
-from fockabs.verify import TOLERANCE, verify_closed_forms
+from fockabs.cli_io import main, parse_config
+from fockabs.verify import TOLERANCE, _compare, verify_closed_forms
+from helpers import at_order1, readme_range32
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_seed7_trials40.txt"
 
@@ -54,3 +56,38 @@ def test_a_negative_seed_is_rejected_before_any_draw(monkeypatch, seed):
     message = f"seed must be a nonnegative integer, got {seed}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_closed_forms(3, seed=seed)
+
+
+def _fermi_pair(text: str) -> str:
+    """A README example config run as a fermion pair: ``beam`` and a second,
+    distinct packet."""
+    partner = "  partner:\n    spin: 0\n    amplitudes: [[0.6, 0.0], 0.0, [0.0, 0.8]]\n\nmedium:"
+    edits = (
+        ("\nmedium:", partner),
+        ("statistics: bose ", "statistics: fermi "),
+        ("packets: [beam, beam]", "packets: [beam, partner]"),
+    )
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(readme_range32(), id="bose-pair"),
+        pytest.param(at_order1(readme_range32()), id="order1"),
+        pytest.param(_fermi_pair(readme_range32()), id="fermi-pair"),
+    ],
+)
+def test_compare_passes_every_position_of_a_parsed_config(text):
+    # the range holds q = pi, a node of ``beam``: there every rate is float
+    # noise around an exact zero, and the second-order floor must come from
+    # the size of the pair, not from the noise
+    config = parse_config(text)
+    positions = config.positions
+    assert len(positions) == 32 and (math.pi,) in positions
+    for index, q in enumerate(positions):
+        records = _compare(config.run, config.medium, q, index, 0, "config")
+        assert records and not [r.line() for r in records if r.status == "fail"], q
