@@ -492,8 +492,7 @@ def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
         # endpoint excluded: the box is periodic, so stop == start + L would
         # duplicate the first point.  Row k is start + (stop - start) * k / count,
         # the same float operations in the same order on every coordinate; a
-        # span that overflows gives inf or nan silently, as Python floats do,
-        # and the evaluator rejects the position
+        # span that overflows gives inf or nan, silenced here and rejected below
         first, last = np.array(start), np.array(stop)
         try:
             steps = np.arange(count)
@@ -507,6 +506,11 @@ def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
             raise ConfigError(
                 "scan.range.count: too many positions to hold in memory"
             ) from exc
+        if not np.isfinite(rows).all():
+            raise ConfigError(
+                "scan.range: start + (stop - start) * k / count must be finite "
+                "at every point k, but the span overflows"
+            )
     _no_leftovers(data, "scan")
     return result
 

@@ -120,15 +120,13 @@ def _channel_sum(
     if convention == "mean":
         energy = mean_kinetic_energy(packet)
         return sum(channel_weight(ch, energy - ch.energy) for ch in model.channels)
-    if convention == "per_mode":
-        energies = packet.basis.kinetic_energies
-        occupied = [i for i, amp in enumerate(packet.amplitudes) if amp != 0]
-        weights = [0j] * len(energies)
-        for ch in model.channels:
-            for i in occupied:
-                weights[i] += channel_weight(ch, energies[i] - ch.energy)
-        return weights
-    raise ValueError(f"unknown energy convention {convention!r}")
+    energies = packet.basis.kinetic_energies
+    occupied = [i for i, amp in enumerate(packet.amplitudes) if amp != 0]
+    weights = [0j] * len(energies)
+    for ch in model.channels:
+        for i in occupied:
+            weights[i] += channel_weight(ch, energies[i] - ch.energy)
+    return weights
 
 
 def _rate_bounds(
@@ -201,9 +199,13 @@ def evaluate_rates(
     position, so a resonant denominator raises ResonanceError even where
     the spin deltas zero the rate.  A rate that has no finite bound raises
     ParameterError before any position, at first order for order-2 inputs
-    too, which carry ``rate_order1``.  Positions go through the phase
-    matrix in chunks of at most CHUNK_ELEMENTS entries.
+    too, which carry ``rate_order1``.  An ``energy_convention`` other than
+    "mean" or "per_mode" raises ValueError first, for one packet too.
+    Positions go through the phase matrix in chunks of at most
+    CHUNK_ELEMENTS entries.
     """
+    if energy_convention not in ("mean", "per_mode"):
+        raise ValueError(f"unknown energy convention {energy_convention!r}")
     packets = inp.packets
     pair = len(packets) == 2
     basis = packets[0].basis

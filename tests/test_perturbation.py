@@ -314,6 +314,17 @@ def test_resonance_checked_even_when_spins_kill_rate():
         rate_second_order(inp, basis.position((0.5,)), model)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_an_unknown_energy_convention_is_rejected_before_any_position(order):
+    basis = cos_basis()
+    model = MediumModel(1.0, (MediumChannel("ch", 1.0, 1.0, 3.0),))
+    pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
+    inp = AbsorptionInput((pkt,) * order, 0, BOSE)
+    for coords in ([], [(0.5,)]):
+        with pytest.raises(ValueError, match="^unknown energy convention 'bogus'$"):
+            evaluate_rates(inp, model, coords, energy_convention="bogus")
+
+
 @pytest.mark.parametrize("convention", ["mean", "per_mode"])
 @pytest.mark.parametrize("spins", [(0, 0), (0, 1)])
 def test_a_pair_whose_rate_bound_overflows_is_rejected_before_any_position(convention, spins):

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fockabs import verify
 from fockabs.cli_io import main, parse_config
+from fockabs.perturbation import evaluate_rates
 from fockabs.verify import TOLERANCE, _compare, verify_closed_forms
 from helpers import at_order1, readme_range32
 
@@ -39,7 +41,7 @@ def test_verify_output_matches_the_golden_stream(capsys):
                 # relative errors are round-off; only their side of the tolerance counts
                 assert (float(value) <= TOLERANCE) == (float(expected) <= TOLERANCE), number
             elif key in ("closed", "oracle"):
-                # 1e-20 is the harness's own zero floor: below it both are float noise
+                # rates below 1e-20 are float noise around an exact zero in these draws
                 assert math.isclose(
                     float(value), float(expected), rel_tol=1e-9, abs_tol=1e-20
                 ), (number, key, value, expected)
@@ -73,21 +75,43 @@ def _fermi_pair(text: str) -> str:
     return text
 
 
+def _coupling(text: str, coupling: str) -> str:
+    """A README example config with ``medium.coupling`` set to ``coupling``."""
+    old = "coupling: [1.0, 0.0]"
+    assert text.count(old) == 1
+    return text.replace(old, f"coupling: [{coupling}, 0.0]")
+
+
 @pytest.mark.parametrize(
     "text",
     [
         pytest.param(readme_range32(), id="bose-pair"),
         pytest.param(at_order1(readme_range32()), id="order1"),
         pytest.param(_fermi_pair(readme_range32()), id="fermi-pair"),
+        # rates of about 1e-24 and below, where an absolute floor would call
+        # any two of them equal
+        pytest.param(at_order1(_coupling(readme_range32(), "1.0e-12")), id="order1-tiny"),
+        pytest.param(_coupling(readme_range32(), "1.0e-6"), id="bose-pair-tiny"),
     ],
 )
-def test_compare_passes_every_position_of_a_parsed_config(text):
+def test_compare_passes_every_position_of_a_parsed_config(monkeypatch, text):
     # the range holds q = pi, a node of ``beam``: there every rate is float
-    # noise around an exact zero, and the second-order floor must come from
-    # the size of the pair, not from the noise
+    # noise around an exact zero, and the floor must come from the size of
+    # the input, not from the noise
     config = parse_config(text)
     positions = config.positions
     assert len(positions) == 32 and (math.pi,) in positions
     for index, q in enumerate(positions):
         records = _compare(config.run, config.medium, q, index, 0, "config")
         assert records and not [r.line() for r in records if r.status == "fail"], q
+
+    # a closed form that doubles every rate fails wherever the true rate is
+    # not zero, so at least everywhere but the node
+    def doubled(*args):
+        batch = evaluate_rates(*args)
+        return batch._replace(rate_order1=2 * batch.rate_order1, rate_order2=2 * batch.rate_order2)
+
+    monkeypatch.setattr(verify, "evaluate_rates", doubled)
+    for index, q in enumerate(positions):
+        record = _compare(config.run, config.medium, q, index, 0, "config")[0]
+        assert record.status == "fail" or q == (math.pi,), record.line()
