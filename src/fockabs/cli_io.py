@@ -87,10 +87,9 @@ _NAME_TAGS = frozenset((_STR, _INT, _FLOAT, _BOOL))
 # the tags the safe loader builds a value for; ``<<`` merge keys included
 _SAFE_TAGS = frozenset(SafeConstructor.yaml_constructors) | {_MERGE}
 
-# numbers are converted, and merge keys applied, by the safe loader's own
-# methods, which keep no state between calls; a float such as 1.25e-3 that
-# float() accepts is read by float() alone, and an int such as -12 by int(),
-# which give the same value
+# a number is converted, and merge keys applied, by the safe loader's own
+# methods, which keep no state between calls; only the bulk readers below
+# read a whole list of plain decimals with float() or int()
 _SAFE = SafeConstructor()
 
 # libyaml's scanner, parser and composer under the safe loader's resolver, so
@@ -221,7 +220,7 @@ _TAG, _VALUE = attrgetter("tag"), attrgetter("value")
 
 def _decimal_ints(texts: list) -> list[int] | None:
     """The texts as ints where ``int()`` reads each and prints it back unchanged:
-    decimals with no leading 0, '+' or '_', which ``_yaml_int`` reads with
+    decimals with no leading 0, '+' or '_', which the safe loader reads with
     ``int()`` too."""
     try:
         values = list(map(int, texts))
@@ -290,16 +289,9 @@ def _as_float(node: Node, path: str, *index: int) -> float:
     tag = node.tag
     try:
         if tag == _FLOAT:
-            # the safe loader drops '_' and returns sign * float(rest), so
-            # where float() takes the text it gives that value bit for bit;
-            # what it refuses, such as '.inf', the base-60 '1:30.5' or a
-            # non-scalar node, goes to the loader
-            try:
-                number = float(node.value)
-            except (TypeError, ValueError):
-                number = _SAFE.construct_yaml_float(node)
+            number = _SAFE.construct_yaml_float(node)
         elif tag == _INT:
-            number = float(_yaml_int(node))
+            number = float(_SAFE.construct_yaml_int(node))
         elif tag == _STR and isinstance(node, ScalarNode) and not node.style:
             # YAML 1.1 wants a dot in a float, so a plain 1e-17 resolves to a string
             number = float(node.value)
@@ -318,27 +310,10 @@ def _as_float(node: Node, path: str, *index: int) -> float:
     return number
 
 
-def _yaml_int(node: Node) -> int:
-    """The safe loader's value of a node tagged int.
-
-    ``int()`` reads a signed decimal with single '_' between digits as the
-    loader does, unless a 0 leads it: the loader reads 017 as octal 15 and
-    ``int()`` as 17.  That, and what ``int()`` refuses, such as 0x1f, the
-    base-60 1:30, 1__0 or a non-scalar node, goes to the loader.
-    """
-    text = node.value
-    if isinstance(text, str) and (text == "0" or text.lstrip("+-")[:1] != "0"):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    return _SAFE.construct_yaml_int(node)
-
-
 def _as_int(node: Node, path: str, *index: int) -> int:
     if node.tag == _INT:
         try:
-            return _yaml_int(node)
+            return _SAFE.construct_yaml_int(node)
         except (ValueError, IndexError):  # IndexError: the safe loader on an empty !!int ""
             pass
     raise ConfigError(f"{_where(path, index)}: expected an integer, got {_shown(node)}")
@@ -572,13 +547,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
     libyaml composes the document into a node tree, with YAML 1.1 tags
     resolved, and each value is read from its node as its key requires.
-    Numbers are the values the safe loader would build: a float that
-    ``float()`` accepts, or an int that ``int()`` reads as the loader does, is
-    read with it, which gives the same value, and any other number by the
-    safe loader's own methods.  Plain decimal numbers and collections get
-    their tags without the resolver's loop over its patterns, and a list of
-    plain numbers, or of ``[re, im]`` pairs of them, is read in one pass;
-    the tags, values and errors are the same.
+    A number is read by the safe loader's own conversion for its tag.  Plain
+    decimal numbers and collections get their tags without the resolver's
+    loop over its patterns, and a list of plain numbers, or of ``[re, im]``
+    pairs of them, is read in one pass with ``float()`` or ``int()``; the
+    tags, values and errors are the same.
 
     A long position list allocates tens of thousands of nodes, and the
     collections these would set off cost about as much as the parse itself,
@@ -621,16 +594,22 @@ def parse_config(text: str) -> ExperimentConfig:
 # --------------------------------------------------------------------------
 
 
+def _over_scan(function, config: ExperimentConfig):
+    """``function`` of the config's run, medium and scan positions, with a
+    rejected medium key named and a resonance reported at every position."""
+    try:
+        return _checked("medium", function, config.run, config.medium, config.positions)
+    except ResonanceError as exc:
+        # the channel weights come before any position, so the gate fails at all of them
+        raise ResonanceError(f"at every scan position: {exc}") from exc
+
+
 def run_scan(config: ExperimentConfig) -> RateBatch:
     """Evaluate the configured rates at every scan position, in order.
 
     Order-1 runs fill the order-2 and second-density columns with 0.
     """
-    try:
-        return _checked("medium", evaluate_rates, config.run, config.medium, config.positions)
-    except ResonanceError as exc:
-        # the channel weights come before any position, so the gate fails at all of them
-        raise ResonanceError(f"at every scan position: {exc}") from exc
+    return _over_scan(evaluate_rates, config)
 
 
 def emit_csv(batch: RateBatch) -> str:
@@ -674,9 +653,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_exponent(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    value = _checked(
-        "medium", proportionality_exponent, config.run, config.medium, config.positions
-    )
+    value = _over_scan(proportionality_exponent, config)
     print(f"order={len(config.run.packets)} exponent={value:.9f}")
     return 0
 

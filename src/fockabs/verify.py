@@ -182,12 +182,14 @@ def _pick_spin(rng: np.random.Generator, basis: ModeBasis, favored: int) -> int:
 
 
 def _degenerate_support(packet: Wavepacket) -> bool:
-    energies = {
-        round(energy, 12)
+    """Whether the packet's occupied modes share one kinetic energy, to within
+    1e-12 of the largest: a relative test, so it holds at any energy scale."""
+    energies = [
+        energy
         for a, energy in zip(packet.amplitudes, packet.basis.kinetic_energies)
         if abs(a) > 0.0
-    }
-    return len(energies) <= 1
+    ]
+    return max(energies) - min(energies) <= 1e-12 * max(energies)
 
 
 def _digest(*parts: object) -> str:

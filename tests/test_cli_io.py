@@ -489,6 +489,39 @@ def test_bulk_reads_equal_the_per_entry_readers(read, bulk, good, slow, bad):
                 assert got.startswith(f"ConfigError: x.values[{at}]")
 
 
+def _listed_config(n: int) -> str:
+    """An order-1 config with ``n`` modes, amplitudes and scan positions, all plain."""
+    modes = ", ".join(f"[{k}]" for k in range(n))
+    amplitudes = ", ".join(["[1.0, 0.0]"] + ["[0.0, 0.0]"] * (n - 1))
+    positions = ", ".join(f"[{0.25 * k}]" for k in range(n))
+    return f"""
+basis: {{box_lengths: [6.0], modes: [{modes}], hbar: 1.0, mass: 2.0, spins: [0, 1]}}
+packets:
+  beam: {{spin: 0, amplitudes: [{amplitudes}]}}
+medium: {{coupling: [1.0, 0.0], first_order_element: 0.5}}
+scan: {{positions: [{positions}]}}
+run: {{order: 1, packets: [beam], detector_spin: 0}}
+"""
+
+
+def test_safe_loader_conversions_read_only_scalars(monkeypatch):
+    # the lists of a config go to the bulk readers, so the safe loader's
+    # conversions see as many numbers however long the lists are
+    calls = []
+    for name in ("construct_yaml_float", "construct_yaml_int"):
+        convert = getattr(cli_io._SAFE, name)
+        monkeypatch.setattr(
+            cli_io._SAFE, name, lambda node, convert=convert: calls.append(node) or convert(node)
+        )
+    counts = []
+    for n in (50, 100):
+        calls.clear()
+        config = parse_config(_listed_config(n))
+        assert len(config.positions) == config.basis.n_modes == n
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 @pytest.mark.parametrize(
     "section, rows",
     [
@@ -1015,6 +1048,28 @@ def test_scan_resonance_error_names_position():
     with pytest.raises(ResonanceError) as err:
         run_scan(parse_config(resonant))
     assert "position" in str(err.value)
+
+
+def test_scan_and_exponent_word_a_resonance_alike(tmp_path, capsys):
+    # a beam sharp on mode 0 has kinetic energy 0.0, the energy of ch0 here
+    text = readme_example()
+    edits = (
+        ("      - [0.7071067811865476, 0.0]\n      - [0.7071067811865476, 0.0]\n",
+         "      - [1.0, 0.0]\n      - 0.0\n"),
+        ("energy: 2.3", "energy: 0.0"),
+    )
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "resonant.yaml"
+    path.write_text(text)
+    message = (
+        "error: at every scan position: energy denominator 0.0 for channel 'ch0' "
+        "is nan or within 1e-09 of resonance\n"
+    )
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", message), command
 
 
 def _batch(coords, rate_order1, rate_order2, density_a, density_b) -> RateBatch:

@@ -15,6 +15,7 @@ import pytest
 
 from fockabs import verify
 from fockabs.cli_io import main, parse_config
+from fockabs.field_ops import ModeBasis, Wavepacket
 from fockabs.perturbation import evaluate_rates
 from fockabs.verify import TOLERANCE, _compare, verify_closed_forms
 from helpers import at_order1, readme_range32
@@ -115,3 +116,40 @@ def test_compare_passes_every_position_of_a_parsed_config(monkeypatch, text):
     for index, q in enumerate(positions):
         record = _compare(config.run, config.medium, q, index, 0, "config")[0]
         assert record.status == "fail" or q == (math.pi,), record.line()
+
+
+def test_degenerate_support_is_relative_to_the_packet_energies():
+    # SI scales: a micrometre box holding a proton, where kinetic energies
+    # are about 1e-28 J and rounding them to 12 decimals makes them all 0
+    basis = ModeBasis([1.0e-6], [(0,), (1,), (-1,), (2,)], hbar=1.0546e-34, mass=1.67e-27)
+    energies = basis.kinetic_energies
+    assert 1e-28 < energies[1] < energies[3] < 1e-27
+
+    def packet(*amplitudes: complex) -> Wavepacket:
+        return Wavepacket(basis, amplitudes, 0)
+
+    root_half = math.sqrt(0.5)
+    assert not verify._degenerate_support(packet(0.0, root_half, 0.0, root_half))
+    assert not verify._degenerate_support(packet(root_half, root_half, 0.0, 0.0))
+    assert verify._degenerate_support(packet(0.0, root_half, root_half, 0.0))
+    assert verify._degenerate_support(packet(0.0, 0.0, 0.0, 1.0))
+    assert verify._degenerate_support(packet(1.0, 0.0, 0.0, 0.0))
+
+
+def test_a_wrong_mean_energy_rate_fails_on_sharp_pairs(monkeypatch):
+    # sharp packets occupy one energy each, so the mean-energy closed form is
+    # exact for them: a wrong one must fail there, not be flagged as a
+    # convention gap that the per-mode form explains
+    def doubled_mean(inp, model, coords, energy_convention="mean"):
+        batch = evaluate_rates(inp, model, coords, energy_convention)
+        if energy_convention == "mean":
+            batch = batch._replace(rate_order2=2 * batch.rate_order2)
+        return batch
+
+    monkeypatch.setattr(verify, "evaluate_rates", doubled_mean)
+    records = [
+        r for r in verify_closed_forms(40, seed=0).records
+        if r.order == 2 and r.packet_kind == "sharp" and r.rate_oracle != 0.0
+    ]
+    assert len(records) > 20
+    assert not [r.line() for r in records if r.status != "fail"]
