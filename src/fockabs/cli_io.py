@@ -115,12 +115,15 @@ class _YamlLoader(_BASE_LOADER):
     default tag.
     """
 
+    # the composer calls these at every node to track the path for path
+    # resolvers; none is ever added, so each is a builtin ignoring its arguments
+    descend_resolver = ascend_resolver = staticmethod("".format)
+
     def resolve(self, kind, value, implicit):
-        if kind is ScalarNode:
-            if implicit[0] and _PLAIN_NUMBER(value):
-                return _FLOAT if "." in value else _INT
-        elif not self.yaml_path_resolvers:
+        if kind is not ScalarNode:
             return _SEQ if kind is SequenceNode else _MAP
+        if implicit[0] and _PLAIN_NUMBER(value):
+            return _FLOAT if "." in value else _INT
         return _BASE_LOADER.resolve(self, kind, value, implicit)
 
 
@@ -369,7 +372,7 @@ def _checked(path: str, constructor, *args, **kwargs):
         raise ConfigError(f"{path}.{exc.field}: {exc}") from exc
 
 
-def _parse_basis(node: Node) -> ModeBasis:
+def _parse_basis(node: Node, packets: Node) -> ModeBasis:
     data = _require_map(node, "basis")
     lengths = _vector(_pop(data, "box_lengths", "basis"), _as_float, "basis.box_lengths")
     has_modes = "modes" in data
@@ -382,6 +385,9 @@ def _parse_basis(node: Node) -> ModeBasis:
         count = _as_int(data.pop("lowest_modes"), "basis.lowest_modes")
         if count < 1:
             raise ConfigError("basis.lowest_modes: must be at least 1")
+        # a count the first packet does not match fails before its modes fill memory
+        for name, spec in list(_require_map(packets, "packets").items())[:1]:
+            _packet_fields(name, spec, count)
         modes = lowest_mode_numbers(count)
     else:
         modes = _rows(data.pop("modes"), _as_int, "basis.modes", len(lengths))
@@ -397,13 +403,17 @@ def _parse_basis(node: Node) -> ModeBasis:
     return _checked("basis", ModeBasis, lengths, modes, **options)
 
 
-def _parse_packet(name: str, node: Node, basis: ModeBasis) -> Wavepacket:
+def _packet_fields(name: str, node: Node, n_modes: int) -> tuple[str, dict, int, tuple]:
+    """A packet's path, its keys left to read, its spin and its ``n_modes`` amplitudes."""
     path = f"packets.{name}"
     data = _require_map(node, path)
     spin = _as_int(_pop(data, "spin", path), f"{path}.spin")
-    amps = _vector(
-        _pop(data, "amplitudes", path), _as_complex, f"{path}.amplitudes", size=basis.n_modes
-    )
+    amps = _vector(_pop(data, "amplitudes", path), _as_complex, f"{path}.amplitudes", size=n_modes)
+    return path, data, spin, amps
+
+
+def _parse_packet(name: str, node: Node, basis: ModeBasis) -> Wavepacket:
+    path, data, spin, amps = _packet_fields(name, node, basis.n_modes)
     norm_sq = norm_squared(amps)
     off = abs(norm_sq - 1.0)
     if off > NORMALIZE_WARN_LIMIT:
@@ -527,7 +537,7 @@ def _parse_document(root: Node | None) -> ExperimentConfig:
     extra = set(top) - set(_SECTIONS)
     if extra:
         raise ConfigError(f"{sorted(extra)[0]}: unknown section")
-    basis = _parse_basis(top["basis"])
+    basis = _parse_basis(top["basis"], top["packets"])
     packet_section = _require_map(top["packets"], "packets")
     if not packet_section:
         raise ConfigError("packets: at least one packet is required")
@@ -613,14 +623,19 @@ def run_scan(config: ExperimentConfig) -> RateBatch:
 
 
 def emit_csv(batch: RateBatch) -> str:
-    """Deterministic CSV: 12 significant digits, fixed columns, LF newlines."""
+    """Deterministic CSV: 12 significant digits, fixed columns, LF newlines.
+
+    One ``%`` formats every row; a column of +0.0 only, such as an order-1
+    run's ``rate_order2``, is the ``0`` of ``%.12g`` in the row template.
+    """
     header = [f"q{i}" for i in range(batch.coords.shape[1])]
     header += ["rate_order1", "rate_order2", "density_a", "density_b"]
-    columns = (*batch.coords.T, batch.rate_order1, batch.rate_order2, batch.density_a, batch.density_b)
-    # one % per row is faster than a format call per row or an f-string per cell
-    template = ",".join(["%.12g"] * len(columns)) + "\n"
-    rows = zip(*(c.tolist() for c in columns))
-    return ",".join(header) + "\n" + "".join([template % cells for cells in rows])
+    columns = (batch.rate_order1, batch.rate_order2, batch.density_a, batch.density_b)
+    table = np.column_stack((batch.coords, *columns))
+    keep = table.any(axis=0) | np.signbit(table).any(axis=0)
+    row = ",".join(["%.12g" if k else "0" for k in keep.tolist()]) + "\n"
+    cells = tuple(table[:, keep].ravel().tolist())
+    return ",".join(header) + "\n" + (row * len(table)) % cells
 
 
 # --------------------------------------------------------------------------

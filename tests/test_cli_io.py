@@ -1,6 +1,7 @@
 """Config parsing, scan driver, CSV output, and the CLI entry point."""
 
 import gc
+import importlib.util
 import itertools
 import math
 import os
@@ -224,6 +225,81 @@ def test_loaders_parse_equal_configs(monkeypatch, text):
     config = parse_config(text)
     monkeypatch.setattr(cli_io, "_YAML_LOADER", yaml.SafeLoader)
     assert parse_config(text) == config
+
+
+def _load_by_path(name: str, path: Path):
+    """The module at ``path``, run as ``name``; it is in ``sys.modules`` only
+    while it runs, where its dataclasses look it up."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def _pure_python_loader():
+    """The loader class cli_io defines under a PyYAML without libyaml: a
+    second copy of the module, run with ``yaml.CSafeLoader`` hidden."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(yaml, "CSafeLoader", raising=False)
+        module = _load_by_path("fockabs._cli_io_without_libyaml", Path(cli_io.__file__))
+    assert module._BASE_LOADER is yaml.SafeLoader
+    return module._YAML_LOADER
+
+
+def _bench_config(workload: str, seed: int) -> str:
+    """The config of a benchmark scan workload at ``seed``, as the benchmark writes it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = _load_by_path("_bench_workloads", path)
+    return workloads.config_yaml(workloads.generate(workload, seed).config)
+
+
+def _node_tree(node, one_plain_style=False):
+    """A composed node and everything under it as nested tuples of kind,
+    tag, value, style and marks.
+
+    libyaml gives a plain scalar the style '' and PyYAML's Python composer
+    None; ``one_plain_style`` writes both as None.
+    """
+    marks = tuple((m.line, m.column, m.index) for m in (node.start_mark, node.end_mark))
+    if isinstance(node, ScalarNode):
+        style = (node.style or None) if one_plain_style else node.style
+        return ("scalar", node.tag, node.value, style, marks)
+    kids = [n for pair in node.value for n in pair] if isinstance(node, MappingNode) else node.value
+    kids = tuple(_node_tree(n, one_plain_style) for n in kids)
+    return (node.id, node.tag, node.flow_style, marks, kids)
+
+
+def test_the_module_loaders_add_no_path_resolver():
+    # the composer's path hooks are no-ops, which holds only while no path
+    # resolver is added
+    for loader in (cli_io._YAML_LOADER, _pure_python_loader()):
+        assert loader.yaml_path_resolvers == {}
+        assert loader("").descend_resolver(None, 0) == loader("").ascend_resolver() == ""
+
+
+@pytest.mark.parametrize(
+    "workload, seed",
+    [("readme-example", None)]
+    + list(itertools.product(("scan_listed", "scan_1d_dense", "scan_3d"), (7, 13))),
+)
+def test_the_module_loaders_compose_the_stock_node_trees(workload, seed):
+    text = readme_example() if seed is None else _bench_config(workload, seed)
+    # each loader against the stock loader it is built on, and the libyaml
+    # tree against the pure-Python one with a plain scalar's style spelled
+    # alike; as in parse_config, the collector would cost about as much as
+    # the pure-Python composes, so it is paused
+    gc.disable()
+    try:
+        fast = yaml.compose(text, Loader=cli_io._YAML_LOADER)
+        assert _node_tree(fast) == _node_tree(yaml.compose(text, Loader=cli_io._BASE_LOADER))
+        stock = yaml.compose(text, Loader=yaml.SafeLoader)
+        assert _node_tree(yaml.compose(text, Loader=_pure_python_loader())) == _node_tree(stock)
+        assert _node_tree(fast, one_plain_style=True) == _node_tree(stock, one_plain_style=True)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -543,7 +619,7 @@ def test_bulk_rows_equal_the_per_row_readers(monkeypatch, section, rows, odd):
             node = yaml.compose(
                 f"box_lengths: [1.0, 2.0]\nmodes: [{text}]", Loader=cli_io._YAML_LOADER
             )
-            parse = lambda: cli_io._parse_basis(node).mode_numbers
+            parse = lambda: cli_io._parse_basis(node, None).mode_numbers
         try:
             return repr(parse())
         except ConfigError as exc:
@@ -799,6 +875,23 @@ def test_amplitude_count_must_match_modes():
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert "amplitudes" in str(err.value)
+
+
+@pytest.mark.parametrize("count", [4, 10**12])
+def test_a_lowest_modes_count_the_first_packet_lacks_fails_before_the_modes_are_built(
+    tmp_path, capsys, monkeypatch, count
+):
+    # 10**12 modes would not fit in memory: the first packet's three
+    # amplitudes are counted against the count before any mode is built
+    text = readme_example()
+    assert "  modes: [[0], [1], [-1]]" in text
+    config = tmp_path / "lowest.yaml"
+    config.write_text(text.replace("  modes: [[0], [1], [-1]]", f"  lowest_modes: {count}  #"))
+    monkeypatch.setattr(cli_io, "lowest_mode_numbers", None)
+    assert main(["scan", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: packets.beam.amplitudes: expected {count} entries, got 3\n"
 
 
 def test_order2_requires_channels():
@@ -1138,6 +1231,41 @@ def test_emit_csv_edge_values_byte_for_byte():
     batch = _batch([[v] for v in values], values, values[::-1], values, values)
     assert emit_csv(batch) == _emit_csv_by_format(batch)
     assert emit_csv(batch).splitlines()[1] == "-0,-0,nan,-0,-0"
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+# from the smallest subnormal to 1e300, of either sign, and the zeros
+_CSV_CELLS = st.one_of(
+    _SIGNED_ZEROS,
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, 1e300]),
+    st.floats(5e-324, 1e300),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def _csv_tables(draw) -> np.ndarray:
+    """A table of 1-3 coordinate columns and four rate columns, each column
+    +0.0 only, signed zeros only, or any cells."""
+    dim, rows = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    column = st.one_of(
+        st.just([0.0] * rows),
+        st.lists(_SIGNED_ZEROS, min_size=rows, max_size=rows),
+        st.lists(_CSV_CELLS, min_size=rows, max_size=rows),
+    )
+    return np.array([draw(column) for _ in range(dim + 4)]).T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=_csv_tables())
+@example(table=np.zeros((1, 5)))
+@example(table=np.zeros((3, 7)))
+@example(table=np.array([[0.0, 1.5, 0.0, 0.25, -0.0], [0.0, 2.5, 0.0, 0.5, 0.0]]))
+def test_emit_csv_equals_a_per_row_format(table):
+    batch = _batch(table[:, :-4], *table[:, -4:].T)
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    header = [f"q{i}" for i in range(table.shape[1] - 4)]
+    header = ",".join(header + ["rate_order1", "rate_order2", "density_a", "density_b"]) + "\n"
+    assert emit_csv(batch) == header + "".join([row % tuple(cells) for cells in table.tolist()])
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
