@@ -27,7 +27,6 @@ import sys
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator
 
 import numpy as np
 import yaml
@@ -61,13 +60,14 @@ class ExperimentConfig:
     """A parsed config: the domain objects, the run's rate input among them.
 
     ``run`` holds the packets that ``run.packets`` names, the very objects of
-    ``packets``; its order is their number.
+    ``packets``; its order is their number.  ``positions`` is one read-only
+    ``(n, dim)`` float array, the one that ``evaluate_rates`` is given.
     """
 
     basis: ModeBasis
     packets: dict[str, Wavepacket]
     medium: MediumModel
-    positions: tuple[tuple[float, ...], ...]
+    positions: np.ndarray
     run: AbsorptionInput
 
 
@@ -257,8 +257,8 @@ def _bulk_floats(nodes: list[Node]) -> list[float] | None:
     return values if math.isfinite(sum(values)) else None
 
 
-def _bulk_rows(nodes: list[Node], width: int, bulk) -> Iterator[tuple] | None:
-    """Lists of ``width`` entries, read as one flat list by ``bulk``, as row tuples."""
+def _bulk_rows(nodes: list[Node], width: int, bulk) -> list | None:
+    """Lists of ``width`` entries, read as one flat list by ``bulk``, row after row."""
     rows = [
         n.value
         for n in nodes
@@ -266,14 +266,13 @@ def _bulk_rows(nodes: list[Node], width: int, bulk) -> Iterator[tuple] | None:
     ]
     if len(rows) != len(nodes):
         return None
-    values = bulk([entry for row in rows for entry in row])
-    return None if values is None else zip(*[iter(values)] * width)
+    return bulk([entry for row in rows for entry in row])
 
 
 def _bulk_complexes(nodes: list[Node]) -> list[complex] | None:
     """``[re, im]`` pairs of entries that ``_bulk_floats`` reads, as ``_as_complex`` does."""
-    pairs = _bulk_rows(nodes, 2, _bulk_floats)
-    return None if pairs is None else [complex(real, imag) for real, imag in pairs]
+    values = _bulk_rows(nodes, 2, _bulk_floats)
+    return None if values is None else list(map(complex, values[::2], values[1::2]))
 
 
 def _pop(section: dict, key: str, path: str) -> Node:
@@ -350,17 +349,15 @@ def _as_complex(node: Node, path: str, *index: int) -> complex:
 _BULK_READERS = {_as_float: _bulk_floats, _as_int: _bulk_ints, _as_complex: _bulk_complexes}
 
 
-def _rows(node: Node, read, path: str, width: int) -> tuple[tuple, ...]:
-    """A nonempty list of lists of ``width`` entries, each entry read by ``read``.
-
-    All rows are read as one flat list where the bulk reader takes it, and
-    row by row otherwise, so a bad row or entry gets ``_vector``'s error.
-    """
+def _rows(node: Node, read, path: str, width: int) -> list:
+    """The entries of a nonempty list of lists of ``width`` entries, each read
+    by ``read``, as one flat list: read at once where the bulk reader takes
+    them, and row by row otherwise, so a bad row or entry gets ``_vector``'s error."""
     rows = _require_list(node, path)
     values = _bulk_rows(rows, width, _BULK_READERS[read])
     if values is None:
-        values = [_vector(row, read, path, i, size=width) for i, row in enumerate(rows)]
-    return tuple(values)
+        values = [v for i, row in enumerate(rows) for v in _vector(row, read, path, i, size=width)]
+    return values
 
 
 def _checked(path: str, constructor, *args, **kwargs):
@@ -390,7 +387,8 @@ def _parse_basis(node: Node, packets: Node) -> ModeBasis:
             _packet_fields(name, spec, count)
         modes = lowest_mode_numbers(count)
     else:
-        modes = _rows(data.pop("modes"), _as_int, "basis.modes", len(lengths))
+        flat = _rows(data.pop("modes"), _as_int, "basis.modes", len(lengths))
+        modes = zip(*[iter(flat)] * len(lengths))
     # only the keys the config gives: the defaults are ModeBasis's own
     options = {}
     if "hbar" in data:
@@ -458,14 +456,15 @@ def _parse_medium(node: Node) -> MediumModel:
     return _checked("medium", MediumModel, coupling, tuple(channels), first)
 
 
-def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
+def _parse_scan(node: Node, dim: int) -> np.ndarray:
     data = _require_map(node, "scan")
     has_positions = "positions" in data
     has_range = "range" in data
     if has_positions == has_range:
         raise ConfigError("scan: give exactly one of 'positions' or 'range'")
     if has_positions:
-        result = _rows(data.pop("positions"), _as_float, "scan.positions", dim)
+        flat = _rows(data.pop("positions"), _as_float, "scan.positions", dim)
+        rows = np.array(flat, dtype=float).reshape(-1, dim)
     else:
         rng = _require_map(data.pop("range"), "scan.range")
         start = _vector(_pop(rng, "start", "scan.range"), _as_float, "scan.range.start", size=dim)
@@ -486,7 +485,6 @@ def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
                 raise ValueError
             with np.errstate(all="ignore"):
                 rows = first + (last - first) * steps[:, None] / count
-            result = tuple(map(tuple, rows.tolist()))
         except (MemoryError, OverflowError, ValueError) as exc:  # past numpy's largest array
             raise ConfigError(
                 "scan.range.count: too many positions to hold in memory"
@@ -497,7 +495,8 @@ def _parse_scan(node: Node, dim: int) -> tuple[tuple[float, ...], ...]:
                 "at every point k, but the span overflows"
             )
     _no_leftovers(data, "scan")
-    return result
+    rows.flags.writeable = False  # frozen, as the config is
+    return rows
 
 
 def _parse_run(node: Node, packets: dict[str, Wavepacket]) -> AbsorptionInput:

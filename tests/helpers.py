@@ -5,13 +5,15 @@ literal reference for ``ladder_sum``; ``check_commutation`` probes the
 ladder brackets; ``position_amplitude``, ``overlap`` and ``uniform_grid``
 are one-position and quadrature helpers for wavepackets;
 ``serialize_config`` renders a parsed config back to YAML for the
-round-trip tests; ``readme_example``, ``readme_range32`` and ``at_order1``
+round-trip tests, and ``config_fields`` gives a config's fields in a form
+that ``==`` compares; ``readme_example``, ``readme_range32`` and ``at_order1``
 give the README's example config and its variants.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
@@ -150,7 +152,7 @@ def serialize_config(config: ExperimentConfig) -> str:
             ],
             "first_order_element": _complex_pair(config.medium.first_order_element),
         },
-        "scan": {"positions": [list(p) for p in config.positions]},
+        "scan": {"positions": config.positions.tolist()},
         "run": {
             "order": len(config.run.packets),
             "statistics": config.run.statistics.value,
@@ -159,6 +161,13 @@ def serialize_config(config: ExperimentConfig) -> str:
         },
     }
     return yaml.safe_dump(doc, sort_keys=False)
+
+
+def config_fields(config: ExperimentConfig) -> dict:
+    """Every field of ``config`` by name, its positions array as a list of
+    rows, so that two configs compare with ``==`` field by field."""
+    values = {field.name: getattr(config, field.name) for field in fields(config)}
+    return values | {"positions": config.positions.tolist()}
 
 
 def readme_example() -> str:

@@ -34,7 +34,13 @@ from fockabs import (
 )
 from fockabs import cli_io
 from fockabs.cli_io import ExperimentConfig, main
-from helpers import at_order1, readme_example, readme_range32, serialize_config
+from helpers import (
+    at_order1,
+    config_fields,
+    readme_example,
+    readme_range32,
+    serialize_config,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -104,7 +110,7 @@ def test_omitted_basis_options_take_the_mode_basis_defaults():
 def test_round_trip_is_exact():
     for text in (MINIMAL_ORDER1, ORDER2_TEMPLATE % ("bose", "partner")):
         cfg = parse_config(text)
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert config_fields(parse_config(serialize_config(cfg))) == config_fields(cfg)
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -154,14 +160,14 @@ def experiment_configs(draw):
         assume(False)
     positions = draw(st.lists(st.tuples(*[_finite] * dim), min_size=1, max_size=5))
     return ExperimentConfig(
-        basis, packets, MediumModel(draw(_complexes), channels, first), tuple(positions), run
+        basis, packets, MediumModel(draw(_complexes), channels, first), np.array(positions), run
     )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(config=experiment_configs())
 def test_serialized_configs_parse_back_equal(config):
-    assert parse_config(serialize_config(config)) == config
+    assert config_fields(parse_config(serialize_config(config))) == config_fields(config)
 
 
 def test_syntax_error_reports_location():
@@ -224,7 +230,7 @@ def test_loaders_parse_equal_configs(monkeypatch, text):
     assert issubclass(cli_io._YAML_LOADER, base)
     config = parse_config(text)
     monkeypatch.setattr(cli_io, "_YAML_LOADER", yaml.SafeLoader)
-    assert parse_config(text) == config
+    assert config_fields(parse_config(text)) == config_fields(config)
 
 
 def _load_by_path(name: str, path: Path):
@@ -416,7 +422,7 @@ def test_merge_keys_fill_in_and_own_keys_override():
   again: {{spin: 0, {amplitudes}}}
 """)
     assert packets in ORDER2_BOSE
-    assert parse_config(merged) == parse_config(explicit)
+    assert config_fields(parse_config(merged)) == config_fields(parse_config(explicit))
 
 
 @pytest.mark.parametrize("channels", ["", "  channels:\n", "  channels: []\n"])
@@ -440,7 +446,7 @@ def test_reals_may_be_written_without_a_dot():
     text = text.replace("mass: -2E+3", "mass: 2E+3").replace(POSITIONS, "positions: [[-1e-17]]")
     cfg = parse_config(text)
     assert (cfg.basis.hbar, cfg.basis.mass) == (1.0, 2000.0)
-    assert cfg.positions == ((-1e-17,),)
+    assert cfg.positions.tolist() == [[-1e-17]]
     for quoted in ("'1e0'", '"1.0"'):
         with pytest.raises(ConfigError, match="^basis.hbar: expected a real number"):
             parse_config(MINIMAL_ORDER1.replace("spins: [0]", f"spins: [0]\n  hbar: {quoted}"))
@@ -614,7 +620,7 @@ def test_bulk_rows_equal_the_per_row_readers(monkeypatch, section, rows, odd):
     def read(text: str) -> str:
         if section == "scan":
             node = yaml.compose(f"positions: [{text}]", Loader=cli_io._YAML_LOADER)
-            parse = lambda: cli_io._parse_scan(node, 2)
+            parse = lambda: cli_io._parse_scan(node, 2).tolist()
         else:
             node = yaml.compose(
                 f"box_lengths: [1.0, 2.0]\nmodes: [{text}]", Loader=cli_io._YAML_LOADER
@@ -915,8 +921,71 @@ def test_run_packet_count_must_match_order():
 
 def test_range_scan_generates_count_positions():
     cfg = parse_config(ORDER2_TEMPLATE % ("bose", "partner"))
-    assert len(cfg.positions) == 12
-    assert cfg.positions[0] == (0.0,)
+    assert cfg.positions.shape == (12, 1)
+    assert cfg.positions[0].tolist() == [0.0]
+
+
+def _positions_config(dim: int, scan: str) -> str:
+    """An order-1 config on a ``dim``-D box with the scan section ``scan``."""
+    lengths = ", ".join(["6.0"] * dim)
+    mode = ", ".join(["0"] * dim)
+    return f"""
+basis: {{box_lengths: [{lengths}], modes: [[{mode}]], spins: [0]}}
+packets: {{beam: {{spin: 0, amplitudes: [[1.0, 0.0]]}}}}
+medium: {{coupling: [1.0, 0.0], first_order_element: [1.0, 0.0]}}
+scan: {scan}
+run: {{order: 1, packets: [beam], detector_spin: 0}}
+"""
+
+
+def _assert_frozen_float_rows(positions, expected: np.ndarray) -> None:
+    """``positions`` is a read-only float64 array with every bit of ``expected``."""
+    assert isinstance(positions, np.ndarray)
+    assert positions.dtype == np.float64 and positions.shape == expected.shape
+    assert not positions.flags.writeable
+    assert positions.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        positions[0, 0] = 1.0
+    assert positions.tobytes() == expected.tobytes()
+
+
+# listed rows that the bulk reader takes, and rows only the per-entry reader reads
+_BULK_POSITIONS = ["1.5", "-0.0", "3", "1.0e-300", "-2.25e+2", "0"]
+_SLOW_POSITIONS = ["!!float 1:30", "0x1f"]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("odd", [None, *_SLOW_POSITIONS])
+def test_listed_positions_are_one_read_only_float_array(dim, odd):
+    rows = [
+        [_BULK_POSITIONS[(r + a) % len(_BULK_POSITIONS)] for a in range(dim)] for r in range(5)
+    ]
+    if odd is not None:
+        rows[2][dim - 1] = odd
+    listed = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    nodes = yaml.compose(listed, Loader=cli_io._YAML_LOADER).value
+    # the bulk path reads only plain decimals; the odd entry sends every row
+    # through the per-entry reader
+    bulk = cli_io._bulk_rows(nodes, dim, cli_io._bulk_floats)
+    assert (bulk is None) == (odd is not None)
+    reference = np.array(
+        [cli_io._vector(row, cli_io._as_float, "scan.positions", i, size=dim)
+         for i, row in enumerate(nodes)]
+    )
+    positions = parse_config(_positions_config(dim, f"{{positions: {listed}}}")).positions
+    _assert_frozen_float_rows(positions, reference)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_range_positions_are_one_read_only_float_array(dim):
+    start, stop, count = [0.5, -1.25, 3.0][:dim], [4.0, 2.5, -0.1][:dim], 7
+    scan = f"{{range: {{start: {start}, stop: {stop}, count: {count}}}}}"
+    positions = parse_config(_positions_config(dim, scan)).positions
+    # row k is start + (stop - start) * k / count, coordinate by coordinate
+    reference = np.array(
+        [[a + (b - a) * k / count for a, b in zip(start, stop)] for k in range(count)]
+    )
+    _assert_frozen_float_rows(positions, reference)
 
 
 _COUNT_ERROR = "error: scan.range.count: too many positions to hold in memory\n"
@@ -999,9 +1068,9 @@ def test_range_rows_are_the_per_coordinate_formula_bit_for_bit(ends, count):
             cli_io._parse_scan(node, len(start))
         return
     got = cli_io._parse_scan(node, len(start))
-    assert type(got) is tuple and all(type(row) is tuple for row in got)
-    assert all(type(c) is float for c in got[0])
-    assert [c.hex() for row in got for c in row] == [c.hex() for row in want for c in row]
+    assert type(got) is np.ndarray and got.dtype == np.float64 and not got.flags.writeable
+    assert got.shape == (count, len(start))
+    assert [c.hex() for row in got.tolist() for c in row] == [c.hex() for row in want for c in row]
 
 
 def test_scan_wants_exactly_one_source():

@@ -100,7 +100,8 @@ def test_compare_passes_every_position_of_a_parsed_config(monkeypatch, text):
     # noise around an exact zero, and the floor must come from the size of
     # the input, not from the noise
     config = parse_config(text)
-    positions = config.positions
+    # the oracle takes one point as a tuple, as ModeBasis.position gives it
+    positions = list(map(tuple, config.positions.tolist()))
     assert len(positions) == 32 and (math.pi,) in positions
     for index, q in enumerate(positions):
         records = _compare(config.run, config.medium, q, index, 0, "config")
