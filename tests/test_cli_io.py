@@ -949,7 +949,7 @@ def _assert_frozen_float_rows(positions, expected: np.ndarray) -> None:
     assert positions.tobytes() == expected.tobytes()
 
 
-# listed rows that the bulk reader takes, and rows only the per-entry reader reads
+# position entries that the bulk reader takes, and entries only the per-entry reader reads
 _BULK_POSITIONS = ["1.5", "-0.0", "3", "1.0e-300", "-2.25e+2", "0"]
 _SLOW_POSITIONS = ["!!float 1:30", "0x1f"]
 
