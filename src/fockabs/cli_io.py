@@ -55,13 +55,14 @@ class ConfigError(ValueError):
     """A config file that cannot be used, with the offending key named."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A parsed config: the domain objects, the run's rate input among them.
 
     ``run`` holds the packets that ``run.packets`` names, the very objects of
     ``packets``; its order is their number.  ``positions`` is one read-only
-    ``(n, dim)`` float array, the one that ``evaluate_rates`` is given.
+    ``(n, dim)`` float array, the one that ``evaluate_rates`` is given.  As
+    an array has no one-bool ``==``, a config's ``==`` is identity.
     """
 
     basis: ModeBasis

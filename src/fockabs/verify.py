@@ -11,7 +11,9 @@ are judged by one relative error, whose scale is floored at 1e-12 times the
 occupied modes are not degenerate in energy, a mean-energy closed form may
 legitimately differ from the oracle; such discrepancies are flagged, not
 failed, after confirming that the per-mode variant of the closed form does
-match the oracle.
+match the oracle.  Trial ``i`` of seed ``s`` draws from
+``random.Random(s * 1000003 + i)`` with ``random()`` alone, a stream that
+Python keeps fixed for a seed; numpy may change its ``Generator``'s.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
+from random import Random
 
 from .fock_core import Statistics
 from .field_ops import ModeBasis, Wavepacket, packet_state, two_particle_state
@@ -121,39 +122,49 @@ def _rate_error(batch: RateBatch, order: int, oracle_rate: float) -> float:
     return abs(rate - oracle_rate) / max(abs(rate), abs(oracle_rate), floor)
 
 
-def _random_basis(rng: np.random.Generator) -> ModeBasis:
-    dim = int(rng.integers(1, 4))
-    lengths = rng.uniform(4.0, 8.0, size=dim).tolist()
-    hbar, mass = rng.uniform(0.5, 2.0, size=2).tolist()
-    spins = ((0,), (0, 1), (0, 1, 2))[int(rng.integers(0, 3))]
-    n_modes = int(rng.integers(2, 5))
+def _below(rng: Random, k: int) -> int:
+    """An int from ``range(k)``, drawn with ``rng.random()`` alone."""
+    return int(rng.random() * k)
+
+
+def _uniform(rng: Random, lo: float, hi: float) -> float:
+    """A real in ``[lo, hi)``, drawn with ``rng.random()`` alone."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _element(rng: Random) -> complex:
+    """A complex number of magnitude in ``[0.1, 2)`` and a uniform phase."""
+    return _uniform(rng, 0.1, 2.0) * cmath.exp(1j * _uniform(rng, 0.0, 2.0 * math.pi))
+
+
+def _random_basis(rng: Random) -> ModeBasis:
+    dim = 1 + _below(rng, 3)
+    lengths = [_uniform(rng, 4.0, 8.0) for _ in range(dim)]
+    hbar, mass = _uniform(rng, 0.5, 2.0), _uniform(rng, 0.5, 2.0)
+    spins = ((0,), (0, 1), (0, 1, 2))[_below(rng, 3)]
+    n_modes = 2 + _below(rng, 3)
     modes: list[tuple[int, ...]] = []
     while len(modes) < n_modes:
-        vec = tuple(rng.integers(-2, 3, size=dim).tolist())
+        vec = tuple(_below(rng, 5) - 2 for _ in range(dim))
         if vec not in modes:
             modes.append(vec)
     return ModeBasis(lengths, modes, hbar, mass, spins)
 
 
-def _random_model(rng: np.random.Generator, basis: ModeBasis) -> MediumModel:
-    def element() -> complex:
-        mag = rng.uniform(0.1, 2.0)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        return mag * cmath.exp(1j * phase)
-
-    n_channels = int(rng.integers(1, 3))
+def _random_model(rng: Random, basis: ModeBasis) -> MediumModel:
+    n_channels = 1 + _below(rng, 2)
     energies: list[float] = []
     while len(energies) < n_channels:
-        candidate = float(rng.uniform(0.5, 3.0))
+        candidate = _uniform(rng, 0.5, 3.0)
         clear_of_modes = all(abs(candidate - e) > 1e-3 for e in basis.kinetic_energies)
         clear_of_others = all(abs(candidate - e) > 1e-3 for e in energies)
         if clear_of_modes and clear_of_others:
             energies.append(candidate)
     channels = tuple(
-        MediumChannel(f"ch{k}", element(), element(), energies[k])
+        MediumChannel(f"ch{k}", _element(rng), _element(rng), energies[k])
         for k in range(n_channels)
     )
-    return MediumModel(element(), channels, first_order_element=element())
+    return MediumModel(_element(rng), channels, first_order_element=_element(rng))
 
 
 def _sharp_packet(basis: ModeBasis, mode: int, spin: int) -> Wavepacket:
@@ -162,33 +173,22 @@ def _sharp_packet(basis: ModeBasis, mode: int, spin: int) -> Wavepacket:
     return Wavepacket(basis, tuple(amps), spin)
 
 
-def _random_packet(
-    rng: np.random.Generator, basis: ModeBasis, sharp: bool, spin: int
-) -> Wavepacket:
+def _random_packet(rng: Random, basis: ModeBasis, sharp: bool, spin: int) -> Wavepacket:
     if sharp:
-        return _sharp_packet(basis, int(rng.integers(0, basis.n_modes)), spin)
-    mags = rng.uniform(0.1, 2.0, size=basis.n_modes)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=basis.n_modes)
-    vec = mags * np.exp(1j * phases)
-    vec = vec / np.linalg.norm(vec)
-    return Wavepacket(basis, tuple(vec.tolist()), spin)
+        return _sharp_packet(basis, _below(rng, basis.n_modes), spin)
+    vec = [_element(rng) for _ in range(basis.n_modes)]
+    norm = math.sqrt(sum(abs(v) ** 2 for v in vec))
+    return Wavepacket(basis, tuple(v / norm for v in vec), spin)
 
 
-def _pick_spin(rng: np.random.Generator, basis: ModeBasis, favored: int) -> int:
-    if rng.uniform() < 0.8:
-        return favored
-    # the draw of rng.choice(basis.spins), without its overhead
-    return basis.spins[int(rng.integers(0, len(basis.spins)))]
+def _pick_spin(rng: Random, basis: ModeBasis, favored: int) -> int:
+    return favored if rng.random() < 0.8 else basis.spins[_below(rng, len(basis.spins))]
 
 
 def _degenerate_support(packet: Wavepacket) -> bool:
     """Whether the packet's occupied modes share one kinetic energy, to within
     1e-12 of the largest: a relative test, so it holds at any energy scale."""
-    energies = [
-        energy
-        for a, energy in zip(packet.amplitudes, packet.basis.kinetic_energies)
-        if abs(a) > 0.0
-    ]
+    energies = [e for a, e in zip(packet.amplitudes, packet.basis.kinetic_energies) if a]
     return max(energies) - min(energies) <= 1e-12 * max(energies)
 
 
@@ -198,7 +198,7 @@ def _digest(*parts: object) -> str:
 
 
 def _draw(
-    rng: np.random.Generator, statistics: Statistics
+    rng: Random, statistics: Statistics
 ) -> tuple[ModeBasis, MediumModel, int, tuple[float, ...], list[AbsorptionInput]]:
     """One trial's configuration, as the domain objects a parsed config holds.
 
@@ -207,8 +207,8 @@ def _draw(
     """
     basis = _random_basis(rng)
     model = _random_model(rng, basis)
-    detector_spin = basis.spins[int(rng.integers(0, len(basis.spins)))]
-    q = basis.position([rng.uniform(0.0, length) for length in basis.box_lengths])
+    detector_spin = basis.spins[_below(rng, len(basis.spins))]
+    q = basis.position([_uniform(rng, 0.0, length) for length in basis.box_lengths])
     inputs = []
     for order, sharp in ((1, True), (1, False), (2, True), (2, False)):
         spins = [_pick_spin(rng, basis, detector_spin) for _ in range(order)]
@@ -274,15 +274,14 @@ def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    # checked before any draw: numpy's own error would name neither the seed nor its value
+    # checked before any draw: Random would silently seed with a negative seed's absolute value
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     report = VerificationReport()
     for index in range(trials):
         trial_seed = seed * 1_000_003 + index
         statistics = Statistics.BOSE if index % 2 == 0 else Statistics.FERMI
-        rng = np.random.default_rng(trial_seed)
-        basis, model, detector_spin, q, inputs = _draw(rng, statistics)
+        basis, model, detector_spin, q, inputs = _draw(Random(trial_seed), statistics)
         digest = _digest(basis, model, statistics, detector_spin, q)
         for inp in inputs:
             report.records += _compare(inp, model, q, index, trial_seed, digest)

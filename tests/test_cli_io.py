@@ -170,6 +170,16 @@ def test_serialized_configs_parse_back_equal(config):
     assert config_fields(parse_config(serialize_config(config))) == config_fields(config)
 
 
+def test_configs_compare_by_identity():
+    # the README example lists three positions; an ``==`` that compared the
+    # positions arrays would raise, as numpy gives no one bool for them
+    first, second = parse_config(readme_example()), parse_config(readme_example())
+    assert len(first.positions) == 3
+    assert (first == second) is False and (first != second) is True
+    assert (first == first) is True
+    assert config_fields(first) == config_fields(second)
+
+
 def test_syntax_error_reports_location():
     with pytest.raises(ConfigError) as err:
         parse_config("basis: [unclosed\n  - oops")

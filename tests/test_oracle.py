@@ -26,6 +26,8 @@ from fockabs import (
     vacuum,
     verify_closed_forms,
 )
+from fockabs.perturbation import evaluate_rates
+from fockabs.verify import TOLERANCE, _compare
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -255,10 +257,24 @@ def test_verification_flags_are_spread_only():
 
 
 def test_cancelling_orderings_compare_against_the_size_of_their_terms():
-    # in trial 967 of this seed the two fermion orderings cancel, and both
-    # rates are round-off: closed 1.05e-19 against oracle 2.29e-26
-    report = verify_closed_forms(968, seed=481062449)
-    assert not report.failures
+    # sharp fermions in modes (n,) and (-n,) have one energy, so their two
+    # orderings cancel and both rates are round-off, near 1e-32 here
+    model = safe_model()
+    unfloored = []
+    for n in (1, 2, 3):
+        basis = ModeBasis([5.3], [(0,), (n,), (-n,)], hbar=0.7, mass=1.3)
+        packets = [Wavepacket(basis, (0j, 1 + 0j, 0j), 0), Wavepacket(basis, (0j, 0j, 1 + 0j), 0)]
+        pair = AbsorptionInput(packets, 0, FERMI)
+        for x in (0.3, 1.1, 2.9, 4.7):
+            q = basis.position((x,))
+            record = _compare(pair, model, q, 0, 0, "cancelling")[0]
+            floor = 1e-12 * evaluate_rates(pair, model, [q]).bound_order2
+            assert record.status == "ok", record.line()
+            assert record.rate_closed < floor and record.rate_oracle < floor, record.line()
+            rates = (record.rate_closed, record.rate_oracle)
+            unfloored.append(abs(rates[0] - rates[1]) / max(*rates, 1e-300))
+    # without the floor, round-off against round-off would fail somewhere
+    assert max(unfloored) > TOLERANCE
 
 
 def test_verification_rejects_bad_trials():

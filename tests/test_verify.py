@@ -9,15 +9,16 @@ relative 1e-9, so the test does not hang on the last bit of libm.
 
 import math
 from pathlib import Path
+from random import Random
 
-import numpy as np
 import pytest
 
 from fockabs import verify
 from fockabs.cli_io import main, parse_config
+from fockabs.fock_core import Statistics
 from fockabs.field_ops import ModeBasis, Wavepacket
 from fockabs.perturbation import evaluate_rates
-from fockabs.verify import TOLERANCE, _compare, verify_closed_forms
+from fockabs.verify import TOLERANCE, TrialRecord, _compare, verify_closed_forms
 from helpers import at_order1, readme_range32
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_seed7_trials40.txt"
@@ -55,7 +56,7 @@ def test_a_negative_seed_is_rejected_before_any_draw(monkeypatch, seed):
     def no_draw(*args):
         raise AssertionError("drew a random generator")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(verify, "Random", no_draw)
     message = f"seed must be a nonnegative integer, got {seed}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_closed_forms(3, seed=seed)
@@ -147,10 +148,60 @@ def test_a_wrong_mean_energy_rate_fails_on_sharp_pairs(monkeypatch):
             batch = batch._replace(rate_order2=2 * batch.rate_order2)
         return batch
 
+    def bound_order2(record: TrialRecord) -> float:
+        # the sharp pair of the record's trial, drawn again
+        _, model, _, q, inputs = verify._draw(Random(record.seed), record.statistics)
+        return evaluate_rates(inputs[2], model, [q]).bound_order2
+
     monkeypatch.setattr(verify, "evaluate_rates", doubled_mean)
+    # a fermion pair whose orderings cancel has a rate of round-off, and
+    # twice round-off is still round-off
     records = [
         r for r in verify_closed_forms(40, seed=0).records
-        if r.order == 2 and r.packet_kind == "sharp" and r.rate_oracle != 0.0
+        if r.order == 2 and r.packet_kind == "sharp" and r.rate_oracle > 1e-12 * bound_order2(r)
     ]
     assert len(records) > 20
     assert not [r.line() for r in records if r.status != "fail"]
+
+
+class _RandomOnly:
+    """A generator with ``random()`` and nothing else, drawing Python's stream."""
+
+    def __init__(self, seed: int):
+        self._random = Random(seed).random
+
+    def random(self) -> float:
+        return self._random()
+
+
+def test_draws_use_random_alone_and_cover_the_domain(monkeypatch):
+    collisions = []
+    real = verify.AbsorptionInput
+
+    def absorption_input(packets, *args):
+        try:
+            return real(packets, *args)
+        except verify.IndistinguishableFermionsError:
+            collisions.append(packets)
+            raise
+
+    monkeypatch.setattr(verify, "AbsorptionInput", absorption_input)
+    seen = {key: set() for key in ("dim", "n_modes", "spins", "channels")}
+    for seed in range(200):
+        for statistics in Statistics:
+            basis, model, spin, q, inputs = verify._draw(_RandomOnly(seed), statistics)
+            seen["dim"].add(basis.dim)
+            seen["n_modes"].add(basis.n_modes)
+            seen["spins"].add(basis.spins)
+            seen["channels"].add(len(model.channels))
+            assert spin in basis.spins and len(q) == basis.dim
+            assert all(0.0 <= x < length for x, length in zip(q, basis.box_lengths))
+            assert [len(inp.packets) for inp in inputs] == [1, 1, 2, 2]
+    assert seen == {
+        "dim": {1, 2, 3},
+        "n_modes": {2, 3, 4},
+        "spins": {(0,), (0, 1), (0, 1, 2)},
+        "channels": {1, 2},
+    }
+    # the Fermi sharp pair that lands in one mode and spin is moved, not lost
+    assert collisions
