@@ -19,7 +19,6 @@ Python keeps fixed for a seed; numpy may change its ``Generator``'s.
 from __future__ import annotations
 
 import cmath
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,11 +35,16 @@ from .perturbation import (
     evaluate_rates,
 )
 
+try:  # CPython's built-in SHA-1: hashlib would map OpenSSL's libcrypto into every process
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
+
 # largest relative error at which a closed form and the oracle agree
 TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One closed-form-versus-oracle comparison."""
 
@@ -194,7 +198,7 @@ def _degenerate_support(packet: Wavepacket) -> bool:
 
 def _digest(*parts: object) -> str:
     text = "|".join(repr(p) for p in parts)
-    return hashlib.sha1(text.encode()).hexdigest()[:10]
+    return sha1(text.encode()).hexdigest()[:10]
 
 
 def _draw(

@@ -1509,6 +1509,49 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "error:" in missing.stderr
 
 
+# runs every subcommand in one interpreter, then reports on its last stdout line
+# which of hashlib and _hashlib it imported and whether OpenSSL's libcrypto is
+# mapped (None where /proc/self/maps cannot be read)
+FOOTPRINT = """\
+import sys
+from fockabs.cli_io import main
+
+config, out = sys.argv[1:]
+for args in (
+    ["scan", "--config", config, "--out", out],
+    ["exponent", "--config", config],
+    ["verify", "--trials", "3"],
+):
+    assert main(args) == 0, args
+try:
+    with open("/proc/self/maps") as maps:
+        libcrypto = "libcrypto" in maps.read()
+except OSError:
+    libcrypto = None
+print(sorted({"hashlib", "_hashlib"} & sys.modules.keys()), libcrypto)
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    """``scan``, ``exponent`` and ``verify`` leave hashlib unimported and
+    OpenSSL's libcrypto unmapped.  A fresh interpreter, since pytest and
+    Hypothesis import hashlib themselves."""
+    config, out = tmp_path / "cfg.yaml", tmp_path / "rates.csv"
+    config.write_text(readme_example())
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, str(config), str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert out.read_bytes() == (GOLDEN / "readme_listed.csv").read_bytes()
+    assert "failures=0" in result.stdout
+    assert result.stdout.splitlines()[-1] in ("[] False", "[] None")
+
+
 @pytest.mark.parametrize(
     "args, golden",
     [

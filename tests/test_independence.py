@@ -90,5 +90,33 @@ def test_import_scan_sees_the_harness_imports():
     assert "numpy" in direct_imports("perturbation")
     # the harness draws from Python's random, whose stream numpy cannot move
     assert "numpy" not in direct_imports("verify")
+    # its SHA-1 fallback, which test_no_module_imports_hashlib allows
+    assert {"_sha1", "hashlib"} <= direct_imports("verify")
     assert {"oracle", "perturbation"} <= reached_modules("cli_io")
     assert "verify" in reached_modules("fockabs")
+
+
+def _fallback_imports(tree: ast.AST) -> set[int]:
+    """Ids of the import nodes inside an ``except ImportError`` handler."""
+    found: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and ast.unparse(node.type) == "ImportError":
+            found |= {id(n) for n in ast.walk(node) if isinstance(n, (ast.Import, ast.ImportFrom))}
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_hashlib(path):
+    # hashlib maps OpenSSL's libcrypto into the process; verify's SHA-1 comes
+    # from CPython's built-in _sha1, with hashlib only where that is missing
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    fallbacks = _fallback_imports(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in ("hashlib", "_hashlib") for name in names):
+            assert id(node) in fallbacks, f"{path.name}:{node.lineno}"

@@ -7,7 +7,12 @@ packet kind or status shows as a changed field; the rates are compared to a
 relative 1e-9, so the test does not hang on the last bit of libm.
 """
 
+import dataclasses
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from random import Random
 
@@ -49,6 +54,48 @@ def test_verify_output_matches_the_golden_stream(capsys):
                 ), (number, key, value, expected)
             else:
                 assert value == expected, (number, key)
+
+
+def test_the_digest_is_sha1_over_the_reprs():
+    """``cfg=`` is the first 10 hex digits of the SHA-1 over the reprs of a
+    trial's basis, medium, statistics, detector spin and position, joined by
+    ``|``, whichever module computes it."""
+    for seed in range(20):
+        for statistics in Statistics:
+            basis, model, spin, q, _ = verify._draw(Random(seed), statistics)
+            parts = (basis, model, statistics, spin, q)
+            text = "|".join(map(repr, parts))
+            assert verify._digest(*parts) == hashlib.sha1(text.encode()).hexdigest()[:10]
+
+
+# with CPython's built-in _sha1 blocked, verify takes its SHA-1 from hashlib
+HASHLIB_FALLBACK = """\
+import sys
+sys.modules["_sha1"] = None
+from fockabs import verify
+from fockabs.cli_io import main
+assert verify.sha1 is sys.modules["hashlib"].sha1
+sys.exit(main(["verify", "--trials", "40", "--seed", "7"]))
+"""
+
+
+def test_the_hashlib_fallback_prints_the_golden_stream_byte_for_byte():
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", HASHLIB_FALLBACK],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == GOLDEN.read_bytes()
+
+
+def test_trial_records_are_frozen_and_hold_no_instance_dict():
+    record = verify_closed_forms(1).records[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.status = "ok"
 
 
 @pytest.mark.parametrize("seed", [-1, -7])
