@@ -230,6 +230,9 @@ class Wavepacket:
 
 def mode_wavefunction(basis: ModeBasis, mode_index: int, q: tuple[float, ...]) -> complex:
     """Plane-wave value exp(i p.Q / hbar) / sqrt(V) for one mode."""
+    # bool is an int subclass, but not a mode index
+    if type(mode_index) is not int:
+        raise ValueError(f"mode indices must be integers, got {mode_index!r}")
     if not 0 <= mode_index < basis.n_modes:
         raise IndexError(f"mode index {mode_index} out of range")
     if len(q) != basis.dim:
@@ -288,6 +291,9 @@ def field_annihilate(
     state: FockState, basis: ModeBasis, q: tuple[float, ...], spin: int
 ) -> FockState:
     """Apply sum_q psi_q(Q) a_(q, spin) over the modes some ket occupies at ``spin``."""
+    # bool is an int subclass, and True == 1 and False == 0 would pass the set check
+    if type(spin) is not int:
+        raise ValueError(f"spin labels must be integers, got {spin!r}")
     if spin not in basis.spins:
         raise ValueError(f"spin {spin} not in basis spin set")
     if len(q) != basis.dim:

@@ -199,6 +199,16 @@ def test_a_mode_number_too_long_to_print_is_named(n, shown):
         pytest.param(lambda: create(vacuum(BOSE), SlotKey(0, True)), id="slot-spin"),
         pytest.param(lambda: ModeBasis([1.0], [(0,)], spins=(True,)),
                      id="basis-spin"),
+        pytest.param(lambda: mode_wavefunction(cos_basis(), True, (0.0,)),
+                     id="wavefunction-index"),
+        pytest.param(lambda: mode_wavefunction(cos_basis(), 1.0, (0.0,)),
+                     id="wavefunction-float-index"),
+        # True == 1 and False == 0 are in the spin set (0, 1); on the vacuum
+        # no slot reaches the ladder algebra's own check
+        pytest.param(lambda: field_annihilate(vacuum(BOSE), cos_basis(), (0.0,), True),
+                     id="field-spin-true"),
+        pytest.param(lambda: field_annihilate(vacuum(BOSE), cos_basis(), (0.0,), False),
+                     id="field-spin-false"),
     ],
 )
 def test_bool_is_not_a_mode_index_or_spin_label(build):
@@ -302,8 +312,15 @@ def test_mode_wavefunction_box_normalized_everywhere():
 
 
 def test_mode_wavefunction_index_error():
-    with pytest.raises(IndexError):
-        mode_wavefunction(cos_basis(), 3, cos_basis().position((0.0,)))
+    for index in (3, -1, -4):
+        with pytest.raises(IndexError, match=f"mode index {index} out of range"):
+            mode_wavefunction(cos_basis(), index, cos_basis().position((0.0,)))
+
+
+@pytest.mark.parametrize("q", [(), (0.0, 0.0)])
+def test_mode_wavefunction_rejects_a_position_of_another_dimension(q):
+    with pytest.raises(ValueError, match=f"position dim {len(q)} does not match basis 1"):
+        mode_wavefunction(cos_basis(), 0, q)
 
 
 def test_cos_packet_amplitude():
@@ -443,8 +460,20 @@ def test_field_annihilate_kills_vacuum():
 
 def test_field_annihilate_rejects_unknown_spin():
     basis = cos_basis()
-    with pytest.raises(ValueError):
-        field_annihilate(vacuum(BOSE), basis, basis.position((0.0,)), 9)
+    state = packet_state(Wavepacket(basis, (1.0, 0.0, 0.0), 0), BOSE)
+    for spin in (9, 2, -1):
+        for target in (vacuum(BOSE), state):
+            with pytest.raises(ValueError, match=f"spin {spin} not in basis spin set"):
+                field_annihilate(target, basis, basis.position((0.0,)), spin)
+
+
+@pytest.mark.parametrize("q", [(), (0.0, 0.0)])
+def test_field_annihilate_rejects_a_position_of_another_dimension(q):
+    basis = cos_basis()
+    state = packet_state(Wavepacket(basis, (1.0, 0.0, 0.0), 0), BOSE)
+    for target in (vacuum(BOSE), state):
+        with pytest.raises(ValueError, match=f"position dim {len(q)} does not match basis 1"):
+            field_annihilate(target, basis, q, 0)
 
 
 def test_vacuum_projection_recovers_wavefunction():

@@ -1,6 +1,7 @@
 """Ladder-operator algebra on sparse occupation states."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from fockabs import (
     inner_product,
     vacuum,
 )
-from fockabs.fock_core import OCCUPATION_CAP
+from fockabs.fock_core import OCCUPATION_CAP, ladder_sum
 from helpers import check_commutation, ket, superpose
 
 BOSE = Statistics.BOSE
@@ -82,6 +83,41 @@ def test_pauli_exclusion_on_random_states():
         state = random_state(rng, FERMI, slots)
         for slot in slots:
             assert create(create(state, slot), slot).is_zero()
+
+
+SLOT_ENTRY_POINTS = {
+    "create": create,
+    "annihilate": annihilate,
+    "ladder_sum-raising": lambda state, slot: ladder_sum(state, [(1.0, slot)], raising=True),
+    "ladder_sum-lowering": lambda state, slot: ladder_sum(state, [(1.0, slot)], raising=False),
+    # the bad slot is checked even when it follows a good one
+    "ladder_sum-second": lambda state, slot: ladder_sum(
+        state, [(1.0, SlotKey(0, 0)), (2.0, slot)], raising=False
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SLOT_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "slot, message",
+    [
+        pytest.param(SlotKey(-1, 0), "slot indices must be nonnegative", id="negative-mode"),
+        pytest.param(SlotKey(0, -1), "slot indices must be nonnegative", id="negative-spin"),
+        pytest.param(SlotKey(-2, -3), "slot indices must be nonnegative", id="both-negative"),
+        pytest.param(SlotKey(1.0, 0), "slot components must be integers", id="float-mode"),
+        pytest.param(SlotKey(0, 0.0), "slot components must be integers", id="float-spin"),
+        pytest.param(SlotKey(-1.0, 0), "slot components must be integers", id="negative-float"),
+        pytest.param(SlotKey(False, 0), "slot components must be integers", id="bool-mode"),
+    ],
+)
+def test_every_entry_point_validates_slots(entry, slot, message):
+    apply = SLOT_ENTRY_POINTS[entry]
+    for statistics in (BOSE, FERMI):
+        # the check does not depend on the state: the zero state has no ket to act on
+        one = create(vacuum(statistics), SlotKey(0, 0))
+        for state in (FockState(statistics), vacuum(statistics), one):
+            with pytest.raises(ValueError, match=re.escape(f"{message}, got {slot!r}")):
+                apply(state, slot)
 
 
 def test_annihilate_vacuum_gives_zero_state():
