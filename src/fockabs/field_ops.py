@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -189,7 +190,9 @@ class ModeBasis:
             raise ValueError(
                 f"expected rows of {self.dim} coordinates, got shape {rows.shape}"
             )
-        if not np.isfinite(rows).all():
+        # counted, not .all(): ndarray.all() goes through a Python-level wrapper,
+        # which costs a one-row call more than the test itself
+        if np.count_nonzero(np.isfinite(rows)) != rows.size:
             raise ValueError("position coordinates must be finite")
         lengths = self.length_array
         wrapped = np.mod(rows, lengths)
@@ -233,11 +236,13 @@ def mode_wavefunction(basis: ModeBasis, mode_index: int, q: tuple[float, ...]) -
     # bool is an int subclass, but not a mode index
     if type(mode_index) is not int:
         raise ValueError(f"mode indices must be integers, got {mode_index!r}")
-    if not 0 <= mode_index < basis.n_modes:
+    momenta = basis.momenta
+    if not 0 <= mode_index < len(momenta):
         raise IndexError(f"mode index {mode_index} out of range")
-    if len(q) != basis.dim:
-        raise ValueError(f"position dim {len(q)} does not match basis {basis.dim}")
-    phase = sum(p * x for p, x in zip(basis.momenta[mode_index], q))
+    dim = len(basis.box_lengths)
+    if len(q) != dim:
+        raise ValueError(f"position dim {len(q)} does not match basis {dim}")
+    phase = sum(map(mul, momenta[mode_index], q))
     # numpy's complex / real multiplies by the reciprocal; doing so here keeps its bits
     return cmath.exp(1j * phase / basis.hbar) * (1.0 / math.sqrt(basis.volume))
 
@@ -251,10 +256,8 @@ def phase_matrix(basis: ModeBasis, coords: np.ndarray) -> np.ndarray:
 
 def mean_kinetic_energy(packet: Wavepacket) -> float:
     """Expectation of |p|^2 / 2m in the packet."""
-    return sum(
-        abs(a) ** 2 * energy
-        for a, energy in zip(packet.amplitudes, packet.basis.kinetic_energies)
-    )
+    energies = packet.basis.kinetic_energies
+    return sum([abs(a) ** 2 * energy for a, energy in zip(packet.amplitudes, energies)])
 
 
 def apply_packet_creation(state: FockState, packet: Wavepacket) -> FockState:
@@ -298,6 +301,7 @@ def field_annihilate(
         raise ValueError(f"spin {spin} not in basis spin set")
     if len(q) != basis.dim:
         raise ValueError(f"position dim {len(q)} does not match basis {basis.dim}")
-    modes = {s.mode for ket in state.terms for s, _ in ket if s.spin == spin}
-    weighted_slots = [(mode_wavefunction(basis, i, q), SlotKey(i, spin)) for i in sorted(modes)]
+    # the occupied slots at the spin, in mode order
+    slots = sorted({s for ket in state.terms for s, _ in ket if s.spin == spin})
+    weighted_slots = [(mode_wavefunction(basis, s.mode, q), s) for s in slots]
     return ladder_sum(state, weighted_slots, raising=False)

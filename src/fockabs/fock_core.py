@@ -19,8 +19,10 @@ that literal reference).  ``create`` and ``annihilate`` are its one-slot case.
 Each (slot, ket) step is one scan of the ket, and its results are valid by
 construction rather than re-checked: Pauli exclusion drops a raise onto an
 occupied fermion slot, lowering never adds, and a bosonic raise past
-``OCCUPATION_CAP`` is an error.  The public ``FockState`` constructor still
-rejects a fermionic count above 1.
+``OCCUPATION_CAP`` is an error.  Each slot is checked once, where the pass
+reaches it: its mode and spin must be nonnegative ints, and a bool is not
+one.  The public ``FockState`` constructor still rejects a fermionic count
+above 1.
 
 Operators are time independent; energy bookkeeping happens in the modules
 that know about mode energies.
@@ -57,15 +59,6 @@ class SlotKey(NamedTuple):
 
     mode: int
     spin: int
-
-
-def _validate_slot(slot: SlotKey) -> SlotKey:
-    # bool is an int subclass, but not a mode index or spin label
-    if type(slot.mode) is not int or type(slot.spin) is not int:
-        raise ValueError(f"slot components must be integers, got {slot!r}")
-    if slot.mode < 0 or slot.spin < 0:
-        raise ValueError(f"slot indices must be nonnegative, got {slot!r}")
-    return slot
 
 
 Ket = tuple[tuple[SlotKey, int], ...]
@@ -111,10 +104,6 @@ def vacuum(statistics: Statistics) -> FockState:
     return _valid_state(statistics, {(): 1.0 + 0.0j})
 
 
-def _pruned(terms: dict[Ket, complex]) -> dict[Ket, complex]:
-    return {k: a for k, a in terms.items() if abs(a) > PRUNE_THRESHOLD}
-
-
 def ladder_sum(
     state: FockState,
     weighted_slots: Iterable[tuple[complex, SlotKey]],
@@ -136,7 +125,11 @@ def ladder_sum(
     step = 1 if raising else -1
     out: dict[Ket, complex] = {}
     for coeff, slot in weighted_slots:
-        slot = _validate_slot(slot)
+        # bool is an int subclass, but not a mode index or spin label
+        if type(slot.mode) is not int or type(slot.spin) is not int:
+            raise ValueError(f"slot components must be integers, got {slot!r}")
+        if slot.mode < 0 or slot.spin < 0:
+            raise ValueError(f"slot indices must be nonnegative, got {slot!r}")
         for ket, amp in terms:
             # the slot's count n and its index i, where it is or would be inserted
             n = i = 0
@@ -160,7 +153,13 @@ def ladder_sum(
                 n += step
                 new_ket = head + ((slot, n),) + rest if n else head + rest
                 out[new_ket] = out.get(new_ket, 0.0 + 0.0j) + coeff * term
-    return _valid_state(state.statistics, _pruned(out))
+    # pruned in place, so that the kets that remain keep their order
+    for ket, amp in list(out.items()):
+        if not abs(amp) > PRUNE_THRESHOLD:
+            del out[ket]
+    result = object.__new__(FockState)
+    result.__dict__.update(statistics=state.statistics, terms=out)
+    return result
 
 
 def create(state: FockState, slot: SlotKey) -> FockState:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .fock_core import (
     FockState,
     Ket,
-    SlotKey,
+    _valid_state,
     annihilate,
     inner_product,
     vacuum,
@@ -79,23 +79,26 @@ def second_order_amplitude(
                 f"{particles} particles"
             )
     vac = vacuum(statistics)
-    mode_values = [
-        mode_wavefunction(basis, i, q) for i in range(basis.n_modes)
-    ]
+    # plane waves of the absorbed modes, each computed on first use
+    mode_values: dict[int, complex] = {}
     vacuum_overlap_cache: dict[Ket, complex] = {}
     total = 0.0 + 0.0j
     for ket, amp in particle.terms.items():
-        single = FockState(statistics, {ket: amp})
-        for i in [s.mode for s, _ in ket if s.spin == detector_spin]:
-            lowered = annihilate(single, SlotKey(i, detector_spin))
+        # one ket of a valid state is itself a valid state
+        single = _valid_state(statistics, {ket: amp})
+        for slot in [s for s, _ in ket if s.spin == detector_spin]:
+            lowered = annihilate(single, slot)
             if lowered.is_zero():
                 continue
+            i = slot.mode
             absorbed_energy = basis.kinetic_energies[i]
+            if i not in mode_values:
+                mode_values[i] = mode_wavefunction(basis, i, q)
             for inter_ket, inter_amp in lowered.terms.items():
                 first_factor = mode_values[i] * inter_amp
                 cached = vacuum_overlap_cache.get(inter_ket)
                 if cached is None:
-                    inter_state = FockState(statistics, {inter_ket: 1.0 + 0.0j})
+                    inter_state = _valid_state(statistics, {inter_ket: 1.0 + 0.0j})
                     cached = inner_product(
                         vac, field_annihilate(inter_state, basis, q, detector_spin)
                     )

@@ -119,7 +119,7 @@ def _channel_sum(
     """
     if convention == "mean":
         energy = mean_kinetic_energy(packet)
-        return sum(channel_weight(ch, energy - ch.energy) for ch in model.channels)
+        return sum([channel_weight(ch, energy - ch.energy) for ch in model.channels])
     energies = packet.basis.kinetic_energies
     occupied = [i for i, amp in enumerate(packet.amplitudes) if amp != 0]
     weights = [0j] * len(energies)
@@ -235,17 +235,20 @@ def evaluate_rates(
         bounds = _rate_bounds(packets, model, efficiency, weights, prefactor)
     modes = np.array(columns, dtype=complex).T
     step = max(1, CHUNK_ELEMENTS // basis.n_modes)
-    sums = np.empty((rows, modes.shape[1]), dtype=complex)
-    for start in range(0, rows, step):
-        chunk = slice(start, start + step)
-        sums[chunk] = phase_matrix(basis, wrapped[chunk]) @ modes
+    if rows <= step:
+        sums = phase_matrix(basis, wrapped) @ modes
+    else:
+        sums = np.empty((rows, modes.shape[1]), dtype=complex)
+        for start in range(0, rows, step):
+            chunk = slice(start, start + step)
+            sums[chunk] = phase_matrix(basis, wrapped[chunk]) @ modes
     psi = sums[:, :2]
     density = np.abs(psi) ** 2
     if packets[0].spin == inp.detector_spin:
         rate_order1 = efficiency * density[:, 0]
     else:
         rate_order1 = np.zeros(rows)
-    if not (pair and all(p.spin == inp.detector_spin for p in packets)):
+    if not (pair and packets[0].spin == packets[1].spin == inp.detector_spin):
         terms, rate_order2 = np.zeros((rows, 2), dtype=complex), np.zeros(rows)
     else:
         # each packet's amplitude with its channel weight, absorbed first: a

@@ -43,6 +43,9 @@ except ImportError:
 # largest relative error at which a closed form and the oracle agree
 TOLERANCE = 1e-10
 
+# a record's statistics column: an Enum's value is a property, read per line
+_STATISTICS_TEXT = {s: f"{s.value:<5s}" for s in Statistics}
+
 
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
@@ -62,7 +65,7 @@ class TrialRecord:
     def line(self) -> str:
         return (
             f"trial {self.index:04d} seed={self.seed} cfg={self.digest} "
-            f"order={self.order} {self.statistics.value:<5s} "
+            f"order={self.order} {_STATISTICS_TEXT[self.statistics]} "
             f"{self.packet_kind:<6s} closed={self.rate_closed:.12e} "
             f"oracle={self.rate_oracle:.12e} rel={self.rel_error:.3e} "
             f"{self.status}"
@@ -197,7 +200,7 @@ def _degenerate_support(packet: Wavepacket) -> bool:
 
 
 def _digest(*parts: object) -> str:
-    text = "|".join(repr(p) for p in parts)
+    text = "|".join(map(repr, parts))
     return sha1(text.encode()).hexdigest()[:10]
 
 
@@ -241,7 +244,7 @@ def _compare(
     packets = inp.packets
     basis = packets[0].basis
     statistics, spin, order = inp.statistics, inp.detector_spin, len(packets)
-    kind = "sharp" if all(sum(map(bool, p.amplitudes)) == 1 for p in packets) else "spread"
+    kind = "sharp" if all([sum(map(bool, p.amplitudes)) == 1 for p in packets]) else "spread"
     record = partial(TrialRecord, index, seed, digest, order, statistics)
     batch = evaluate_rates(inp, model, [q])
     if order == 1:

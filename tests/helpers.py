@@ -32,7 +32,7 @@ from fockabs import (
     inner_product,
 )
 from fockabs.field_ops import phase_matrix
-from fockabs.fock_core import Ket, _pruned
+from fockabs.fock_core import PRUNE_THRESHOLD, Ket
 
 
 def ket(counts: dict[SlotKey, int]) -> Ket:
@@ -56,7 +56,7 @@ def superpose(parts: Iterable[tuple[complex, FockState]]) -> FockState:
             out[ket] = out.get(ket, 0.0 + 0.0j) + coeff * amp
     if statistics is None:
         raise ValueError("superpose needs at least one state")
-    return FockState(statistics, _pruned(out))
+    return FockState(statistics, {k: a for k, a in out.items() if abs(a) > PRUNE_THRESHOLD})
 
 
 def check_commutation(
