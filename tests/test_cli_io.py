@@ -1487,6 +1487,12 @@ def test_cli_verify_names_a_negative_seed(capsys):
     assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer, got -1\n")
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_cli_verify_names_a_nonpositive_trial_count(capsys, trials):
+    assert main(["verify", "--trials", str(trials), "--seed", "3"]) == 1
+    assert capsys.readouterr() == ("", f"error: trials must be a positive integer, got {trials}\n")
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
 

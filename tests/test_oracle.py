@@ -27,7 +27,7 @@ from fockabs import (
     verify_closed_forms,
 )
 from fockabs.perturbation import evaluate_rates
-from fockabs.verify import TOLERANCE, _compare
+from fockabs.verify import TOLERANCE, _compare, _oracle
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -267,8 +267,9 @@ def test_cancelling_orderings_compare_against_the_size_of_their_terms():
         pair = AbsorptionInput(packets, 0, FERMI)
         for x in (0.3, 1.1, 2.9, 4.7):
             q = basis.position((x,))
-            record = _compare(pair, model, q, 0, 0, "cancelling")[0]
-            floor = 1e-12 * evaluate_rates(pair, model, [q]).bound_order2
+            batch = evaluate_rates(pair, model, [q])
+            record = _compare(pair, model, q, batch, _oracle(pair, model, q), 0, 0, "cancelling")[0]
+            floor = 1e-12 * batch.bound_order2
             assert record.status == "ok", record.line()
             assert record.rate_closed < floor and record.rate_oracle < floor, record.line()
             rates = (record.rate_closed, record.rate_oracle)
@@ -278,5 +279,5 @@ def test_cancelling_orderings_compare_against_the_size_of_their_terms():
 
 
 def test_verification_rejects_bad_trials():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trials must be a positive integer, got 0$"):
         verify_closed_forms(0)

@@ -1,5 +1,5 @@
-"""The draw stream of ``fockabs verify``, pinned by a golden run, and its
-comparison routine run on parsed configs.
+"""The draw stream of ``fockabs verify``, pinned by a golden run, its
+blocks, and its comparison routine run on parsed configs.
 
 ``golden/verify_seed7_trials40.txt`` is the output of
 ``fockabs verify --trials 40 --seed 7``.  A changed draw, statistics kind,
@@ -9,6 +9,7 @@ relative 1e-9, so the test does not hang on the last bit of libm.
 
 import dataclasses
 import hashlib
+from collections import Counter
 import math
 import os
 import subprocess
@@ -23,7 +24,7 @@ from fockabs.cli_io import main, parse_config
 from fockabs.fock_core import Statistics
 from fockabs.field_ops import ModeBasis, Wavepacket
 from fockabs.perturbation import evaluate_rates
-from fockabs.verify import TOLERANCE, TrialRecord, _compare, verify_closed_forms
+from fockabs.verify import TOLERANCE, TrialRecord, _compare, _oracle, verify_closed_forms
 from helpers import at_order1, readme_range32
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_seed7_trials40.txt"
@@ -109,6 +110,54 @@ def test_a_negative_seed_is_rejected_before_any_draw(monkeypatch, seed):
         verify_closed_forms(3, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [3, 2024])
+def test_a_trials_records_do_not_depend_on_its_block(seed):
+    block = verify._BLOCK
+    longer = verify_closed_forms(3 * block + 5, seed=seed).records
+    for k in (1, block - 1, block, block + 1, 2 * block + 3):
+        records = verify_closed_forms(k, seed=seed).records
+        assert {r.index for r in records} == set(range(k)), k
+        # trials alternate Bose and Fermi, so every run but one trial's has both
+        assert {r.statistics for r in records} == ({Statistics.BOSE} if k == 1 else set(Statistics))
+        assert records == [r for r in longer if r.index < k], k
+
+
+def test_each_input_is_evaluated_and_checked_once(monkeypatch):
+    calls = Counter()
+
+    def count(name):
+        function = getattr(verify, name)
+
+        def counted(*args, **kwargs):
+            if name == "evaluate_rates":
+                convention = args[3] if len(args) > 3 else kwargs.get("energy_convention", "mean")
+                calls[name, convention] += 1
+            else:
+                calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    steps = (
+        "evaluate_rates", "packet_state", "two_particle_state", "first_order_amplitude",
+        "second_order_amplitude", "single_absorption_vacuum_overlap",
+    )
+    for name in steps:
+        count(name)
+    report = verify_closed_forms(60, seed=0)
+    singles = sum(r.packet_kind == "single" for r in report.records)
+    assert report.ok and report.flagged and singles
+    assert calls == {
+        ("evaluate_rates", "mean"): 4 * 60,
+        ("evaluate_rates", "per_mode"): len(report.flagged),
+        "packet_state": 2 * 60,
+        "two_particle_state": 2 * 60,
+        "first_order_amplitude": 2 * 60,
+        "second_order_amplitude": singles,
+        "single_absorption_vacuum_overlap": singles,
+    }
+
+
 def _fermi_pair(text: str) -> str:
     """A README example config run as a fermion pair: ``beam`` and a second,
     distinct packet."""
@@ -151,8 +200,15 @@ def test_compare_passes_every_position_of_a_parsed_config(monkeypatch, text):
     # the oracle takes one point as a tuple, as ModeBasis.position gives it
     positions = list(map(tuple, config.positions.tolist()))
     assert len(positions) == 32 and (math.pi,) in positions
+
+    def records_at(index, q):
+        # both steps, through whatever ``verify.evaluate_rates`` is now
+        batch = verify.evaluate_rates(config.run, config.medium, [q])
+        oracle = _oracle(config.run, config.medium, q)
+        return _compare(config.run, config.medium, q, batch, oracle, index, 0, "config")
+
     for index, q in enumerate(positions):
-        records = _compare(config.run, config.medium, q, index, 0, "config")
+        records = records_at(index, q)
         assert records and not [r.line() for r in records if r.status == "fail"], q
 
     # a closed form that doubles every rate fails wherever the true rate is
@@ -163,7 +219,7 @@ def test_compare_passes_every_position_of_a_parsed_config(monkeypatch, text):
 
     monkeypatch.setattr(verify, "evaluate_rates", doubled)
     for index, q in enumerate(positions):
-        record = _compare(config.run, config.medium, q, index, 0, "config")[0]
+        record = records_at(index, q)[0]
         assert record.status == "fail" or q == (math.pi,), record.line()
 
 
