@@ -43,7 +43,7 @@ from .field_ops import (
 )
 from .medium import MediumChannel, MediumModel, ResonanceError
 from .perturbation import AbsorptionInput, RateBatch, evaluate_rates, proportionality_exponent
-from .verify import verify_closed_forms
+from .verify import EMPTY_TALLY, record_blocks, summary_line, tally
 
 # packet norm^2 offsets above NORMALIZATION_TOLERANCE and up to this are renormalized
 NORMALIZE_WARN_LIMIT = 1e-6
@@ -660,10 +660,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_closed_forms(args.trials, seed=args.seed)
-    for line in report.lines():
-        print(line)
-    return 0 if report.ok else 1
+    # each block's lines are written, and folded into the summary, before the
+    # next block is drawn: no record outlives its block
+    counts = EMPTY_TALLY
+    for block in record_blocks(args.trials, args.seed):
+        sys.stdout.write("".join([record.line() + "\n" for record in block]))
+        counts = tally(block, counts)
+    print(summary_line(counts))
+    failures = counts[1]
+    return 0 if failures == 0 else 1
 
 
 def _cmd_exponent(args: argparse.Namespace) -> int:

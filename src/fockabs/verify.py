@@ -8,7 +8,12 @@ the detector spin and position, and four ``AbsorptionInput``s, and
 closed-form rates, and ``_oracle`` every input's rate from its literal Fock
 state.  Last, ``_compare`` checks each input's closed form against its
 oracle, at either order, and returns its records in trial and input order;
-the blocks change neither the output nor the exit code.  Both orders are
+the blocks change neither the output nor the exit code.  ``record_blocks``
+yields each block's records as the block finishes, and holds nothing of the
+blocks before it, so ``fockabs verify`` writes a block's lines and folds them
+into the summary (``tally``) before it draws the next: its memory does not
+grow with the number of trials.  ``verify_closed_forms`` collects every
+record into a ``VerificationReport`` instead.  Both orders are
 judged by one relative error, whose scale is floored at 1e-12 times the
 ``RateBatch`` bound on the rate being compared.  For spread packets whose
 occupied modes are not degenerate in energy, a mean-energy closed form may
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from random import Random
 
@@ -49,9 +55,10 @@ TOLERANCE = 1e-10
 # closed forms, pure-Python oracle algebra, records) over a whole block
 # rather than input by input cut the process time of a 1000-trial run by 5%
 # at blocks of 1 trial, 10% at 4, 14% at 16, 16% at 64 and 15% at 1000
-# (medians of 5, Python 3.11, 2-CPU Xeon); a bounded block keeps memory
-# flat in the number of trials, where one block per run would hold every
-# trial's objects at once
+# (medians of 5, Python 3.11, 2-CPU Xeon).  A block's draws, closed forms,
+# oracle results and records are all that ``record_blocks`` holds at a time,
+# so a consumer that drops each block's records, as ``fockabs verify`` does,
+# runs in memory that does not grow with the number of trials
 _BLOCK = 16
 
 # a record's statistics column: an Enum's value is a property, read per line
@@ -115,14 +122,48 @@ class VerificationReport:
 
     def lines(self) -> list[str]:
         body = [r.line() for r in self.records]
-        body.append(
-            f"comparisons={len(self.records)} failures={len(self.failures)} "
-            f"flagged={len(self.flagged)} "
-            f"max_rel_first={self.max_rel_error(order=1):.3e} "
-            f"max_rel_second_sharp="
-            f"{self.max_rel_error(order=2, packet_kind='sharp'):.3e}"
-        )
+        body.append(summary_line(tally(self.records)))
         return body
+
+
+# the tally of no records: comparisons, failures, flagged, and the largest
+# rel_error of the non-flagged first-order and sharp second-order records,
+# None until one is seen
+EMPTY_TALLY = (0, 0, 0, None, None)
+
+
+def tally(records: Iterable[TrialRecord], counts: tuple = EMPTY_TALLY) -> tuple:
+    """``counts`` with ``records`` folded in.
+
+    Folding the blocks of a run one by one gives the tally of all its
+    records, with the maxima that ``VerificationReport.max_rel_error``
+    gives, NaN included: a maximum keeps its first value unless a later one
+    is larger, as ``max`` does.
+    """
+    comparisons, failures, flagged, first, second_sharp = counts
+    for r in records:
+        comparisons += 1
+        status = r.status
+        if status == "flagged":
+            flagged += 1
+            continue
+        if status == "fail":
+            failures += 1
+        if r.order == 1:
+            first = r.rel_error if first is None else max(first, r.rel_error)
+        elif r.packet_kind == "sharp":
+            second_sharp = r.rel_error if second_sharp is None else max(second_sharp, r.rel_error)
+    return comparisons, failures, flagged, first, second_sharp
+
+
+def summary_line(counts: tuple) -> str:
+    """The last line of a verification run, from its ``tally``."""
+    comparisons, failures, flagged, first, second_sharp = counts
+    return (
+        f"comparisons={comparisons} failures={failures} flagged={flagged} "
+        f"max_rel_first={0.0 if first is None else first:.3e} "
+        f"max_rel_second_sharp={0.0 if second_sharp is None else second_sharp:.3e}"
+    )
 
 
 def _rate_error(batch: RateBatch, order: int, oracle_rate: float) -> float:
@@ -299,20 +340,22 @@ def _compare(
     return records
 
 
-def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
-    """Compare closed-form and brute-force rates on random configurations.
+def record_blocks(trials: int, seed: int = 0) -> Iterator[list[TrialRecord]]:
+    """The records of ``trials`` trials from ``seed``, one list per block of
+    ``_BLOCK`` trials, in trial and input order.
 
     Each trial draws a fresh basis, medium and detector position, then
     compares first- and second-order rates with both sharp and spread
     packets.  Statistics alternate between trials so both kinds are always
-    covered.
+    covered.  The arguments are checked when the first block is asked for,
+    before any draw.
     """
-    if trials < 1:
+    # bool is an int subclass, but not a count of trials or a seed
+    if type(trials) is not int or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials}")
-    # checked before any draw: Random would silently seed with a negative seed's absolute value
-    if seed < 0:
+    # Random would silently seed with a negative seed's absolute value
+    if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    report = VerificationReport()
     for start in range(0, trials, _BLOCK):
         checks = []  # (input, medium, position, trial index, trial seed, digest)
         for index in range(start, min(start + _BLOCK, trials)):
@@ -323,6 +366,15 @@ def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
             checks += [(inp, model, q, index, trial_seed, digest) for inp in inputs]
         batches = [evaluate_rates(inp, model, [q]) for inp, model, q, *_ in checks]
         oracles = [_oracle(inp, model, q) for inp, model, q, *_ in checks]
+        records = []
         for (inp, model, q, *trial), batch, oracle in zip(checks, batches, oracles):
-            report.records += _compare(inp, model, q, batch, oracle, *trial)
-    return report
+            records += _compare(inp, model, q, batch, oracle, *trial)
+        yield records
+
+
+def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
+    """Compare closed-form and brute-force rates on random configurations.
+
+    The report holds every record of ``record_blocks(trials, seed)``.
+    """
+    return VerificationReport([r for block in record_blocks(trials, seed) for r in block])

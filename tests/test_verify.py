@@ -1,5 +1,6 @@
 """The draw stream of ``fockabs verify``, pinned by a golden run, its
-blocks, and its comparison routine run on parsed configs.
+blocks, the command that writes them as they finish and its summary, its
+argument checks, and its comparison routine run on parsed configs.
 
 ``golden/verify_seed7_trials40.txt`` is the output of
 ``fockabs verify --trials 40 --seed 7``.  A changed draw, statistics kind,
@@ -7,11 +8,14 @@ packet kind or status shows as a changed field; the rates are compared to a
 relative 1e-9, so the test does not hang on the last bit of libm.
 """
 
+import argparse
 import dataclasses
 import hashlib
+import io
 from collections import Counter
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +24,7 @@ from random import Random
 import pytest
 
 from fockabs import verify
-from fockabs.cli_io import main, parse_config
+from fockabs.cli_io import _cmd_verify, main, parse_config
 from fockabs.fock_core import Statistics
 from fockabs.field_ops import ModeBasis, Wavepacket
 from fockabs.perturbation import evaluate_rates
@@ -108,6 +112,34 @@ def test_a_negative_seed_is_rejected_before_any_draw(monkeypatch, seed):
     message = f"seed must be a nonnegative integer, got {seed}"
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_closed_forms(3, seed=seed)
+
+
+@pytest.mark.parametrize(
+    ("trials", "seed", "message"),
+    [
+        (True, 0, "trials must be a positive integer, got True"),
+        (2.5, 0, "trials must be a positive integer, got 2.5"),
+        (3.0, 0, "trials must be a positive integer, got 3.0"),
+        (3, False, "seed must be a nonnegative integer, got False"),
+        (3, True, "seed must be a nonnegative integer, got True"),
+        (3, 1.5, "seed must be a nonnegative integer, got 1.5"),
+        (3, 2.0, "seed must be a nonnegative integer, got 2.0"),
+    ],
+)
+def test_a_bool_or_non_int_argument_is_rejected_before_any_draw(
+    monkeypatch, capsys, trials, seed, message
+):
+    # bool is an int subclass, and a float would reach range() or the seed
+    def no_draw(*args):
+        raise AssertionError("drew a trial")
+
+    monkeypatch.setattr(verify, "_draw", no_draw)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_closed_forms(trials, seed=seed)
+    # the command line's own consumer of the blocks writes no line either
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _cmd_verify(argparse.Namespace(trials=trials, seed=seed))
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("seed", [3, 2024])
@@ -308,3 +340,112 @@ def test_draws_use_random_alone_and_cover_the_domain(monkeypatch):
     }
     # the Fermi sharp pair that lands in one mode and spin is moved, not lost
     assert collisions
+
+
+def _summary_from_the_report(report) -> str:
+    """The summary line from the report's own properties, not from ``tally``."""
+    return (
+        f"comparisons={len(report.records)} failures={len(report.failures)} "
+        f"flagged={len(report.flagged)} "
+        f"max_rel_first={report.max_rel_error(order=1):.3e} "
+        f"max_rel_second_sharp={report.max_rel_error(order=2, packet_kind='sharp'):.3e}"
+    )
+
+
+def _cli_matches_the_library(capsys, trials: int, seed: int):
+    """The command line's bytes and exit code against the library's report."""
+    code = main(["verify", "--trials", str(trials), "--seed", str(seed)])
+    out, err = capsys.readouterr()
+    report = verify_closed_forms(trials, seed=seed)
+    assert out == "\n".join(report.lines()) + "\n"
+    assert (code, err) == (0 if report.ok else 1, "")
+    assert report.lines()[-1] == _summary_from_the_report(report)
+    return report
+
+
+def test_the_tally_of_any_split_is_the_report_summary():
+    def record(order, kind, rel, status):
+        return TrialRecord(0, 0, "digest", order, Statistics.BOSE, kind, 0.0, 0.0, rel, status)
+
+    # a NaN first stays the maximum, as max() keeps it; flagged records and
+    # single-absorption checks are in no maximum
+    records = [
+        record(1, "sharp", math.nan, "fail"),
+        record(1, "spread", 1e-3, "fail"),
+        record(2, "spread", 0.7, "flagged"),
+        record(2, "sharp", 2e-12, "ok"),
+        record(2, "single", 1.0, "fail"),
+        record(2, "sharp", 0.9, "flagged"),
+        record(2, "sharp", 3e-12, "ok"),
+    ]
+    want = "comparisons=7 failures=3 flagged=2 max_rel_first=nan max_rel_second_sharp=3.000e-12"
+    assert _summary_from_the_report(verify.VerificationReport(records)) == want
+    for split in range(len(records) + 1):
+        counts = verify.tally(records[split:], verify.tally(records[:split]))
+        assert verify.summary_line(counts) == want, split
+    assert verify.summary_line(verify.tally([])) == (
+        "comparisons=0 failures=0 flagged=0 max_rel_first=0.000e+00 max_rel_second_sharp=0.000e+00"
+    )
+
+
+_B = verify._BLOCK
+
+
+@pytest.mark.parametrize("seed", [3, 2024])
+@pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+def test_the_cli_writes_the_library_report_byte_for_byte(capsys, trials, seed):
+    report = _cli_matches_the_library(capsys, trials, seed)
+    assert {r.index for r in report.records} == set(range(trials))
+
+
+def test_the_cli_summary_counts_failures_across_blocks(monkeypatch, capsys):
+    def doubled(*args):
+        batch = evaluate_rates(*args)
+        return batch._replace(rate_order1=2 * batch.rate_order1, rate_order2=2 * batch.rate_order2)
+
+    monkeypatch.setattr(verify, "evaluate_rates", doubled)
+    report = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
+    # failures in the last, partial block too
+    assert {r.index // _B for r in report.failures} == {0, 1, 2}
+
+
+def test_the_cli_summary_leaves_flagged_records_out_of_its_maxima(monkeypatch, capsys):
+    # a doubled mean-energy pair rate on packets taken as spread in energy
+    # flags every sharp pair that the per-mode form matches, with rel=5e-01:
+    # the maxima must not see those, only the sharp pairs of zero rate
+    def doubled_mean(inp, model, coords, energy_convention="mean"):
+        batch = evaluate_rates(inp, model, coords, energy_convention)
+        if energy_convention == "mean":
+            batch = batch._replace(rate_order2=2 * batch.rate_order2)
+        return batch
+
+    monkeypatch.setattr(verify, "evaluate_rates", doubled_mean)
+    monkeypatch.setattr(verify, "_degenerate_support", lambda packet: False)
+    report = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
+    flagged_sharp = [r for r in report.flagged if r.packet_kind == "sharp"]
+    assert {r.index // _B for r in flagged_sharp} == {0, 1, 2}
+    assert report.max_rel_error(order=2, packet_kind="sharp") < min(
+        r.rel_error for r in flagged_sharp
+    )
+
+
+def test_the_cli_writes_each_block_before_it_draws_the_next(monkeypatch):
+    trials, seed = 3 * _B + 5, 11
+    records = verify_closed_forms(trials, seed=seed).records
+    per_block = Counter(r.index // _B for r in records)
+    # record lines of the blocks before each block, from the library's records
+    written_before = [sum(per_block[b] for b in range(block)) for block in range(4)]
+
+    out = io.StringIO()
+    written_at_draw = []
+    draw = verify._draw
+
+    def noting_draw(*args):
+        written_at_draw.append(out.getvalue().count("\n"))
+        return draw(*args)
+
+    monkeypatch.setattr(verify, "_draw", noting_draw)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "--trials", str(trials), "--seed", str(seed)]) == 0
+    assert written_at_draw == [written_before[index // _B] for index in range(trials)]
+    assert out.getvalue().count("\n") == len(records) + 1
