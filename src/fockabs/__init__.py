@@ -38,6 +38,7 @@ from .perturbation import (
     AbsorptionInput,
     IndistinguishableFermionsError,
     RateBatch,
+    evaluate_inputs,
     evaluate_rates,
     log_log_slope,
     proportionality_exponent,
@@ -83,6 +84,7 @@ __all__ = [
     "create",
     "efficiency_factor",
     "emit_csv",
+    "evaluate_inputs",
     "evaluate_rates",
     "field_annihilate",
     "first_order_amplitude",

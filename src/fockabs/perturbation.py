@@ -183,86 +183,98 @@ def _rate_bounds(
     return bound1, bound2
 
 
-def evaluate_rates(
-    inp: AbsorptionInput,
+def evaluate_inputs(
+    inputs: Sequence[AbsorptionInput],
     model: MediumModel,
     coords: Sequence[Sequence[float]] | np.ndarray,
     energy_convention: str = "mean",
-) -> RateBatch:
-    """Closed-form amplitudes, densities and rates at every position.
+) -> list[RateBatch]:
+    """Closed-form amplitudes, densities and rates of each input at every position.
 
-    Both second-order orderings carry Kronecker deltas forcing each packet
-    spin to equal the detector spin; the packet_b-first term carries the
+    The one or more inputs share one basis, or ValueError.  Both
+    second-order orderings carry Kronecker deltas forcing each packet spin
+    to equal the detector spin; the packet_b-first term carries the
     statistics sign (+ bosons, - fermions) inherited from commuting the
     field operator through the first-created packet.  Channel weights do
     not depend on position and are computed once per packet, before any
     position, so a resonant denominator raises ResonanceError even where
     the spin deltas zero the rate.  A rate that has no finite bound raises
     ParameterError before any position, at first order for order-2 inputs
-    too, which carry ``rate_order1``.  An ``energy_convention`` other than
-    "mean" or "per_mode" raises ValueError first, for one packet too.
-    Positions go through the phase matrix in chunks of at most
-    CHUNK_ELEMENTS entries.
+    too, which carry ``rate_order1``.  The first rejected input raises its
+    own error.  An ``energy_convention`` other than "mean" or "per_mode"
+    raises ValueError first.  The positions are wrapped once, and each chunk
+    of at most CHUNK_ELEMENTS phase-matrix entries is built once for all
+    inputs; each input's product with it is its own, so each ``RateBatch``
+    is bit for bit that of ``evaluate_rates``.
     """
     if energy_convention not in ("mean", "per_mode"):
         raise ValueError(f"unknown energy convention {energy_convention!r}")
-    packets = inp.packets
-    pair = len(packets) == 2
-    basis = packets[0].basis
+    basis = inputs[0].packets[0].basis
+    # count compares by identity first, so one shared basis costs no __eq__
+    if [inp.packets[0].basis for inp in inputs].count(basis) != len(inputs):
+        raise ValueError("inputs live on different bases")
     wrapped = basis.wrap(coords)
     rows = len(wrapped)
-    # one column per mode sum: each packet's amplitudes (a zero packet_b for
-    # one packet) and, with per-mode weights, each packet's weighted
-    # amplitudes.  There are always at least two: BLAS hands a one-column
-    # product to threaded matrix-vector code that ran 100-1000x slower on a
-    # 2-core machine.
-    columns = [p.amplitudes for p in packets]
     efficiency = efficiency_factor(model, basis)
-    if not pair:
-        columns.append((0,) * basis.n_modes)
-        bounds = _rate_bounds(packets, model, efficiency)
-    else:
-        if not model.channels:
+    prefactor = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
+    prepared = []  # (input, mode columns, channel weights, bounds) per input
+    for inp in inputs:
+        packets = inp.packets
+        # one column per mode sum: each packet's amplitudes (a zero packet_b for
+        # one packet) and, with per-mode weights, each packet's weighted ones.
+        # There are always at least two: BLAS hands a one-column product to
+        # threaded matrix-vector code that ran 100-1000x slower on 2 cores.
+        columns = [p.amplitudes for p in packets]
+        weights = None
+        if len(packets) == 1:
+            columns.append((0,) * basis.n_modes)
+        elif not model.channels:
             raise ValueError("second-order rates require at least one medium channel")
-        weights = [_channel_sum(p, model, energy_convention) for p in packets]
-        per_mode = energy_convention == "per_mode"
-        if per_mode:
-            columns += [
-                [a * w for a, w in zip(p.amplitudes, ws)]
-                for p, ws in zip(packets, weights)
-            ]
-        prefactor = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
+        else:
+            weights = [_channel_sum(p, model, energy_convention) for p in packets]
+            if energy_convention == "per_mode":
+                columns += [
+                    [a * w for a, w in zip(p.amplitudes, ws)] for p, ws in zip(packets, weights)
+                ]
         bounds = _rate_bounds(packets, model, efficiency, weights, prefactor)
-    modes = np.array(columns, dtype=complex).T
+        prepared.append((inp, np.array(columns, dtype=complex).T, weights, bounds))
     step = max(1, CHUNK_ELEMENTS // basis.n_modes)
-    if rows <= step:
-        sums = phase_matrix(basis, wrapped) @ modes
-    else:
-        sums = np.empty((rows, modes.shape[1]), dtype=complex)
-        for start in range(0, rows, step):
-            chunk = slice(start, start + step)
-            sums[chunk] = phase_matrix(basis, wrapped[chunk]) @ modes
-    psi = sums[:, :2]
-    density = np.abs(psi) ** 2
-    if packets[0].spin == inp.detector_spin:
-        rate_order1 = efficiency * density[:, 0]
-    else:
-        rate_order1 = np.zeros(rows)
-    if not (pair and packets[0].spin == packets[1].spin == inp.detector_spin):
-        terms, rate_order2 = np.zeros((rows, 2), dtype=complex), np.zeros(rows)
-    else:
-        # each packet's amplitude with its channel weight, absorbed first: a
-        # mean-energy weight is a common factor of the packet's mode sum
-        first = sums[:, 2:] if per_mode else psi * weights
-        # (packet_b first, packet_a first): each times the other's amplitude
-        terms = first[:, ::-1] * psi
-        if inp.statistics is Statistics.FERMI:
-            terms[:, 0] *= -1.0
-        rate_order2 = prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2
-    return RateBatch(
-        wrapped, psi[:, 0], psi[:, 1], density[:, 0], density[:, 1],
-        rate_order1, rate_order2, terms, *bounds,
-    )
+    parts = []  # each chunk's mode sums, one array per input
+    for start in range(0, max(rows, 1), step):
+        phase = phase_matrix(basis, wrapped[start:start + step])
+        parts.append([phase @ modes for _, modes, _, _ in prepared])
+    sums = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+    batches = []
+    for (inp, _, weights, bounds), mode_sums in zip(prepared, sums):
+        packets, spin = inp.packets, inp.detector_spin
+        psi = mode_sums[:, :2]
+        density = np.abs(psi) ** 2
+        rate_order1 = efficiency * density[:, 0] if packets[0].spin == spin else np.zeros(rows)
+        if not (weights and packets[0].spin == packets[1].spin == spin):
+            terms, rate_order2 = np.zeros((rows, 2), dtype=complex), np.zeros(rows)
+        else:
+            # each packet's amplitude with its channel weight, absorbed first:
+            # a mean-energy weight is a common factor of the packet's mode sum
+            first = mode_sums[:, 2:] if energy_convention == "per_mode" else psi * weights
+            # (packet_b first, packet_a first): each times the other's amplitude
+            terms = first[:, ::-1] * psi
+            if inp.statistics is Statistics.FERMI:
+                terms[:, 0] *= -1.0
+            rate_order2 = prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2
+        batches.append(RateBatch(
+            wrapped, psi[:, 0], psi[:, 1], density[:, 0], density[:, 1],
+            rate_order1, rate_order2, terms, *bounds,
+        ))
+    return batches
+
+
+def evaluate_rates(
+    inp: AbsorptionInput, model: MediumModel,
+    coords: Sequence[Sequence[float]] | np.ndarray, energy_convention: str = "mean",
+) -> RateBatch:
+    """Closed-form amplitudes, densities and rates of ``inp`` at every
+    position: ``evaluate_inputs``'s one-input case."""
+    return evaluate_inputs([inp], model, coords, energy_convention)[0]
 
 
 def rate_first_order(
@@ -318,10 +330,11 @@ def proportionality_exponent(
 ) -> float:
     """Fit rate ~ density**k over the positions ``coords`` and return k.
 
-    The first-order rate goes as |psi_a|^2 and the second-order rate as
-    |psi_a psi_b|^2, so a pair is fitted against the geometric mean density
-    sqrt(|psi_a|^2 |psi_b|^2): the fit returns 1 for one particle and 2 for
-    any pair of packets.
+    One particle's rate is efficiency * |psi_a|^2, so its fit is 1.  A pair
+    is fitted against sqrt(|psi_a|^2 |psi_b|^2) with the mean-energy rate,
+    which factors one mean energy per packet out of each ordering: it is a
+    constant times |psi_a psi_b|^2, so its fit is 2 by construction, not a
+    test of the exact (per-mode) rate.
     """
     batch = evaluate_rates(inp, model, coords)
     if len(inp.packets) == 2:

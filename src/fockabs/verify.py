@@ -4,22 +4,23 @@
 block in four phases, one per kind of work.  First ``_draw`` draws every
 trial as the domain objects a parsed config also holds: a basis, a medium,
 the detector spin and position, and four ``AbsorptionInput``s, and
-``_digest`` names each draw.  Then ``evaluate_rates`` gives every input's
-closed-form rates, and ``_oracle`` every input's rate from its literal Fock
-state.  Last, ``_compare`` checks each input's closed form against its
-oracle, at either order, and returns its records in trial and input order;
-the blocks change neither the output nor the exit code.  ``record_blocks``
-yields each block's records as the block finishes, and holds nothing of the
-blocks before it, so ``fockabs verify`` writes a block's lines and folds them
-into the summary (``tally``) before it draws the next: its memory does not
-grow with the number of trials.  ``verify_closed_forms`` collects every
-record into a ``VerificationReport`` instead.  Both orders are
-judged by one relative error, whose scale is floored at 1e-12 times the
-``RateBatch`` bound on the rate being compared.  For spread packets whose
-occupied modes are not degenerate in energy, a mean-energy closed form may
-legitimately differ from the oracle; such discrepancies are flagged, not
-failed, after confirming that the per-mode variant of the closed form does
-match the oracle.  Trial ``i`` of seed ``s`` draws from
+``_digest`` names each draw.  Then one ``evaluate_inputs`` call per trial
+gives its four inputs' closed-form rates, and ``_oracle`` every input's rate
+from its literal Fock state.  Last, ``_compare`` checks each input's closed
+form against its oracle, at either order, and returns its records in trial
+and input order; the blocks change neither the output nor the exit code.
+``record_blocks`` yields each block's records as the block finishes, and
+holds nothing of the blocks before it, so ``fockabs verify`` writes a
+block's lines and folds them into the summary (``tally``) before it draws
+the next: its memory does not grow with the number of trials.
+``verify_closed_forms`` collects every record into a ``VerificationReport``
+instead.  Both orders are judged by one relative error, whose scale is
+floored at 1e-12 times the ``RateBatch`` bound on the rate being compared.
+For spread packets whose occupied modes are not degenerate in energy, a
+mean-energy closed form may legitimately differ from the oracle; such
+discrepancies are flagged, not failed, after confirming that the per-mode
+variant of the closed form, one more ``evaluate_rates`` call, does match
+the oracle.  Trial ``i`` of seed ``s`` draws from
 ``random.Random(s * 1000003 + i)`` with ``random()`` alone, a stream that
 Python keeps fixed for a seed; numpy may change its ``Generator``'s.
 """
@@ -40,6 +41,7 @@ from .perturbation import (
     AbsorptionInput,
     IndistinguishableFermionsError,
     RateBatch,
+    evaluate_inputs,
     evaluate_rates,
 )
 
@@ -357,18 +359,19 @@ def record_blocks(trials: int, seed: int = 0) -> Iterator[list[TrialRecord]]:
     if type(seed) is not int or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     for start in range(0, trials, _BLOCK):
-        checks = []  # (input, medium, position, trial index, trial seed, digest)
+        drawn = []  # (inputs, medium, position, trial index, trial seed, digest)
         for index in range(start, min(start + _BLOCK, trials)):
             trial_seed = seed * 1_000_003 + index
             statistics = Statistics.BOSE if index % 2 == 0 else Statistics.FERMI
             basis, model, detector_spin, q, inputs = _draw(Random(trial_seed), statistics)
             digest = _digest(basis, model, statistics, detector_spin, q)
-            checks += [(inp, model, q, index, trial_seed, digest) for inp in inputs]
-        batches = [evaluate_rates(inp, model, [q]) for inp, model, q, *_ in checks]
-        oracles = [_oracle(inp, model, q) for inp, model, q, *_ in checks]
+            drawn.append((inputs, model, q, index, trial_seed, digest))
+        batches = [evaluate_inputs(inputs, model, [q]) for inputs, model, q, *_ in drawn]
+        oracles = [[_oracle(inp, model, q) for inp in inputs] for inputs, model, q, *_ in drawn]
         records = []
-        for (inp, model, q, *trial), batch, oracle in zip(checks, batches, oracles):
-            records += _compare(inp, model, q, batch, oracle, *trial)
+        for (inputs, model, q, *trial), closed, brute in zip(drawn, batches, oracles):
+            for inp, batch, oracle in zip(inputs, closed, brute):
+                records += _compare(inp, model, q, batch, oracle, *trial)
         yield records
 
 

@@ -1515,6 +1515,35 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "error:" in missing.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["verify", "--trials", "300", "--seed", "0"], id="verify"),
+        pytest.param(["scan", "--config", "cfg.yaml"], id="scan"),
+    ],
+)
+def test_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path, args):
+    """A reader that stops after one line, as ``| head -1`` does, leaves no
+    message on stderr and exit code 0.  Both commands write far more than a
+    pipe holds: verify about 300 KB in blocks, scan a 5000-row CSV in one call."""
+    (tmp_path / "cfg.yaml").write_text(readme_range32().replace("count: 32", "count: 5000"))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fockabs", *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    with proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.startswith(b"trial 0000 " if args[0] == "verify" else b"q0,rate_order1,")
+    assert (code, stderr) == (0, b"")
+
+
 # runs every subcommand in one interpreter, then reports on its last stdout line
 # which of hashlib and _hashlib it imported and whether OpenSSL's libcrypto is
 # mapped (None where /proc/self/maps cannot be read)

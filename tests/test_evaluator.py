@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -13,9 +14,12 @@ from fockabs import (
     MediumChannel,
     MediumModel,
     ModeBasis,
+    ParameterError,
+    RateBatch,
     ResonanceError,
     Statistics,
     Wavepacket,
+    evaluate_inputs,
     evaluate_rates,
     lowest_mode_numbers,
     mode_wavefunction,
@@ -344,3 +348,92 @@ def test_the_rate_bounds_hold_at_every_position(seed, convention):
         if len(inp.packets) == 1:
             assert batch.bound_order2 == 0.0
         assert (batch.rate_order2 <= batch.bound_order2 * (1 + REL_TOL)).all()
+
+
+def assert_same_bits(got: RateBatch, want: RateBatch):
+    """Every field equal bit for bit, so that -0.0 is not 0.0 and NaNs match."""
+    for name, g, w in zip(RateBatch._fields, got, want):
+        g, w = np.ascontiguousarray(g), np.ascontiguousarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    statistics=st.sampled_from([BOSE, FERMI]),
+    convention=st.sampled_from(["mean", "per_mode"]),
+    rows=st.sampled_from([0, 1, 2, 7]),
+    rows_per_chunk=st.integers(1, 3),
+)
+def test_each_input_of_a_batch_is_its_own_one_input_call(
+    seed, statistics, convention, rows, rows_per_chunk
+):
+    # verify's draws: 1-3 dimensions, hbar and mass off 1, one packet and a
+    # pair, sharp and spread; the same inputs seen by every other detector
+    # spin add mismatched spins, whose rates the spin deltas zero
+    rng = Random(seed)
+    basis, model, detector_spin, _, inputs = _draw(rng, statistics)
+    inputs += [
+        dataclasses.replace(inp, detector_spin=spin)
+        for inp in inputs
+        for spin in basis.spins
+        if spin != detector_spin
+    ]
+    lengths = basis.box_lengths
+    coords = [[rng.uniform(-1.0, 2.0) * length for length in lengths] for _ in range(rows)]
+    # 7 rows run in three to seven chunks
+    with mock.patch.object(perturbation, "CHUNK_ELEMENTS", rows_per_chunk * basis.n_modes):
+        batches = evaluate_inputs(inputs, model, coords, convention)
+        assert len(batches) == len(inputs)
+        for inp, batch in zip(inputs, batches):
+            assert_same_bits(batch, evaluate_rates(inp, model, coords, convention))
+
+
+def test_a_batch_raises_the_error_of_its_first_rejected_input(monkeypatch):
+    # modes 1 and -1 have kinetic energy 0.5, resonant with "res"; a pair in
+    # mode 0 is clear of both channels, but its weight through "big", about
+    # 3e159, has a second-order rate bound past the largest float
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
+    model = MediumModel(
+        1.0, (MediumChannel("res", 1.0, 1.0, 0.5), MediumChannel("big", 1e150, 1e10, 3.0))
+    )
+    still = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
+    moving = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
+    single = AbsorptionInput((still,), 0)
+    resonant = AbsorptionInput((moving, moving), 0, BOSE)
+    unbounded = AbsorptionInput((still, still), 0, BOSE)
+
+    def error_of(inputs, coords):
+        with pytest.raises(ValueError) as err:
+            evaluate_inputs(inputs, model, coords)
+        return type(err.value), str(err.value)
+
+    alone = {
+        "resonant": error_of([resonant], [(0.5,)]),
+        "unbounded": error_of([unbounded], [(0.5,)]),
+    }
+    assert alone["resonant"][0] is ResonanceError
+    assert alone["unbounded"][0] is ParameterError
+    assert evaluate_inputs([single], model, [(0.5,)])[0].rate_order1.item(0) > 0.0
+
+    def no_position(*args):
+        raise AssertionError("evaluated a position")
+
+    monkeypatch.setattr(perturbation, "phase_matrix", no_position)
+    for coords in ([], [(0.5,)], [(0.1,)] * 5):
+        assert error_of([single, resonant, unbounded], coords) == alone["resonant"]
+        assert error_of([single, unbounded, resonant], coords) == alone["unbounded"]
+
+
+def test_a_batch_lives_on_one_basis():
+    model = MediumModel(1.0, (MediumChannel("ch", 1.0, 1.0, 3.0),))
+
+    def single(length):
+        basis = ModeBasis([length], lowest_mode_numbers(3))
+        return AbsorptionInput((Wavepacket(basis, (1.0, 0.0, 0.0), 0),), 0)
+
+    with pytest.raises(ValueError, match="^inputs live on different bases$"):
+        evaluate_inputs([single(TWO_PI), single(TWO_PI), single(5.0)], model, [(0.5,)])
+    # equal bases, not the same object, are one basis
+    assert len(evaluate_inputs([single(TWO_PI), single(TWO_PI)], model, [(0.5,)])) == 2

@@ -27,7 +27,7 @@ from fockabs import verify
 from fockabs.cli_io import _cmd_verify, main, parse_config
 from fockabs.fock_core import Statistics
 from fockabs.field_ops import ModeBasis, Wavepacket
-from fockabs.perturbation import evaluate_rates
+from fockabs.perturbation import evaluate_inputs, evaluate_rates
 from fockabs.verify import TOLERANCE, TrialRecord, _compare, _oracle, verify_closed_forms
 from helpers import at_order1, readme_range32
 
@@ -161,9 +161,11 @@ def test_each_input_is_evaluated_and_checked_once(monkeypatch):
         function = getattr(verify, name)
 
         def counted(*args, **kwargs):
-            if name == "evaluate_rates":
+            if name.startswith("evaluate_"):
                 convention = args[3] if len(args) > 3 else kwargs.get("energy_convention", "mean")
                 calls[name, convention] += 1
+                if name == "evaluate_inputs":
+                    calls["inputs evaluated"] += len(args[0])
             else:
                 calls[name] += 1
             return function(*args, **kwargs)
@@ -171,16 +173,19 @@ def test_each_input_is_evaluated_and_checked_once(monkeypatch):
         monkeypatch.setattr(verify, name, counted)
 
     steps = (
-        "evaluate_rates", "packet_state", "two_particle_state", "first_order_amplitude",
-        "second_order_amplitude", "single_absorption_vacuum_overlap",
+        "evaluate_inputs", "evaluate_rates", "packet_state", "two_particle_state",
+        "first_order_amplitude", "second_order_amplitude", "single_absorption_vacuum_overlap",
     )
     for name in steps:
         count(name)
     report = verify_closed_forms(60, seed=0)
     singles = sum(r.packet_kind == "single" for r in report.records)
     assert report.ok and report.flagged and singles
+    # one mean-energy call per trial, of its four inputs, and a per-mode
+    # call for each flagged record alone
     assert calls == {
-        ("evaluate_rates", "mean"): 4 * 60,
+        ("evaluate_inputs", "mean"): 60,
+        "inputs evaluated": 4 * 60,
         ("evaluate_rates", "per_mode"): len(report.flagged),
         "packet_state": 2 * 60,
         "two_particle_state": 2 * 60,
@@ -255,6 +260,29 @@ def test_compare_passes_every_position_of_a_parsed_config(monkeypatch, text):
         assert record.status == "fail" or q == (math.pi,), record.line()
 
 
+def _patch_closed_forms(monkeypatch, change, conventions=("mean", "per_mode")):
+    """Make every closed form that verify evaluates under one of ``conventions``,
+    through ``evaluate_inputs`` or ``evaluate_rates`` alike, the batch that
+    ``change`` makes of the true one."""
+
+    def changed(batch, convention):
+        return change(batch) if convention in conventions else batch
+
+    def inputs(inputs, model, coords, energy_convention="mean"):
+        batches = evaluate_inputs(inputs, model, coords, energy_convention)
+        return [changed(batch, energy_convention) for batch in batches]
+
+    def rates(inp, model, coords, energy_convention="mean"):
+        return changed(evaluate_rates(inp, model, coords, energy_convention), energy_convention)
+
+    monkeypatch.setattr(verify, "evaluate_inputs", inputs)
+    monkeypatch.setattr(verify, "evaluate_rates", rates)
+
+
+def _doubled_order2(batch):
+    return batch._replace(rate_order2=2 * batch.rate_order2)
+
+
 def test_degenerate_support_is_relative_to_the_packet_energies():
     # SI scales: a micrometre box holding a proton, where kinetic energies
     # are about 1e-28 J and rounding them to 12 decimals makes them all 0
@@ -277,18 +305,12 @@ def test_a_wrong_mean_energy_rate_fails_on_sharp_pairs(monkeypatch):
     # sharp packets occupy one energy each, so the mean-energy closed form is
     # exact for them: a wrong one must fail there, not be flagged as a
     # convention gap that the per-mode form explains
-    def doubled_mean(inp, model, coords, energy_convention="mean"):
-        batch = evaluate_rates(inp, model, coords, energy_convention)
-        if energy_convention == "mean":
-            batch = batch._replace(rate_order2=2 * batch.rate_order2)
-        return batch
-
     def bound_order2(record: TrialRecord) -> float:
         # the sharp pair of the record's trial, drawn again
         _, model, _, q, inputs = verify._draw(Random(record.seed), record.statistics)
         return evaluate_rates(inputs[2], model, [q]).bound_order2
 
-    monkeypatch.setattr(verify, "evaluate_rates", doubled_mean)
+    _patch_closed_forms(monkeypatch, _doubled_order2, conventions=("mean",))
     # a fermion pair whose orderings cancel has a rate of round-off, and
     # twice round-off is still round-off
     records = [
@@ -399,11 +421,10 @@ def test_the_cli_writes_the_library_report_byte_for_byte(capsys, trials, seed):
 
 
 def test_the_cli_summary_counts_failures_across_blocks(monkeypatch, capsys):
-    def doubled(*args):
-        batch = evaluate_rates(*args)
+    def doubled(batch):
         return batch._replace(rate_order1=2 * batch.rate_order1, rate_order2=2 * batch.rate_order2)
 
-    monkeypatch.setattr(verify, "evaluate_rates", doubled)
+    _patch_closed_forms(monkeypatch, doubled)
     report = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
     # failures in the last, partial block too
     assert {r.index // _B for r in report.failures} == {0, 1, 2}
@@ -413,13 +434,7 @@ def test_the_cli_summary_leaves_flagged_records_out_of_its_maxima(monkeypatch, c
     # a doubled mean-energy pair rate on packets taken as spread in energy
     # flags every sharp pair that the per-mode form matches, with rel=5e-01:
     # the maxima must not see those, only the sharp pairs of zero rate
-    def doubled_mean(inp, model, coords, energy_convention="mean"):
-        batch = evaluate_rates(inp, model, coords, energy_convention)
-        if energy_convention == "mean":
-            batch = batch._replace(rate_order2=2 * batch.rate_order2)
-        return batch
-
-    monkeypatch.setattr(verify, "evaluate_rates", doubled_mean)
+    _patch_closed_forms(monkeypatch, _doubled_order2, conventions=("mean",))
     monkeypatch.setattr(verify, "_degenerate_support", lambda packet: False)
     report = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
     flagged_sharp = [r for r in report.flagged if r.packet_kind == "sharp"]
