@@ -50,7 +50,7 @@ from .oracle import (
     second_order_amplitude,
     single_absorption_vacuum_overlap,
 )
-from .verify import TrialRecord, VerificationReport, verify_closed_forms
+from .verify import TrialRecord, record_blocks
 from .cli_io import (
     ConfigError,
     ExperimentConfig,
@@ -76,7 +76,6 @@ __all__ = [
     "SlotKey",
     "Statistics",
     "TrialRecord",
-    "VerificationReport",
     "Wavepacket",
     "annihilate",
     "apply_packet_creation",
@@ -98,10 +97,10 @@ __all__ = [
     "proportionality_exponent",
     "rate_first_order",
     "rate_second_order",
+    "record_blocks",
     "run_scan",
     "second_order_amplitude",
     "single_absorption_vacuum_overlap",
     "two_particle_state",
     "vacuum",
-    "verify_closed_forms",
 ]

@@ -214,11 +214,16 @@ class Wavepacket:
     spin: int
 
     def __post_init__(self) -> None:
+        # any sequence is accepted; a tuple compares and hashes by value
+        object.__setattr__(self, "amplitudes", tuple(self.amplitudes))
         if len(self.amplitudes) != self.basis.n_modes:
             raise ParameterError(
                 "amplitudes",
                 f"expected {self.basis.n_modes} amplitudes, got {len(self.amplitudes)}",
             )
+        # bool is an int subclass, and True == 1 and False == 0 would pass the set check
+        if type(self.spin) is not int:
+            raise ParameterError("spin", f"spin labels must be integers, got {self.spin!r}")
         if self.spin not in self.basis.spins:
             raise ParameterError("spin", f"{self.spin} not in basis spin set")
         norm_sq = norm_squared(self.amplitudes)

@@ -19,10 +19,10 @@ which reproduces the brute-force enumeration exactly; both conventions
 coincide for sharp packets and for packets whose occupied modes share one
 kinetic energy.
 
-Every rate goes through ``evaluate_rates``, batched over positions, and its
-``RateBatch`` is the one result type; the scalar functions
-``rate_first_order`` and ``rate_second_order`` return the rate of its
-one-row case.
+Every rate goes through ``evaluate_inputs``, batched over inputs and
+positions, and its ``RateBatch`` is the one result type; ``evaluate_rates``
+is its one-input case, and the scalar functions ``rate_first_order`` and
+``rate_second_order`` return the rate of its one-input, one-row case.
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ class AbsorptionInput:
         a, b = packets[0], packets[-1]
         if b.basis != a.basis:
             raise ParameterError("packets", "packets live on different bases")
+        # bool is an int subclass, and True == 1 and False == 0 would pass the set check
+        if type(self.detector_spin) is not int:
+            raise ParameterError(
+                "detector_spin", f"detector spin must be an integer, got {self.detector_spin!r}"
+            )
         if self.detector_spin not in a.basis.spins:
             raise ParameterError(
                 "detector_spin", f"detector spin {self.detector_spin} not in basis spin set"

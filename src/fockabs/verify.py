@@ -1,21 +1,20 @@
 """Randomized comparison of the closed-form rates against the oracle.
 
-``verify_closed_forms`` runs its trials in blocks of ``_BLOCK``, and each
-block in four phases, one per kind of work.  First ``_draw`` draws every
-trial as the domain objects a parsed config also holds: a basis, a medium,
-the detector spin and position, and four ``AbsorptionInput``s, and
-``_digest`` names each draw.  Then one ``evaluate_inputs`` call per trial
-gives its four inputs' closed-form rates, and ``_oracle`` every input's rate
-from its literal Fock state.  Last, ``_compare`` checks each input's closed
-form against its oracle, at either order, and returns its records in trial
-and input order; the blocks change neither the output nor the exit code.
-``record_blocks`` yields each block's records as the block finishes, and
-holds nothing of the blocks before it, so ``fockabs verify`` writes a
-block's lines and folds them into the summary (``tally``) before it draws
-the next: its memory does not grow with the number of trials.
-``verify_closed_forms`` collects every record into a ``VerificationReport``
-instead.  Both orders are judged by one relative error, whose scale is
-floored at 1e-12 times the ``RateBatch`` bound on the rate being compared.
+``record_blocks`` runs its trials in blocks of ``_BLOCK``, and each block in
+four phases, one per kind of work.  First ``_draw`` draws every trial as the
+domain objects a parsed config also holds: a basis, a medium, the detector
+spin and position, and four ``AbsorptionInput``s, and ``_digest`` names each
+draw.  Then one ``evaluate_inputs`` call per trial gives its four inputs'
+closed-form rates, and ``_oracle`` every input's rate from its literal Fock
+state.  Last, ``_compare`` checks each input's closed form against its
+oracle, at either order, and returns its records in trial and input order;
+the blocks change neither the output nor the exit code.  ``record_blocks``
+yields each block's records as the block finishes, and holds nothing of the
+blocks before it, so ``fockabs verify`` writes a block's lines and folds
+them into the summary (``tally``) before it draws the next: its memory does
+not grow with the number of trials.  Both orders are judged by one relative
+error, whose scale is floored at 1e-12 times the ``RateBatch`` bound on the
+rate being compared.
 For spread packets whose occupied modes are not degenerate in energy, a
 mean-energy closed form may legitimately differ from the oracle; such
 discrepancies are flagged, not failed, after confirming that the per-mode
@@ -30,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .fock_core import Statistics
@@ -92,42 +91,6 @@ class TrialRecord:
         )
 
 
-@dataclass
-class VerificationReport:
-    """All comparison records from one verification run."""
-
-    records: list[TrialRecord] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[TrialRecord]:
-        return [r for r in self.records if r.status == "fail"]
-
-    @property
-    def flagged(self) -> list[TrialRecord]:
-        return [r for r in self.records if r.status == "flagged"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def max_rel_error(
-        self, order: int | None = None, packet_kind: str | None = None
-    ) -> float:
-        errors = [
-            r.rel_error
-            for r in self.records
-            if r.status != "flagged"
-            and (order is None or r.order == order)
-            and (packet_kind is None or r.packet_kind == packet_kind)
-        ]
-        return max(errors, default=0.0)
-
-    def lines(self) -> list[str]:
-        body = [r.line() for r in self.records]
-        body.append(summary_line(tally(self.records)))
-        return body
-
-
 # the tally of no records: comparisons, failures, flagged, and the largest
 # rel_error of the non-flagged first-order and sharp second-order records,
 # None until one is seen
@@ -138,9 +101,8 @@ def tally(records: Iterable[TrialRecord], counts: tuple = EMPTY_TALLY) -> tuple:
     """``counts`` with ``records`` folded in.
 
     Folding the blocks of a run one by one gives the tally of all its
-    records, with the maxima that ``VerificationReport.max_rel_error``
-    gives, NaN included: a maximum keeps its first value unless a later one
-    is larger, as ``max`` does.
+    records, NaN included: a maximum keeps its first value unless a later
+    one is larger, as ``max`` does.
     """
     comparisons, failures, flagged, first, second_sharp = counts
     for r in records:
@@ -314,8 +276,8 @@ def _compare(
 ) -> list[TrialRecord]:
     """Compare the closed-form rate of ``inp`` at ``q`` with the oracle's.
 
-    ``batch`` is ``evaluate_rates(inp, model, [q])`` and ``oracle`` is
-    ``_oracle(inp, model, q)``.  One packet gives one first-order record.  A
+    ``batch`` is the batch of ``inp`` from ``evaluate_inputs`` at ``[q]``,
+    and ``oracle`` is ``_oracle(inp, model, q)``.  One packet gives one first-order record.  A
     pair gives its second-order record, and, unless its state is zero, a
     "single" record checking that one interaction absorbs nothing from it.
     A packet is sharp when it occupies one mode.
@@ -374,10 +336,3 @@ def record_blocks(trials: int, seed: int = 0) -> Iterator[list[TrialRecord]]:
                 records += _compare(inp, model, q, batch, oracle, *trial)
         yield records
 
-
-def verify_closed_forms(trials: int, seed: int = 0) -> VerificationReport:
-    """Compare closed-form and brute-force rates on random configurations.
-
-    The report holds every record of ``record_blocks(trials, seed)``.
-    """
-    return VerificationReport([r for block in record_blocks(trials, seed) for r in block])

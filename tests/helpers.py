@@ -7,7 +7,8 @@ are one-position and quadrature helpers for wavepackets;
 ``serialize_config`` renders a parsed config back to YAML for the
 round-trip tests, and ``config_fields`` gives a config's fields in a form
 that ``==`` compares; ``readme_example``, ``readme_range32`` and ``at_order1``
-give the README's example config and its variants.
+give the README's example config and its variants; ``verify_records``
+flattens a ``record_blocks`` run into one list.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from fockabs import (
     ModeBasis,
     SlotKey,
     Statistics,
+    TrialRecord,
     Wavepacket,
     annihilate,
     create,
     inner_product,
+    record_blocks,
 )
 from fockabs.field_ops import phase_matrix
 from fockabs.fock_core import PRUNE_THRESHOLD, Ket
@@ -190,3 +193,8 @@ def at_order1(text: str) -> str:
         assert old in text
         text = text.replace(old, new)
     return text
+
+
+def verify_records(trials: int, seed: int = 0) -> list[TrialRecord]:
+    """Every record of ``record_blocks(trials, seed)``, in trial and input order."""
+    return [r for block in record_blocks(trials, seed) for r in block]

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fockabs import (
+    AbsorptionInput,
     MediumChannel,
     MediumModel,
     ModeBasis,
@@ -29,6 +31,7 @@ def two_channel_model():
 
 # hbar = 1
 UNIT_BASIS = ModeBasis([2 * math.pi], lowest_mode_numbers(3))
+UNIT_PACKET = Wavepacket(UNIT_BASIS, (1.0, 0.0, 0.0), 1)
 
 
 def test_efficiency_factor_unit_values():
@@ -184,6 +187,13 @@ PARAMETER_CASES = [
     # a kinetic energy that overflows to inf in a box whose 1/V is a float
     (lambda: ModeBasis([1e-160], [[0], [1]]), "modes"),
     (lambda: ModeBasis([1.0], [[0]], hbar=0.0), "hbar"),
+    # spins are ints: True == 1.0 == np.int64(1) == 1 would pass the set check
+    (lambda: Wavepacket(UNIT_BASIS, (1.0, 0.0, 0.0), True), "spin"),
+    (lambda: Wavepacket(UNIT_BASIS, (1.0, 0.0, 0.0), 1.0), "spin"),
+    (lambda: Wavepacket(UNIT_BASIS, (1.0, 0.0, 0.0), np.int64(1)), "spin"),
+    (lambda: AbsorptionInput((UNIT_PACKET,), True), "detector_spin"),
+    (lambda: AbsorptionInput((UNIT_PACKET,), 1.0), "detector_spin"),
+    (lambda: AbsorptionInput((UNIT_PACKET,), np.int64(1)), "detector_spin"),
 ]
 
 

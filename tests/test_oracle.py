@@ -20,14 +20,15 @@ from fockabs import (
     packet_state,
     rate_first_order,
     rate_second_order,
+    record_blocks,
     second_order_amplitude,
     single_absorption_vacuum_overlap,
     two_particle_state,
     vacuum,
-    verify_closed_forms,
 )
 from fockabs.perturbation import evaluate_rates
-from fockabs.verify import TOLERANCE, _compare, _oracle
+from fockabs.verify import TOLERANCE, _compare, _oracle, summary_line, tally
+from helpers import verify_records
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -233,25 +234,25 @@ def test_zero_coupling_zeroes_both_sides():
 
 
 def test_verification_harness_smoke():
-    report = verify_closed_forms(20, seed=7)
-    assert report.ok
-    assert not report.failures
-    assert sum(r.order == 1 for r in report.records) >= 40
-    assert sum(r.order == 2 and r.packet_kind == "sharp" for r in report.records) >= 20
-    assert report.max_rel_error(order=1) < 1e-12
-    assert report.max_rel_error(order=2, packet_kind="sharp") < 1e-10
-    # every record renders as one report line with its key fields
-    for rec in report.records[:5]:
+    records = verify_records(20, seed=7)
+    counts = tally(records)
+    _, _, _, max_rel_first, max_rel_second_sharp = counts
+    assert not [r.line() for r in records if r.status == "fail"]
+    assert sum(r.order == 1 for r in records) >= 40
+    assert sum(r.order == 2 and r.packet_kind == "sharp" for r in records) >= 20
+    assert max_rel_first < 1e-12
+    assert max_rel_second_sharp < 1e-10
+    # every record renders as one output line with its key fields
+    for rec in records[:5]:
         line = rec.line()
         assert f"seed={rec.seed}" in line
         assert rec.digest in line
         assert rec.status in line
-    assert "failures=0" in report.lines()[-1]
+    assert "failures=0" in summary_line(counts)
 
 
 def test_verification_flags_are_spread_only():
-    report = verify_closed_forms(30, seed=13)
-    for rec in report.flagged:
+    for rec in [r for r in verify_records(30, seed=13) if r.status == "flagged"]:
         assert rec.packet_kind == "spread"
         assert rec.order == 2
 
@@ -280,4 +281,4 @@ def test_cancelling_orderings_compare_against_the_size_of_their_terms():
 
 def test_verification_rejects_bad_trials():
     with pytest.raises(ValueError, match="^trials must be a positive integer, got 0$"):
-        verify_closed_forms(0)
+        next(record_blocks(0))

@@ -124,6 +124,17 @@ def test_fermi_same_state_input_rejected():
     assert isinstance(err.value, ParameterError) and err.value.field == "packets"
 
 
+def test_a_packet_given_a_list_is_the_packet_given_a_tuple():
+    basis = cos_basis()
+    listed = Wavepacket(basis, [0.0, 0.6, 0.8j], 0)
+    tupled = Wavepacket(basis, (0.0, 0.6, 0.8j), 0)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    # so a fermion pair of the two is one state twice, whichever was a list
+    for pair in ((listed, tupled), (tupled, listed), (listed, listed)):
+        with pytest.raises(IndistinguishableFermionsError):
+            AbsorptionInput(pair, 0, FERMI)
+
+
 def test_fermi_same_amplitudes_different_spins_allowed():
     basis = cos_basis()
     a = Wavepacket(basis, (0.0, 1.0, 0.0), 0)

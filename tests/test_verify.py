@@ -28,8 +28,8 @@ from fockabs.cli_io import _cmd_verify, main, parse_config
 from fockabs.fock_core import Statistics
 from fockabs.field_ops import ModeBasis, Wavepacket
 from fockabs.perturbation import evaluate_inputs, evaluate_rates
-from fockabs.verify import TOLERANCE, TrialRecord, _compare, _oracle, verify_closed_forms
-from helpers import at_order1, readme_range32
+from fockabs.verify import TOLERANCE, TrialRecord, _compare, _oracle
+from helpers import at_order1, readme_range32, verify_records
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_seed7_trials40.txt"
 
@@ -97,7 +97,7 @@ def test_the_hashlib_fallback_prints_the_golden_stream_byte_for_byte():
 
 
 def test_trial_records_are_frozen_and_hold_no_instance_dict():
-    record = verify_closed_forms(1).records[0]
+    record = verify_records(1)[0]
     assert not hasattr(record, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.status = "ok"
@@ -111,7 +111,7 @@ def test_a_negative_seed_is_rejected_before_any_draw(monkeypatch, seed):
     monkeypatch.setattr(verify, "Random", no_draw)
     message = f"seed must be a nonnegative integer, got {seed}"
     with pytest.raises(ValueError, match=f"^{message}$"):
-        verify_closed_forms(3, seed=seed)
+        next(verify.record_blocks(3, seed=seed))
 
 
 @pytest.mark.parametrize(
@@ -135,7 +135,7 @@ def test_a_bool_or_non_int_argument_is_rejected_before_any_draw(
 
     monkeypatch.setattr(verify, "_draw", no_draw)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        verify_closed_forms(trials, seed=seed)
+        next(verify.record_blocks(trials, seed=seed))
     # the command line's own consumer of the blocks writes no line either
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _cmd_verify(argparse.Namespace(trials=trials, seed=seed))
@@ -145,9 +145,9 @@ def test_a_bool_or_non_int_argument_is_rejected_before_any_draw(
 @pytest.mark.parametrize("seed", [3, 2024])
 def test_a_trials_records_do_not_depend_on_its_block(seed):
     block = verify._BLOCK
-    longer = verify_closed_forms(3 * block + 5, seed=seed).records
+    longer = verify_records(3 * block + 5, seed=seed)
     for k in (1, block - 1, block, block + 1, 2 * block + 3):
-        records = verify_closed_forms(k, seed=seed).records
+        records = verify_records(k, seed=seed)
         assert {r.index for r in records} == set(range(k)), k
         # trials alternate Bose and Fermi, so every run but one trial's has both
         assert {r.statistics for r in records} == ({Statistics.BOSE} if k == 1 else set(Statistics))
@@ -178,15 +178,17 @@ def test_each_input_is_evaluated_and_checked_once(monkeypatch):
     )
     for name in steps:
         count(name)
-    report = verify_closed_forms(60, seed=0)
-    singles = sum(r.packet_kind == "single" for r in report.records)
-    assert report.ok and report.flagged and singles
+    records = verify_records(60, seed=0)
+    flagged = sum(r.status == "flagged" for r in records)
+    singles = sum(r.packet_kind == "single" for r in records)
+    assert not [r.line() for r in records if r.status == "fail"]
+    assert flagged and singles
     # one mean-energy call per trial, of its four inputs, and a per-mode
     # call for each flagged record alone
     assert calls == {
         ("evaluate_inputs", "mean"): 60,
         "inputs evaluated": 4 * 60,
-        ("evaluate_rates", "per_mode"): len(report.flagged),
+        ("evaluate_rates", "per_mode"): flagged,
         "packet_state": 2 * 60,
         "two_particle_state": 2 * 60,
         "first_order_amplitude": 2 * 60,
@@ -314,7 +316,7 @@ def test_a_wrong_mean_energy_rate_fails_on_sharp_pairs(monkeypatch):
     # a fermion pair whose orderings cancel has a rate of round-off, and
     # twice round-off is still round-off
     records = [
-        r for r in verify_closed_forms(40, seed=0).records
+        r for r in verify_records(40, seed=0)
         if r.order == 2 and r.packet_kind == "sharp" and r.rate_oracle > 1e-12 * bound_order2(r)
     ]
     assert len(records) > 20
@@ -364,25 +366,35 @@ def test_draws_use_random_alone_and_cover_the_domain(monkeypatch):
     assert collisions
 
 
-def _summary_from_the_report(report) -> str:
-    """The summary line from the report's own properties, not from ``tally``."""
+def _failures(records: list[TrialRecord]) -> list[TrialRecord]:
+    return [r for r in records if r.status == "fail"]
+
+
+def _summary_from_the_records(records: list[TrialRecord]) -> str:
+    """The summary line from the record list itself, not from ``tally``."""
+
+    def worst(keep) -> float:
+        return max([r.rel_error for r in records if r.status != "flagged" and keep(r)], default=0.0)
+
+    first = worst(lambda r: r.order == 1)
+    second_sharp = worst(lambda r: r.order == 2 and r.packet_kind == "sharp")
     return (
-        f"comparisons={len(report.records)} failures={len(report.failures)} "
-        f"flagged={len(report.flagged)} "
-        f"max_rel_first={report.max_rel_error(order=1):.3e} "
-        f"max_rel_second_sharp={report.max_rel_error(order=2, packet_kind='sharp'):.3e}"
+        f"comparisons={len(records)} failures={len(_failures(records))} "
+        f"flagged={sum(r.status == 'flagged' for r in records)} "
+        f"max_rel_first={first:.3e} max_rel_second_sharp={second_sharp:.3e}"
     )
 
 
-def _cli_matches_the_library(capsys, trials: int, seed: int):
-    """The command line's bytes and exit code against the library's report."""
+def _cli_matches_the_library(capsys, trials: int, seed: int) -> list[TrialRecord]:
+    """The command line's bytes and exit code against the library's records."""
     code = main(["verify", "--trials", str(trials), "--seed", str(seed)])
     out, err = capsys.readouterr()
-    report = verify_closed_forms(trials, seed=seed)
-    assert out == "\n".join(report.lines()) + "\n"
-    assert (code, err) == (0 if report.ok else 1, "")
-    assert report.lines()[-1] == _summary_from_the_report(report)
-    return report
+    records = verify_records(trials, seed=seed)
+    summary = verify.summary_line(verify.tally(records))
+    assert out == "".join(f"{r.line()}\n" for r in records) + summary + "\n"
+    assert (code, err) == (1 if _failures(records) else 0, "")
+    assert summary == _summary_from_the_records(records)
+    return records
 
 
 def test_the_tally_of_any_split_is_the_report_summary():
@@ -401,7 +413,7 @@ def test_the_tally_of_any_split_is_the_report_summary():
         record(2, "sharp", 3e-12, "ok"),
     ]
     want = "comparisons=7 failures=3 flagged=2 max_rel_first=nan max_rel_second_sharp=3.000e-12"
-    assert _summary_from_the_report(verify.VerificationReport(records)) == want
+    assert _summary_from_the_records(records) == want
     for split in range(len(records) + 1):
         counts = verify.tally(records[split:], verify.tally(records[:split]))
         assert verify.summary_line(counts) == want, split
@@ -416,8 +428,8 @@ _B = verify._BLOCK
 @pytest.mark.parametrize("seed", [3, 2024])
 @pytest.mark.parametrize("trials", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
 def test_the_cli_writes_the_library_report_byte_for_byte(capsys, trials, seed):
-    report = _cli_matches_the_library(capsys, trials, seed)
-    assert {r.index for r in report.records} == set(range(trials))
+    records = _cli_matches_the_library(capsys, trials, seed)
+    assert {r.index for r in records} == set(range(trials))
 
 
 def test_the_cli_summary_counts_failures_across_blocks(monkeypatch, capsys):
@@ -425,9 +437,9 @@ def test_the_cli_summary_counts_failures_across_blocks(monkeypatch, capsys):
         return batch._replace(rate_order1=2 * batch.rate_order1, rate_order2=2 * batch.rate_order2)
 
     _patch_closed_forms(monkeypatch, doubled)
-    report = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
+    records = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
     # failures in the last, partial block too
-    assert {r.index // _B for r in report.failures} == {0, 1, 2}
+    assert {r.index // _B for r in _failures(records)} == {0, 1, 2}
 
 
 def test_the_cli_summary_leaves_flagged_records_out_of_its_maxima(monkeypatch, capsys):
@@ -436,17 +448,18 @@ def test_the_cli_summary_leaves_flagged_records_out_of_its_maxima(monkeypatch, c
     # the maxima must not see those, only the sharp pairs of zero rate
     _patch_closed_forms(monkeypatch, _doubled_order2, conventions=("mean",))
     monkeypatch.setattr(verify, "_degenerate_support", lambda packet: False)
-    report = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
-    flagged_sharp = [r for r in report.flagged if r.packet_kind == "sharp"]
+    records = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
+    flagged_sharp = [r for r in records if r.status == "flagged" and r.packet_kind == "sharp"]
     assert {r.index // _B for r in flagged_sharp} == {0, 1, 2}
-    assert report.max_rel_error(order=2, packet_kind="sharp") < min(
+    _, _, _, _, max_rel_second_sharp = verify.tally(records)
+    assert max_rel_second_sharp < min(
         r.rel_error for r in flagged_sharp
     )
 
 
 def test_the_cli_writes_each_block_before_it_draws_the_next(monkeypatch):
     trials, seed = 3 * _B + 5, 11
-    records = verify_closed_forms(trials, seed=seed).records
+    records = verify_records(trials, seed=seed)
     per_block = Counter(r.index // _B for r in records)
     # record lines of the blocks before each block, from the library's records
     written_before = [sum(per_block[b] for b in range(block)) for block in range(4)]
