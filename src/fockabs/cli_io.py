@@ -17,7 +17,6 @@ printed with 12 significant digits, newline-separated rows.
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import copy
 import gc
@@ -649,22 +648,21 @@ def _load_config(path: str) -> ExperimentConfig:
         return parse_config(handle.read())
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    csv_text = emit_csv(run_scan(config))
-    if args.out is None:
+def _cmd_scan(config: str, out: str | None) -> int:
+    csv_text = emit_csv(run_scan(_load_config(config)))
+    if out is None:
         sys.stdout.write(csv_text)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(csv_text)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(trials: int, seed: int) -> int:
     # each block's lines are written, and folded into the summary, before the
     # next block is drawn: no record outlives its block
     counts = EMPTY_TALLY
-    for block in record_blocks(args.trials, args.seed):
+    for block in record_blocks(trials, seed):
         sys.stdout.write("".join([record.line() + "\n" for record in block]))
         counts = tally(block, counts)
     print(summary_line(counts))
@@ -672,46 +670,63 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _cmd_exponent(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    value = _over_scan(proportionality_exponent, config)
-    print(f"order={len(config.run.packets)} exponent={value:.9f}")
+def _cmd_exponent(config: str) -> int:
+    parsed = _load_config(config)
+    value = _over_scan(proportionality_exponent, parsed)
+    print(f"order={len(parsed.run.packets)} exponent={value:.9f}")
     return 0
 
 
+# command: (handler, {option: (type,) if it is required, else (type, default)})
+_COMMANDS = {
+    "scan": (_cmd_scan, {"config": (str,), "out": (str, None)}),
+    "verify": (_cmd_verify, {"trials": (int, 100), "seed": (int, 0)}),
+    "exponent": (_cmd_exponent, {"config": (str,)}),
+}
+_USAGE = "usage: " + "".join(
+    " ".join(["fockabs", command] + [("--{0} {1}", "[--{0} {1}]")[len(spec) - 1].format(
+        name, name.upper()) for name, spec in options.items()]) + "\n       "
+    for command, (_, options) in _COMMANDS.items()
+) + "fockabs -h | --help\n"
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="fockabs",
-        description="Absorption rates for massive-particle beams",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    scan = sub.add_parser("scan", help="evaluate rates over scan positions")
-    scan.add_argument("--config", required=True, help="path to a YAML config")
-    scan.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    scan.set_defaults(func=_cmd_scan)
-
-    verify = sub.add_parser(
-        "verify", help="compare closed forms against brute-force enumeration"
-    )
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=_cmd_verify)
-
-    exponent = sub.add_parser(
-        "exponent", help="fit the rate-versus-density exponent for a config"
-    )
-    exponent.add_argument("--config", required=True, help="path to a YAML config")
-    exponent.set_defaults(func=_cmd_exponent)
-
-    args = parser.parse_args(argv)
+    """Run the command that ``argv``, by default ``sys.argv[1:]``, names; the
+    README's "Command line" gives the grammar, which ``_COMMANDS`` spells out."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        raise SystemExit(0)
+    handler, options = _COMMANDS.get(argv[0] if argv else "", (None, {}))
+    values = {name: spec[1] for name, spec in options.items() if len(spec) > 1}
+    words = iter(argv[1:])
     try:
-        code = args.func(args)
+        if handler is None:
+            raise ValueError(f"expected a command, one of {', '.join(_COMMANDS)}")
+        for word in words:
+            name, joined, value = word[2:].partition("=")
+            if not word.startswith("--") or name not in options:
+                raise ValueError(f"{argv[0]}: unknown argument {word!r}")
+            if not joined and (value := next(words, "--")).startswith("--"):
+                raise ValueError(f"--{name}: expected a value")
+            try:
+                values[name] = options[name][0](value)
+            except ValueError:
+                raise ValueError(f"--{name}: expected an integer, got {value!r}") from None
+        missing = [f"--{name}" for name in options if name not in values]
+        if missing:
+            raise ValueError(f"{argv[0]}: {missing[0]} is required")
+    except ValueError as exc:
+        sys.stderr.write(f"{_USAGE}fockabs: error: {exc}\n")
+        raise SystemExit(2) from None
+    try:
+        code = handler(**values)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:
         # the reader stopped, which is no error; devnull keeps the exit flush quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1544,9 +1544,46 @@ def test_a_reader_that_closes_the_pipe_early_is_not_an_error(tmp_path, args):
     assert (code, stderr) == (0, b"")
 
 
-# runs every subcommand in one interpreter, then reports on its last stdout line
-# which of hashlib and _hashlib it imported and whether OpenSSL's libcrypto is
-# mapped (None where /proc/self/maps cannot be read)
+# counts this process's open file descriptors before and after a verify run
+# whose stdout is a pipe that no one reads
+FD_COUNT = """\
+import os
+import sys
+from fockabs.cli_io import main
+
+before = len(os.listdir("/proc/self/fd"))
+code = main(["verify", "--trials", "40"])
+print(before, len(os.listdir("/proc/self/fd")), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_closed_pipe_leaves_no_descriptor_open():
+    """The devnull that replaces a closed stdout is opened for the swap only."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", FD_COUNT],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0, result.stderr
+    before, after = result.stderr.split()
+    assert after == before
+
+
+# runs every subcommand in one interpreter, then reports which of argparse,
+# gettext and locale it imported, and on its last stdout line which of hashlib
+# and _hashlib it imported and whether OpenSSL's libcrypto is mapped (None
+# where /proc/self/maps cannot be read)
 FOOTPRINT = """\
 import sys
 from fockabs.cli_io import main
@@ -1563,14 +1600,16 @@ try:
         libcrypto = "libcrypto" in maps.read()
 except OSError:
     libcrypto = None
+print(sorted({"argparse", "gettext", "locale"} & sys.modules.keys()))
 print(sorted({"hashlib", "_hashlib"} & sys.modules.keys()), libcrypto)
 """
 
 
 def test_no_command_loads_openssl(tmp_path):
     """``scan``, ``exponent`` and ``verify`` leave hashlib unimported and
-    OpenSSL's libcrypto unmapped.  A fresh interpreter, since pytest and
-    Hypothesis import hashlib themselves."""
+    OpenSSL's libcrypto unmapped, and import none of argparse, gettext and
+    locale.  A fresh interpreter, since pytest and Hypothesis import hashlib
+    and argparse themselves."""
     config, out = tmp_path / "cfg.yaml", tmp_path / "rates.csv"
     config.write_text(readme_example())
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1585,6 +1624,7 @@ def test_no_command_loads_openssl(tmp_path):
     assert out.read_bytes() == (GOLDEN / "readme_listed.csv").read_bytes()
     assert "failures=0" in result.stdout
     assert result.stdout.splitlines()[-1] in ("[] False", "[] None")
+    assert result.stdout.splitlines()[-2] == "[]"
 
 
 @pytest.mark.parametrize(
@@ -1662,6 +1702,102 @@ def test_cli_exponent_first_order(tmp_path, capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+NO_COMMAND = "expected a command, one of scan, verify, exponent"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param([], NO_COMMAND, id="no-command"),
+        pytest.param(["run"], NO_COMMAND, id="unknown-command"),
+        pytest.param(["--trials", "3", "verify"], NO_COMMAND, id="option-before-command"),
+        pytest.param(["verify", "--trails", "3"], "verify: unknown argument '--trails'",
+                     id="unknown-option"),
+        pytest.param(["scan", "--conf", "c.yaml"], "scan: unknown argument '--conf'",
+                     id="abbreviated"),
+        pytest.param(["verify", "-t", "3"], "verify: unknown argument '-t'", id="short-option"),
+        pytest.param(["verify", "--seed"], "--seed: expected a value", id="missing-value"),
+        pytest.param(["scan", "--config", "--out", "x.csv"], "--config: expected a value",
+                     id="option-as-value"),
+        pytest.param(["verify", "--trials", "x"], "--trials: expected an integer, got 'x'",
+                     id="not-an-int"),
+        pytest.param(["verify", "--trials", "2.5"], "--trials: expected an integer, got '2.5'",
+                     id="a-float"),
+        pytest.param(["verify", "--seed="], "--seed: expected an integer, got ''",
+                     id="empty-joined"),
+        pytest.param(["scan"], "scan: --config is required", id="scan-without-config"),
+        pytest.param(["scan", "--out", "x.csv"], "scan: --config is required",
+                     id="out-without-config"),
+        pytest.param(["exponent"], "exponent: --config is required", id="exponent-without-config"),
+        pytest.param(["exponent", "--config", "c.yaml", "--out", "x.csv"],
+                     "exponent: unknown argument '--out'", id="option-of-another-command"),
+        pytest.param(["verify", "3"], "verify: unknown argument '3'", id="stray-word"),
+        pytest.param(["scan", "--config", "c.yaml", "x.csv"], "scan: unknown argument 'x.csv'",
+                     id="stray-word-after-options"),
+    ],
+)
+def test_a_malformed_command_line_is_a_usage_error(capsys, args, message):
+    """Nothing runs: stdout stays empty, and stderr holds the usage and one
+    error line; the exit code is 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr() == ("", f"{cli_io._USAGE}fockabs: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[*command, flag] for flag in ("-h", "--help")
+     for command in ([], ["scan"], ["verify"], ["exponent"])]
+    + [["scan", "--config", "cfg.yaml", "--help"], ["verify", "--trials", "x", "-h"]],
+    ids=" ".join,
+)
+def test_help_prints_the_usage_on_stdout(capsys, args):
+    """Alone, after a command, and on a line that is otherwise malformed."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (cli_io._USAGE, "")
+
+
+def test_the_readme_usage_block_is_what_help_prints(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```text\n(.*?)```", readme, re.S).group(1)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert capsys.readouterr().out == block
+
+
+SEED_7 = ["verify", "--trials", "3", "--seed", "7"]
+
+
+@pytest.mark.parametrize(
+    "args, same_as",
+    [
+        pytest.param(["verify", "--trials", "3", "--seed=7"], SEED_7, id="joined-value"),
+        pytest.param(["verify", "--trials=3", "--seed=7"], SEED_7, id="joined-values"),
+        pytest.param(["verify", "--seed", "7", "--trials", "3"], SEED_7, id="any-order"),
+        pytest.param(["verify", "--trials", "9", "--seed", "1", "--seed", "7", "--trials", "3"],
+                     SEED_7, id="last-value-wins"),
+        pytest.param(["verify", "--seed", "0"], ["verify", "--trials", "100"], id="defaults"),
+    ],
+)
+def test_spellings_of_one_command_line_give_the_same_output(capsys, args, same_as):
+    outputs = []
+    for argv in (args, same_as):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+
+
+def test_a_joined_config_path_is_read(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(readme_example())
+    assert main(["scan", f"--config={path}"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "readme_listed.csv").read_text()
 
 
 @pytest.mark.parametrize(

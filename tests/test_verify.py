@@ -8,7 +8,6 @@ packet kind or status shows as a changed field; the rates are compared to a
 relative 1e-9, so the test does not hang on the last bit of libm.
 """
 
-import argparse
 import dataclasses
 import hashlib
 import io
@@ -138,7 +137,7 @@ def test_a_bool_or_non_int_argument_is_rejected_before_any_draw(
         next(verify.record_blocks(trials, seed=seed))
     # the command line's own consumer of the blocks writes no line either
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _cmd_verify(argparse.Namespace(trials=trials, seed=seed))
+        _cmd_verify(trials, seed)
     assert capsys.readouterr() == ("", "")
 
 
