@@ -101,6 +101,9 @@ def _valid_state(statistics: Statistics, terms: dict[Ket, complex]) -> FockState
 
 def vacuum(statistics: Statistics) -> FockState:
     """No-particle state (a single empty ket with amplitude 1)."""
+    # every beam state starts here, and ladder_sum reads all but BOSE as Fermi
+    if not isinstance(statistics, Statistics):
+        raise ValueError(f"statistics must be a Statistics member, got {statistics!r}")
     return _valid_state(statistics, {(): 1.0 + 0.0j})
 
 

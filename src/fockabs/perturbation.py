@@ -12,17 +12,18 @@ first minus the channel energy.  Bosonic orderings add, fermionic orderings
 subtract, so identical fermionic packets cancel exactly while identical
 bosonic packets give a rate proportional to |psi(Q)|^4.
 
-The closed form factors one mean kinetic energy per packet out of each
-ordering's mode sum (``energy_convention="mean"``).  With
-``energy_convention="per_mode"`` the denominators stay inside the mode sums,
-which reproduces the brute-force enumeration exactly; both conventions
-coincide for sharp packets and for packets whose occupied modes share one
-kinetic energy.
+Every second-order rate comes in two energy conventions, both from one
+evaluation.  The mean-energy rate (``rate_order2``, the one ``scan`` prints)
+factors one mean kinetic energy per packet out of each ordering's mode sum;
+the per-mode rate (``rate_order2_per_mode``) keeps each mode's own energy
+inside the mode sums, which reproduces the brute-force enumeration exactly.
+Both coincide for sharp packets and for packets whose occupied modes share
+one kinetic energy.
 
 Every rate goes through ``evaluate_inputs``, batched over inputs and
 positions, and its ``RateBatch`` is the one result type; ``evaluate_rates``
 is its one-input case, and the scalar functions ``rate_first_order`` and
-``rate_second_order`` return the rate of its one-input, one-row case.
+``rate_second_order`` return the (mean-energy) rate of its one-row case.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .fock_core import ParameterError, Statistics
-from .field_ops import (
-    Wavepacket,
-    mean_kinetic_energy,
-    phase_matrix,
+from .field_ops import Wavepacket, mean_kinetic_energy, phase_matrix
+from .medium import (
+    RESONANCE_THRESHOLD, MediumModel, channel_weight, check_resonance, efficiency_factor,
 )
-from .medium import MediumModel, channel_weight, efficiency_factor
 
 MIN_FIT_DENSITY = 1e-12
 
@@ -58,8 +57,8 @@ class AbsorptionInput:
     """One packet, absorbed at first order, or the pair (packet_a, packet_b), packet_b
     created first, absorbed at second order; with the detector spin and statistics.
 
-    A rejected argument raises ``ParameterError`` naming ``packets`` or
-    ``detector_spin``, the keys of a config's run section.
+    A rejected argument raises ``ParameterError`` naming ``packets``,
+    ``detector_spin`` or ``statistics``, the keys of a config's run section.
     """
 
     packets: tuple[Wavepacket, ...]
@@ -83,6 +82,10 @@ class AbsorptionInput:
             raise ParameterError(
                 "detector_spin", f"detector spin {self.detector_spin} not in basis spin set"
             )
+        if not isinstance(self.statistics, Statistics):
+            raise ParameterError(
+                "statistics", f"statistics must be a Statistics member, got {self.statistics!r}"
+            )
         fermi_pair = len(packets) == 2 and self.statistics is Statistics.FERMI
         if fermi_pair and (a.spin, a.amplitudes) == (b.spin, b.amplitudes):
             raise IndistinguishableFermionsError(
@@ -95,11 +98,13 @@ class RateBatch(NamedTuple):
 
     ``coords`` are the wrapped positions.  Row r of ``terms`` holds the two
     ordering amplitudes (packet_b absorbed first, packet_a absorbed first),
-    excluding the coupling constant, so that
-    rate_order2 = (2 pi / hbar^2) |coupling|^4 |sum(terms)|^2.
-    Second-order columns are zero for a one-packet input.  ``bound_order1``
-    and ``bound_order2`` are finite bounds on the rates at every position
-    (0 at second order for one packet).
+    excluding the coupling constant, so that rate_order2 =
+    (2 pi / hbar^2) |coupling|^4 |sum(terms)|^2, with each packet's channel
+    weight at its mean kinetic energy; ``terms_per_mode`` and
+    ``rate_order2_per_mode`` take each mode's own.  Second-order columns are
+    zero for a one-packet input.  ``bound_order1``, ``bound_order2`` and
+    ``bound_order2_per_mode`` are finite bounds on the rates at every
+    position (0 at second order for one packet).
     """
 
     coords: np.ndarray
@@ -110,39 +115,45 @@ class RateBatch(NamedTuple):
     rate_order1: np.ndarray
     rate_order2: np.ndarray
     terms: np.ndarray
+    rate_order2_per_mode: np.ndarray
+    terms_per_mode: np.ndarray
     bound_order1: float
     bound_order2: float
+    bound_order2_per_mode: float
 
 
-def _channel_sum(
-    packet: Wavepacket, model: MediumModel, convention: str
-) -> complex | list[complex]:
-    """Channel weight sum_ch M_out M_in / (E - eps_ch) of the packet absorbed first.
+def _channel_sum(packet: Wavepacket, model: MediumModel) -> tuple[complex, list[complex]]:
+    """The channel weight W(E) = sum_ch M_out M_in / (E - eps_ch) of the packet
+    absorbed first, at its mean kinetic energy, and each amplitude a_k times
+    W(E_k) at mode k's own energy (0 on unoccupied modes).
 
-    E is the packet's mean kinetic energy (one number) or each occupied
-    mode's own kinetic energy (one number per mode, 0 on unoccupied modes).
+    A resonant denominator raises ResonanceError, the mean one first; one at
+    E_k names mode k.
     """
-    if convention == "mean":
-        energy = mean_kinetic_energy(packet)
-        return sum([channel_weight(ch, energy - ch.energy) for ch in model.channels])
-    energies = packet.basis.kinetic_energies
-    occupied = [i for i, amp in enumerate(packet.amplitudes) if amp != 0]
-    weights = [0j] * len(energies)
-    for ch in model.channels:
-        for i in occupied:
-            weights[i] += channel_weight(ch, energies[i] - ch.energy)
-    return weights
+    energy = mean_kinetic_energy(packet)
+    mean = sum([channel_weight(ch, energy - ch.energy) for ch in model.channels])
+    # plain Python, with each channel's M_out * M_in formed once: at the 2-4
+    # modes of verify's draws a numpy call costs more than the loop
+    channels = [(ch.element_out * ch.element_in, ch.energy, ch.label) for ch in model.channels]
+    weighted = []  # its length is the index of the mode at hand
+    for amp, level in zip(packet.amplitudes, packet.basis.kinetic_energies):
+        weight = 0j
+        for product, channel_energy, label in channels if amp else ():
+            denominator = level - channel_energy
+            if not abs(denominator) >= RESONANCE_THRESHOLD:
+                check_resonance(denominator, label, len(weighted))
+            weight += product / denominator
+        weighted.append(amp * weight)
+    return mean, weighted
 
 
 def _rate_bounds(
-    packets: tuple[Wavepacket, ...],
-    model: MediumModel,
-    efficiency: float,
-    weights: list | None = None,
-    prefactor: float = 0.0,
-) -> tuple[float, float]:
-    """Bounds on the first- and second-order rates at every position (the
-    second is 0 without ``weights``, for one packet).
+    packets: tuple[Wavepacket, ...], model: MediumModel, efficiency: float,
+    weights: list | None = None, prefactor: float = 0.0,
+) -> tuple[float, float, float]:
+    """Bounds on the first-order rate and the mean-energy and per-mode
+    second-order rates at every position (0 without ``weights``, each
+    packet's ``_channel_sum``, for one packet).
 
     |psi| <= sum_k |a_k| / sqrt(V), and the packet absorbed first, with its
     channel weights, is bounded alike, so each ordering amplitude is bounded
@@ -155,44 +166,33 @@ def _rate_bounds(
     # numpy call costs more than the sums
     psi = [sum(map(abs, p.amplitudes)) for p in packets]
     volume = packets[0].basis.volume
+    bounds = []
     try:
-        bound1 = efficiency * (psi[0] ** 2 / volume)
-    except OverflowError:  # ** past the largest float
-        bound1 = math.inf
-    if not math.isfinite(bound1):
-        raise ParameterError(
-            model._first_order_key,
-            "the first-order rate bound (2 pi / hbar^2) |coupling * first_order_element|^2 "
-            f"(sum |a_k|)^2 / V must be a finite float, got {bound1!r}",
-        )
-    if weights is None:
-        return bound1, 0.0
-    try:
-        first = [
-            sum([abs(a * w) for a, w in zip(p.amplitudes, ws)])
-            if isinstance(ws, list)
-            else abs(ws) * total
-            for p, ws, total in zip(packets, weights, psi)
-        ]
-        product_sum = first[1] * psi[0] + first[0] * psi[1]
-        bound2 = prefactor * (product_sum / volume) ** 2
+        bounds.append(efficiency * (psi[0] ** 2 / volume))
+        if weights:
+            # sum_k |W a_k| of each packet: its mean weight times sum_k |a_k|,
+            # then with its per-mode weights
+            mean = [abs(w) * total for (w, _), total in zip(weights, psi)]
+            per_mode = [sum(map(abs, weighted)) for _, weighted in weights]
+            for a, b in (mean, per_mode):
+                bounds.append(prefactor * ((b * psi[0] + a * psi[1]) / volume) ** 2)
     except OverflowError:  # abs() or ** past the largest float
-        bound2 = math.inf
-    if not math.isfinite(bound2):
-        raise ParameterError(
-            "channels",
-            "the second-order rate bound (2 pi / hbar^2) |coupling|^4 "
-            "(sum |W_b b_k| sum |a_k| + sum |W_a a_k| sum |b_k|)^2 / V^2 "
-            f"must be a finite float, got {bound2!r}",
-        )
-    return bound1, bound2
+        bounds.append(math.inf)
+    for k, bound in enumerate(bounds):
+        if not math.isfinite(bound):
+            key, formula = (
+                (model._first_order_key, "first-order rate bound (2 pi / hbar^2) "
+                 "|coupling * first_order_element|^2 (sum |a_k|)^2 / V"),
+                ("channels", "second-order rate bound (2 pi / hbar^2) |coupling|^4 "
+                 "(sum |W_b b_k| sum |a_k| + sum |W_a a_k| sum |b_k|)^2 / V^2"),
+            )[min(k, 1)]
+            raise ParameterError(key, f"the {formula} must be a finite float, got {bound!r}")
+    return (*bounds, 0.0, 0.0)[:3]
 
 
 def evaluate_inputs(
-    inputs: Sequence[AbsorptionInput],
-    model: MediumModel,
+    inputs: Sequence[AbsorptionInput], model: MediumModel,
     coords: Sequence[Sequence[float]] | np.ndarray,
-    energy_convention: str = "mean",
 ) -> list[RateBatch]:
     """Closed-form amplitudes, densities and rates of each input at every position.
 
@@ -202,18 +202,18 @@ def evaluate_inputs(
     statistics sign (+ bosons, - fermions) inherited from commuting the
     field operator through the first-created packet.  Channel weights do
     not depend on position and are computed once per packet, before any
-    position, so a resonant denominator raises ResonanceError even where
-    the spin deltas zero the rate.  A rate that has no finite bound raises
+    position, so a resonant denominator, at a packet's mean kinetic energy
+    or at an occupied mode's own, raises ResonanceError even where the spin
+    deltas zero the rate.  A rate that has no finite bound raises
     ParameterError before any position, at first order for order-2 inputs
     too, which carry ``rate_order1``.  The first rejected input raises its
-    own error.  An ``energy_convention`` other than "mean" or "per_mode"
-    raises ValueError first.  The positions are wrapped once, and each chunk
-    of at most CHUNK_ELEMENTS phase-matrix entries is built once for all
-    inputs; each input's product with it is its own, so each ``RateBatch``
-    is bit for bit that of ``evaluate_rates``.
+    own error.  The positions are wrapped once, and each chunk of at most
+    CHUNK_ELEMENTS phase-matrix entries is built once for all inputs; each
+    input's products with it are its own, so each ``RateBatch`` is bit for
+    bit that of ``evaluate_rates``.
     """
-    if energy_convention not in ("mean", "per_mode"):
-        raise ValueError(f"unknown energy convention {energy_convention!r}")
+    if not inputs:
+        raise ValueError("evaluate_inputs needs at least one input")
     basis = inputs[0].packets[0].basis
     # count compares by identity first, so one shared basis costs no __eq__
     if [inp.packets[0].basis for inp in inputs].count(basis) != len(inputs):
@@ -222,64 +222,65 @@ def evaluate_inputs(
     rows = len(wrapped)
     efficiency = efficiency_factor(model, basis)
     prefactor = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
-    prepared = []  # (input, mode columns, channel weights, bounds) per input
+    prepared = []  # (input, mode-sum matrices, channel weights, bounds) per input
     for inp in inputs:
         packets = inp.packets
-        # one column per mode sum: each packet's amplitudes (a zero packet_b for
-        # one packet) and, with per-mode weights, each packet's weighted ones.
-        # There are always at least two: BLAS hands a one-column product to
-        # threaded matrix-vector code that ran 100-1000x slower on 2 cores.
-        columns = [p.amplitudes for p in packets]
-        weights = None
+        # one column per mode sum, at least two to a matrix: BLAS hands a
+        # one-column product to threaded matrix-vector code that ran
+        # 100-1000x slower on 2 cores.  The first holds each packet's
+        # amplitudes (a zero packet_b for one packet), a pair's second them
+        # times their per-mode weights: one matrix of all four columns would
+        # change how BLAS rounds the amplitudes' sums.
+        matrices, weights = [[p.amplitudes for p in packets]], None
         if len(packets) == 1:
-            columns.append((0,) * basis.n_modes)
+            matrices[0].append((0,) * basis.n_modes)
         elif not model.channels:
             raise ValueError("second-order rates require at least one medium channel")
         else:
-            weights = [_channel_sum(p, model, energy_convention) for p in packets]
-            if energy_convention == "per_mode":
-                columns += [
-                    [a * w for a, w in zip(p.amplitudes, ws)] for p, ws in zip(packets, weights)
-                ]
+            weights = [_channel_sum(p, model) for p in packets]
+            matrices.append([weighted for _, weighted in weights])
         bounds = _rate_bounds(packets, model, efficiency, weights, prefactor)
-        prepared.append((inp, np.array(columns, dtype=complex).T, weights, bounds))
+        matrices = [np.array(m, dtype=complex).T for m in matrices]
+        prepared.append((inp, matrices, weights, bounds))
     step = max(1, CHUNK_ELEMENTS // basis.n_modes)
-    parts = []  # each chunk's mode sums, one array per input
+    parts = []  # each chunk's mode sums: per input, one array per matrix
     for start in range(0, max(rows, 1), step):
         phase = phase_matrix(basis, wrapped[start:start + step])
-        parts.append([phase @ modes for _, modes, _, _ in prepared])
-    sums = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+        parts.append([[phase @ m for m in matrices] for _, matrices, _, _ in prepared])
+    sums = parts[0] if len(parts) == 1 else [
+        [np.concatenate(c) for c in zip(*chunks)] for chunks in zip(*parts)
+    ]
     batches = []
-    for (inp, _, weights, bounds), mode_sums in zip(prepared, sums):
+    for (inp, _, weights, bounds), (psi, *per_mode) in zip(prepared, sums):
         packets, spin = inp.packets, inp.detector_spin
-        psi = mode_sums[:, :2]
         density = np.abs(psi) ** 2
         rate_order1 = efficiency * density[:, 0] if packets[0].spin == spin else np.zeros(rows)
+        second = []  # rate and terms with the mean-energy weights, then per-mode
         if not (weights and packets[0].spin == packets[1].spin == spin):
-            terms, rate_order2 = np.zeros((rows, 2), dtype=complex), np.zeros(rows)
+            for _ in range(2):
+                second += [np.zeros(rows), np.zeros((rows, 2), dtype=complex)]
         else:
-            # each packet's amplitude with its channel weight, absorbed first:
-            # a mean-energy weight is a common factor of the packet's mode sum
-            first = mode_sums[:, 2:] if energy_convention == "per_mode" else psi * weights
-            # (packet_b first, packet_a first): each times the other's amplitude
-            terms = first[:, ::-1] * psi
-            if inp.statistics is Statistics.FERMI:
-                terms[:, 0] *= -1.0
-            rate_order2 = prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2
+            # each packet's amplitude with its channel weights, absorbed
+            # first: a mean-energy weight is a common factor of its mode sum
+            for first in (psi * [mean for mean, _ in weights], per_mode[0]):
+                # (packet_b first, packet_a first): each times the other's amplitude
+                terms = first[:, ::-1] * psi
+                if inp.statistics is Statistics.FERMI:
+                    terms[:, 0] *= -1.0
+                second += [prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2, terms]
         batches.append(RateBatch(
             wrapped, psi[:, 0], psi[:, 1], density[:, 0], density[:, 1],
-            rate_order1, rate_order2, terms, *bounds,
+            rate_order1, *second, *bounds,
         ))
     return batches
 
 
 def evaluate_rates(
-    inp: AbsorptionInput, model: MediumModel,
-    coords: Sequence[Sequence[float]] | np.ndarray, energy_convention: str = "mean",
+    inp: AbsorptionInput, model: MediumModel, coords: Sequence[Sequence[float]] | np.ndarray
 ) -> RateBatch:
     """Closed-form amplitudes, densities and rates of ``inp`` at every
     position: ``evaluate_inputs``'s one-input case."""
-    return evaluate_inputs([inp], model, coords, energy_convention)[0]
+    return evaluate_inputs([inp], model, coords)[0]
 
 
 def rate_first_order(

@@ -18,8 +18,8 @@ rate being compared.
 For spread packets whose occupied modes are not degenerate in energy, a
 mean-energy closed form may legitimately differ from the oracle; such
 discrepancies are flagged, not failed, after confirming that the per-mode
-variant of the closed form, one more ``evaluate_rates`` call, does match
-the oracle.  Trial ``i`` of seed ``s`` draws from
+rate of the same ``RateBatch``, floored by its own bound, does match the
+oracle.  Trial ``i`` of seed ``s`` draws from
 ``random.Random(s * 1000003 + i)`` with ``random()`` alone, a stream that
 Python keeps fixed for a seed; numpy may change its ``Generator``'s.
 """
@@ -36,13 +36,7 @@ from .fock_core import Statistics
 from .field_ops import ModeBasis, Wavepacket, packet_state, two_particle_state
 from .medium import MediumChannel, MediumModel
 from .oracle import first_order_amplitude, second_order_amplitude, single_absorption_vacuum_overlap
-from .perturbation import (
-    AbsorptionInput,
-    IndistinguishableFermionsError,
-    RateBatch,
-    evaluate_inputs,
-    evaluate_rates,
-)
+from .perturbation import AbsorptionInput, IndistinguishableFermionsError, RateBatch, evaluate_inputs
 
 try:  # CPython's built-in SHA-1: hashlib would map OpenSSL's libcrypto into every process
     from _sha1 import sha1
@@ -130,19 +124,17 @@ def summary_line(counts: tuple) -> str:
     )
 
 
-def _rate_error(batch: RateBatch, order: int, oracle_rate: float) -> float:
-    """Relative error of the one-row ``batch``'s rate at ``order``.
+def _rate_error(rate: float, bound: float, oracle_rate: float) -> float:
+    """Relative error of a closed-form ``rate`` whose ``RateBatch`` bounds it
+    by ``bound`` at any position.
 
     A position on a node of a packet, or two second-order orderings that
     cancel, leave round-off set by the input's size, not the rate's, so the
-    scale is at least 1e-12 times the batch's bound on that rate at any
-    position.
+    scale is at least 1e-12 times that bound.
     """
-    rate = (batch.rate_order1 if order == 1 else batch.rate_order2).item(0)
     if rate == oracle_rate:
         return 0.0
-    floor = 1e-12 * (batch.bound_order1 if order == 1 else batch.bound_order2)
-    return abs(rate - oracle_rate) / max(abs(rate), abs(oracle_rate), floor)
+    return abs(rate - oracle_rate) / max(abs(rate), abs(oracle_rate), 1e-12 * bound)
 
 
 def _below(rng: Random, k: int) -> int:
@@ -271,29 +263,33 @@ def _oracle(
 
 
 def _compare(
-    inp: AbsorptionInput, model: MediumModel, q: tuple[float, ...], batch: RateBatch,
-    oracle: tuple[float, float | None], index: int, seed: int, digest: str,
+    inp: AbsorptionInput, batch: RateBatch, oracle: tuple[float, float | None],
+    index: int, seed: int, digest: str,
 ) -> list[TrialRecord]:
-    """Compare the closed-form rate of ``inp`` at ``q`` with the oracle's.
+    """Compare the closed-form rate of ``inp`` at a position with the oracle's.
 
-    ``batch`` is the batch of ``inp`` from ``evaluate_inputs`` at ``[q]``,
-    and ``oracle`` is ``_oracle(inp, model, q)``.  One packet gives one first-order record.  A
-    pair gives its second-order record, and, unless its state is zero, a
-    "single" record checking that one interaction absorbs nothing from it.
-    A packet is sharp when it occupies one mode.
+    ``batch`` is the one-row batch of ``inp`` from ``evaluate_inputs`` at
+    that position, and ``oracle`` is ``_oracle(inp, model, q)`` there.  One
+    packet gives one first-order record.  A pair gives its second-order
+    record, and, unless its state is zero, a "single" record checking that
+    one interaction absorbs nothing from it.  A packet is sharp when it
+    occupies one mode.
     """
     packets = inp.packets
     statistics, order = inp.statistics, len(packets)
     oracle_rate, overlap = oracle
     kind = "sharp" if all([sum(map(bool, p.amplitudes)) == 1 for p in packets]) else "spread"
-    closed = (batch.rate_order1 if order == 1 else batch.rate_order2).item(0)
-    rel = _rate_error(batch, order, oracle_rate)
+    if order == 1:
+        closed, bound = batch.rate_order1.item(0), batch.bound_order1
+    else:
+        closed, bound = batch.rate_order2.item(0), batch.bound_order2
+    rel = _rate_error(closed, bound, oracle_rate)
     status = "ok" if rel <= TOLERANCE else "fail"
     if order == 2 and status == "fail" and not all(map(_degenerate_support, packets)):
-        # attribute the discrepancy: the per-mode variant of the closed
-        # form must match the oracle, otherwise it is a bug
-        exact = evaluate_rates(inp, model, [q], "per_mode")
-        if _rate_error(exact, 2, oracle_rate) <= TOLERANCE:
+        # attribute the discrepancy: the per-mode rate must match the
+        # oracle, otherwise it is a bug
+        exact = batch.rate_order2_per_mode.item(0)
+        if _rate_error(exact, batch.bound_order2_per_mode, oracle_rate) <= TOLERANCE:
             status = "flagged"
     trial = (index, seed, digest, order, statistics)
     records = [TrialRecord(*trial, kind, closed, oracle_rate, rel, status)]
@@ -331,8 +327,8 @@ def record_blocks(trials: int, seed: int = 0) -> Iterator[list[TrialRecord]]:
         batches = [evaluate_inputs(inputs, model, [q]) for inputs, model, q, *_ in drawn]
         oracles = [[_oracle(inp, model, q) for inp in inputs] for inputs, model, q, *_ in drawn]
         records = []
-        for (inputs, model, q, *trial), closed, brute in zip(drawn, batches, oracles):
+        for (inputs, _, _, *trial), closed, brute in zip(drawn, batches, oracles):
             for inp, batch, oracle in zip(inputs, closed, brute):
-                records += _compare(inp, model, q, batch, oracle, *trial)
+                records += _compare(inp, batch, oracle, *trial)
         yield records
 

@@ -1244,13 +1244,37 @@ def test_scan_and_exponent_word_a_resonance_alike(tmp_path, capsys):
         assert capsys.readouterr() == ("", message), command
 
 
+def test_a_channel_resonant_with_an_occupied_mode_fails_the_scan(tmp_path, capsys):
+    # the example's beam has mean kinetic energy 0.25, clear of a lone
+    # channel at 0.5, but it occupies mode 1, whose own energy is 0.5: the
+    # oracle rejects that input, and so do scan and exponent, naming both
+    text = readme_example()
+    edits = (
+        ("energy: 2.3}", "energy: 0.5}"),
+        ("    - {label: ch1, element_in: [0.4, 0.9], element_out: [1.2, -0.1], energy: -0.8}\n", ""),
+    )
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / "resonant.yaml"
+    path.write_text(text)
+    message = (
+        "error: at every scan position: energy denominator 0.0 for mode 1 and channel 'ch0' "
+        "is nan or within 1e-09 of resonance\n"
+    )
+    for command in ("scan", "exponent"):
+        assert main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", message), command
+
+
 def _batch(coords, rate_order1, rate_order2, density_a, density_b) -> RateBatch:
     """A RateBatch holding the given columns; amplitude columns are zero."""
     coords = np.array(coords, dtype=float)
     zeros = np.zeros(len(coords), dtype=complex)
     columns = [np.array(c, dtype=float) for c in (density_a, density_b, rate_order1, rate_order2)]
     terms = np.zeros((len(coords), 2), dtype=complex)
-    return RateBatch(coords, zeros, zeros, *columns, terms, 0.0, 0.0)
+    # the per-mode columns, which no CSV holds, repeat the mean-energy ones
+    return RateBatch(coords, zeros, zeros, *columns, terms, columns[3], terms, 0.0, 0.0, 0.0)
 
 
 def test_emit_csv_shapes():

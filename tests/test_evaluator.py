@@ -34,14 +34,23 @@ FERMI = Statistics.FERMI
 TWO_PI = 2 * math.pi
 REL_TOL = 1e-12
 
+# each energy convention's second-order rate and terms in a RateBatch
+SECOND_ORDER_FIELDS = {
+    "mean": ("rate_order2", "terms"),
+    "per_mode": ("rate_order2_per_mode", "terms_per_mode"),
+}
+SECOND_ORDER = [key for fields in SECOND_ORDER_FIELDS.values() for key in fields]
 
-def literal_rows(inp, model, positions, convention):
-    """Rates, amplitudes and terms position by position, mode by mode."""
+
+def literal_rows(inp, model, positions):
+    """Rates, amplitudes and terms position by position, mode by mode, with
+    the mean-energy weights and with the per-mode ones."""
     packets = inp.packets
     pair = len(packets) == 2
     basis = packets[0].basis
-    out = {"psi_a": [], "psi_b": [], "rate_order1": [], "rate_order2": [], "terms": []}
-    uncancelled = []
+    out = {"psi_a": [], "psi_b": [], "rate_order1": [], **{key: [] for key in SECOND_ORDER}}
+    uncancelled = {"mean": [], "per_mode": []}
+    prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
     for q in positions:
         waves = [mode_wavefunction(basis, i, q) for i in range(basis.n_modes)]
         psi = [
@@ -49,15 +58,15 @@ def literal_rows(inp, model, positions, convention):
             for p in packets
         ]
         out["psi_a"].append(psi[0])
+        out["psi_b"].append(psi[1] if pair else 0.0)
         rate1 = 0.0
         if packets[0].spin == inp.detector_spin:
             element = model.coupling * model.first_order_element
             rate1 = TWO_PI / basis.hbar**2 * abs(element) ** 2 * abs(psi[0]) ** 2
         out["rate_order1"].append(rate1)
-        terms = [0.0, 0.0]
-        if pair:
-            out["psi_b"].append(psi[1])
-            if all(p.spin == inp.detector_spin for p in packets):
+        for convention, (rate_key, terms_key) in SECOND_ORDER_FIELDS.items():
+            terms = [0.0, 0.0]
+            if pair and all(p.spin == inp.detector_spin for p in packets):
                 first = []
                 for packet, amp_q in zip(packets, psi):
                     mean = sum(
@@ -76,12 +85,9 @@ def literal_rows(inp, model, positions, convention):
                     first.append(total)
                 sign = 1.0 if inp.statistics is BOSE else -1.0
                 terms = [sign * first[1] * psi[0], first[0] * psi[1]]
-        else:
-            out["psi_b"].append(0.0)
-        out["terms"].append(terms)
-        prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
-        out["rate_order2"].append(prefactor * abs(sum(terms)) ** 2)
-        uncancelled.append(prefactor * (abs(terms[0]) + abs(terms[1])) ** 2)
+            out[terms_key].append(terms)
+            out[rate_key].append(prefactor * abs(sum(terms)) ** 2)
+            uncancelled[convention].append(prefactor * (abs(terms[0]) + abs(terms[1])) ** 2)
     reference = {key: np.array(value) for key, value in out.items()}
     return reference, column_scales(reference, uncancelled)
 
@@ -89,11 +95,14 @@ def literal_rows(inp, model, positions, convention):
 def column_scales(columns, uncancelled):
     """Size of each column's values, the yardstick for its round-off.
 
-    The second-order rate is measured before its two orderings cancel, so a
-    Pauli-cancelled column of round-off is not its own yardstick.
+    A second-order rate is measured before its two orderings cancel, so a
+    Pauli-cancelled column of round-off is not its own yardstick;
+    ``uncancelled`` holds those sizes under each convention present.
     """
     scales = {key: np.max(np.abs(value), initial=0.0) for key, value in columns.items()}
-    scales["rate_order2"] = max(scales["rate_order2"], np.max(uncancelled, initial=0.0))
+    for convention, sizes in uncancelled.items():
+        key = SECOND_ORDER_FIELDS[convention][0]
+        scales[key] = max(scales[key], np.max(sizes, initial=0.0))
     return scales
 
 
@@ -171,14 +180,12 @@ def random_coords(rng, basis, rows):
     mass=st.sampled_from([1.0, 0.6, 3.2]),
     order=st.integers(1, 2),
     statistics=st.sampled_from([BOSE, FERMI]),
-    convention=st.sampled_from(["mean", "per_mode"]),
     rows_per_chunk=st.integers(1, 4),
     chunks=st.integers(1, 4),
     past_boundary=st.sampled_from([-1, 0, 1]),
 )
 def test_batched_rows_match_literal_sum(
-    seed, dim, n_modes, hbar, mass, order, statistics, convention,
-    rows_per_chunk, chunks, past_boundary,
+    seed, dim, n_modes, hbar, mass, order, statistics, rows_per_chunk, chunks, past_boundary,
 ):
     rng = np.random.default_rng(seed)
     basis = random_basis(rng, dim, n_modes, hbar, mass)
@@ -189,10 +196,10 @@ def test_batched_rows_match_literal_sum(
     # chunk limit between rows_per_chunk and rows_per_chunk + 1 rows
     limit = rows_per_chunk * basis.n_modes + int(rng.integers(0, basis.n_modes))
     with mock.patch.object(perturbation, "CHUNK_ELEMENTS", limit):
-        batch = evaluate_rates(inp, model, coords, convention)
+        batch = evaluate_rates(inp, model, coords)
     positions = [basis.position(c) for c in coords]
     assert np.array_equal(batch.coords, positions)
-    assert_rows_match(batch, *literal_rows(inp, model, positions, convention))
+    assert_rows_match(batch, *literal_rows(inp, model, positions))
 
 
 def test_default_chunking_matches_literal_sum_on_and_past_boundaries():
@@ -205,11 +212,10 @@ def test_default_chunking_matches_literal_sum_on_and_past_boundaries():
     step = perturbation.CHUNK_ELEMENTS // basis.n_modes
     coords = random_coords(rng, basis, 2 * step + 1)
     positions = [basis.position(c) for c in coords]
-    for convention in ("mean", "per_mode"):
-        reference, scales = literal_rows(inp, model, positions, convention)
-        for rows in (2 * step, 2 * step + 1):
-            batch = evaluate_rates(inp, model, coords[:rows], convention)
-            assert_rows_match(batch, reference, scales, rows=slice(rows))
+    reference, scales = literal_rows(inp, model, positions)
+    for rows in (2 * step, 2 * step + 1):
+        batch = evaluate_rates(inp, model, coords[:rows])
+        assert_rows_match(batch, reference, scales, rows=slice(rows))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -218,34 +224,34 @@ def test_default_chunking_matches_literal_sum_on_and_past_boundaries():
     dim=st.integers(1, 3),
     n_modes=st.integers(1, 6),
     statistics=st.sampled_from([BOSE, FERMI]),
-    convention=st.sampled_from(["mean", "per_mode"]),
     rows=st.integers(1, 6),
 )
-def test_scalar_calls_are_rows_of_one_batch(
-    seed, dim, n_modes, statistics, convention, rows
-):
+def test_scalar_calls_are_rows_of_one_batch(seed, dim, n_modes, statistics, rows):
     rng = np.random.default_rng(seed)
     basis = random_basis(rng, dim, n_modes, 1.3, 0.7)
     model = random_model(rng, basis)
     inp = random_input(rng, basis, 2, statistics)
     positions = [basis.position(c) for c in random_coords(rng, basis, rows)]
-    batch = evaluate_rates(inp, model, positions, convention)
+    batch = evaluate_rates(inp, model, positions)
+    rows_alone = [evaluate_rates(inp, model, [q]) for q in positions]
     scalar = {
         "rate_order1": [
             rate_first_order(inp.packets[0], inp.detector_spin, q, model)
             for q in positions
         ],
-        "terms": [evaluate_rates(inp, model, [q], convention).terms[0] for q in positions],
+        "rate_order2": [rate_second_order(inp, q, model) for q in positions],
+        **{
+            key: [getattr(row, key)[0] for row in rows_alone]
+            for key in ("terms", "rate_order2_per_mode", "terms_per_mode")
+        },
     }
-    if convention == "mean":
-        scalar["rate_order2"] = [rate_second_order(inp, q, model) for q in positions]
     scalar = {key: np.array(value) for key, value in scalar.items()}
     prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
-    uncancelled = prefactor * np.abs(batch.terms).sum(axis=1) ** 2
-    scales = column_scales(
-        {key: getattr(batch, key) for key in ("rate_order1", "rate_order2", "terms")},
-        uncancelled,
-    )
+    uncancelled = {
+        convention: prefactor * np.abs(getattr(batch, terms)).sum(axis=1) ** 2
+        for convention, (_, terms) in SECOND_ORDER_FIELDS.items()
+    }
+    scales = column_scales({key: getattr(batch, key) for key in scalar}, uncancelled)
     # one-row and many-row BLAS kernels may round the last bit differently
     assert_rows_match(batch, scalar, scales, tol=1e-14)
 
@@ -258,39 +264,24 @@ def test_scalar_calls_are_rows_of_one_batch(
     hbar=st.sampled_from([0.37, 2.5]),
     mass=st.sampled_from([0.6, 3.2]),
     statistics=st.sampled_from([BOSE, FERMI]),
-    convention=st.sampled_from(["mean", "per_mode"]),
 )
-def test_pair_swap_and_global_phase_symmetries(
-    seed, dim, n_modes, hbar, mass, statistics, convention
-):
+def test_pair_swap_and_global_phase_symmetries(seed, dim, n_modes, hbar, mass, statistics):
     rng = np.random.default_rng(seed)
     basis = random_basis(rng, dim, n_modes, hbar, mass)
     model = random_model(rng, basis)
     inp = random_input(rng, basis, 2, statistics)
     coords = random_coords(rng, basis, 4)
-    batch = evaluate_rates(inp, model, coords, convention)
+    batch = evaluate_rates(inp, model, coords)
     prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
-    # rates are compared against their size before the orderings cancel
-    uncancelled = prefactor * np.abs(batch.terms).sum(axis=1) ** 2
-    rate_scale = np.maximum(uncancelled, np.abs(batch.rate_order2))
-    term_scale = np.abs(batch.terms).max(axis=1, keepdims=True)
-
     # swapping the pair swaps the orderings, with the exchange sign
     swapped = evaluate_rates(
         AbsorptionInput((inp.packets[1], inp.packets[0]), inp.detector_spin, statistics),
         model,
         coords,
-        convention,
     )
     sign = 1.0 if statistics is BOSE else -1.0
-    assert np.all(
-        np.abs(swapped.rate_order2 - batch.rate_order2) <= REL_TOL * rate_scale
-    )
-    assert np.all(
-        np.abs(swapped.terms - sign * batch.terms[:, ::-1]) <= REL_TOL * term_scale
-    )
-
     # a global phase on either packet is unobservable
+    turned = []
     for k, packet in enumerate(inp.packets):
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         rotated = Wavepacket(
@@ -298,15 +289,23 @@ def test_pair_swap_and_global_phase_symmetries(
         )
         packets = list(inp.packets)
         packets[k] = rotated
-        turned = evaluate_rates(
-            dataclasses.replace(inp, packets=packets), model, coords, convention
-        )
+        turned.append(evaluate_rates(dataclasses.replace(inp, packets=packets), model, coords))
         for key in ("density_a", "density_b", "rate_order1"):
-            want, got = getattr(batch, key), getattr(turned, key)
+            want, got = getattr(batch, key), getattr(turned[-1], key)
             assert np.all(np.abs(got - want) <= REL_TOL * np.abs(want).max()), key
+
+    for rate_key, terms_key in SECOND_ORDER_FIELDS.values():
+        rate, terms = getattr(batch, rate_key), getattr(batch, terms_key)
+        # rates are compared against their size before the orderings cancel
+        uncancelled = prefactor * np.abs(terms).sum(axis=1) ** 2
+        rate_scale = np.maximum(uncancelled, np.abs(rate))
+        term_scale = np.abs(terms).max(axis=1, keepdims=True)
+        assert np.all(np.abs(getattr(swapped, rate_key) - rate) <= REL_TOL * rate_scale)
         assert np.all(
-            np.abs(turned.rate_order2 - batch.rate_order2) <= REL_TOL * rate_scale
+            np.abs(getattr(swapped, terms_key) - sign * terms[:, ::-1]) <= REL_TOL * term_scale
         )
+        for other in turned:
+            assert np.all(np.abs(getattr(other, rate_key) - rate) <= REL_TOL * rate_scale)
 
 
 def test_per_mode_weights_skip_unoccupied_modes():
@@ -316,12 +315,73 @@ def test_per_mode_weights_skip_unoccupied_modes():
     a = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
     inp = AbsorptionInput((a, a), 0, BOSE)
     q = basis.position((0.3,))
-    exact = evaluate_rates(inp, model, [q], "per_mode").terms[0]
-    mean = evaluate_rates(inp, model, [q]).terms[0]
+    batch = evaluate_rates(inp, model, [q])
+    exact, mean = batch.terms_per_mode[0], batch.terms[0]
     assert all(abs(x - y) <= REL_TOL * abs(y) for x, y in zip(exact, mean))
     b = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     with pytest.raises(ResonanceError):
-        evaluate_rates(AbsorptionInput((a, b), 0, BOSE), model, [q], "per_mode")
+        evaluate_rates(AbsorptionInput((a, b), 0, BOSE), model, [q])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    hbar=st.sampled_from([0.37, 2.5]),
+    mass=st.sampled_from([0.6, 3.2]),
+    spins=st.sampled_from([(0,), (0, 1), (0, 1, 2)]),
+    statistics=st.sampled_from([BOSE, FERMI]),
+    sharp=st.tuples(st.booleans(), st.booleans()),
+)
+def test_the_conventions_agree_on_packets_of_one_kinetic_energy(
+    seed, dim, hbar, mass, spins, statistics, sharp
+):
+    # a packet in one mode, or spread over a mode n and its mirror -n, has
+    # one kinetic energy, which is then its mean: the per-mode rate is the
+    # mean-energy one, as verify relies on when it judges sharp pairs strictly
+    rng = np.random.default_rng(seed)
+    classes = []  # nonzero mode numbers up to sign, each class one energy
+    for _ in range(3):
+        vec = tuple(int(n) for n in rng.integers(-2, 3, size=dim))
+        vec = vec if any(vec) else (1,) + vec[1:]
+        if vec not in classes and tuple(-n for n in vec) not in classes:
+            classes.append(vec)
+    modes = [(0,) * dim] + [m for vec in classes for m in (vec, tuple(-n for n in vec))]
+    basis = ModeBasis(rng.uniform(2.0, 8.0, size=dim), modes, hbar, mass, spins)
+    detector = spins[int(rng.integers(len(spins)))]
+
+    def packet(one_mode):
+        amps = [0j] * basis.n_modes
+        k = int(rng.integers(len(classes) + 1))
+        if one_mode or k == 0:
+            amps[int(rng.integers(basis.n_modes))] = 1.0
+        else:
+            pair = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
+            norm = math.hypot(abs(pair[0]), abs(pair[1]))
+            amps[2 * k - 1], amps[2 * k] = pair[0] / norm, pair[1] / norm
+        spin = detector if rng.random() < 0.8 else spins[int(rng.integers(len(spins)))]
+        return Wavepacket(basis, tuple(amps), spin)
+
+    a, b = packet(sharp[0]), packet(sharp[1])
+    if statistics is FERMI and (a.spin, a.amplitudes) == (b.spin, b.amplitudes):
+        b = Wavepacket(basis, (1.0,) + (0.0,) * (basis.n_modes - 1), a.spin)
+        if b == a:
+            b = Wavepacket(basis, (0.0, 1.0) + (0.0,) * (basis.n_modes - 2), a.spin)
+    model = random_model(rng, basis)
+    batch = evaluate_rates(
+        AbsorptionInput((a, b), detector, statistics), model, random_coords(rng, basis, 5)
+    )
+    assert batch.bound_order2_per_mode == pytest.approx(batch.bound_order2, rel=1e-12)
+    gap = np.abs(batch.rate_order2_per_mode - batch.rate_order2)
+    assert (gap <= 1e-12 * batch.bound_order2).all()
+
+
+def test_an_empty_batch_is_rejected():
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
+    model = MediumModel(1.0, (MediumChannel("ch", 1.0, 1.0, 3.0),))
+    for coords in ([], [(0.5,)]):
+        with pytest.raises(ValueError, match="^evaluate_inputs needs at least one input$"):
+            evaluate_inputs([], model, coords)
 
 
 def test_evaluator_rejects_positions_of_wrong_dimension():
@@ -341,13 +401,16 @@ def test_the_rate_bounds_hold_at_every_position(seed, convention):
     rng = np.random.default_rng(seed)
     basis, model, _, _, inputs = _draw(rng, (BOSE, FERMI)[seed % 2])
     coords = [[rng.uniform(0.0, length) for length in basis.box_lengths] for _ in range(64)]
+    rate_key = SECOND_ORDER_FIELDS[convention][0]
+    bound_key = {"mean": "bound_order2", "per_mode": "bound_order2_per_mode"}[convention]
     for inp in inputs:
-        batch = evaluate_rates(inp, model, coords, convention)
+        batch = evaluate_rates(inp, model, coords)
         assert 0.0 < batch.bound_order1 < math.inf
         assert (batch.rate_order1 <= batch.bound_order1 * (1 + REL_TOL)).all()
+        rate, bound = getattr(batch, rate_key), getattr(batch, bound_key)
         if len(inp.packets) == 1:
-            assert batch.bound_order2 == 0.0
-        assert (batch.rate_order2 <= batch.bound_order2 * (1 + REL_TOL)).all()
+            assert bound == 0.0
+        assert (rate <= bound * (1 + REL_TOL)).all()
 
 
 def assert_same_bits(got: RateBatch, want: RateBatch):
@@ -362,13 +425,10 @@ def assert_same_bits(got: RateBatch, want: RateBatch):
 @given(
     seed=st.integers(0, 2**32 - 1),
     statistics=st.sampled_from([BOSE, FERMI]),
-    convention=st.sampled_from(["mean", "per_mode"]),
     rows=st.sampled_from([0, 1, 2, 7]),
     rows_per_chunk=st.integers(1, 3),
 )
-def test_each_input_of_a_batch_is_its_own_one_input_call(
-    seed, statistics, convention, rows, rows_per_chunk
-):
+def test_each_input_of_a_batch_is_its_own_one_input_call(seed, statistics, rows, rows_per_chunk):
     # verify's draws: 1-3 dimensions, hbar and mass off 1, one packet and a
     # pair, sharp and spread; the same inputs seen by every other detector
     # spin add mismatched spins, whose rates the spin deltas zero
@@ -384,10 +444,10 @@ def test_each_input_of_a_batch_is_its_own_one_input_call(
     coords = [[rng.uniform(-1.0, 2.0) * length for length in lengths] for _ in range(rows)]
     # 7 rows run in three to seven chunks
     with mock.patch.object(perturbation, "CHUNK_ELEMENTS", rows_per_chunk * basis.n_modes):
-        batches = evaluate_inputs(inputs, model, coords, convention)
+        batches = evaluate_inputs(inputs, model, coords)
         assert len(batches) == len(inputs)
         for inp, batch in zip(inputs, batches):
-            assert_same_bits(batch, evaluate_rates(inp, model, coords, convention))
+            assert_same_bits(batch, evaluate_rates(inp, model, coords))
 
 
 def test_a_batch_raises_the_error_of_its_first_rejected_input(monkeypatch):

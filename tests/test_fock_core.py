@@ -51,6 +51,14 @@ def test_vacuum_is_single_empty_ket():
         assert inner_product(vac, vac) == 1.0 + 0.0j
 
 
+@pytest.mark.parametrize("statistics", ["fermi", "bose", None, 0])
+def test_vacuum_rejects_statistics_that_are_not_a_member(statistics):
+    # ladder_sum reads any value but BOSE as Fermi, so "bose" would
+    # silently build fermionic states
+    with pytest.raises(ValueError, match="^statistics must be a Statistics member, got "):
+        vacuum(statistics)
+
+
 def test_zero_state_is_distinct_from_vacuum():
     z = FockState(BOSE, {})
     assert z.is_zero()

@@ -269,7 +269,7 @@ def test_cancelling_orderings_compare_against_the_size_of_their_terms():
         for x in (0.3, 1.1, 2.9, 4.7):
             q = basis.position((x,))
             batch = evaluate_rates(pair, model, [q])
-            record = _compare(pair, model, q, batch, _oracle(pair, model, q), 0, 0, "cancelling")[0]
+            record = _compare(pair, batch, _oracle(pair, model, q), 0, 0, "cancelling")[0]
             floor = 1e-12 * batch.bound_order2
             assert record.status == "ok", record.line()
             assert record.rate_closed < floor and record.rate_oracle < floor, record.line()

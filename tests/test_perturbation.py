@@ -182,6 +182,20 @@ def test_input_stores_a_packet_list_as_a_tuple():
     assert AbsorptionInput([a], 0).packets == (a,)
 
 
+@pytest.mark.parametrize("statistics", ["fermi", "bose", None, 1])
+def test_input_rejects_statistics_that_are_not_a_member(statistics):
+    # the closed forms read any value but FERMI as Bose, and the oracle's
+    # ladder algebra any value but BOSE as Fermi: "fermi" gave a sharp pair
+    # at q = 0.3 the closed rate 0.08559 against the oracle's 0.000707
+    basis = cos_basis()
+    a = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
+    b = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
+    for packets in ((a, b), (a,)):
+        with pytest.raises(ParameterError, match="^statistics must be a Statistics member") as err:
+            AbsorptionInput(packets, 0, statistics)
+        assert err.value.field == "statistics"
+
+
 # ----------------------------------------------------------------- second order
 
 
@@ -325,17 +339,6 @@ def test_resonance_checked_even_when_spins_kill_rate():
         rate_second_order(inp, basis.position((0.5,)), model)
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_an_unknown_energy_convention_is_rejected_before_any_position(order):
-    basis = cos_basis()
-    model = MediumModel(1.0, (MediumChannel("ch", 1.0, 1.0, 3.0),))
-    pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    inp = AbsorptionInput((pkt,) * order, 0, BOSE)
-    for coords in ([], [(0.5,)]):
-        with pytest.raises(ValueError, match="^unknown energy convention 'bogus'$"):
-            evaluate_rates(inp, model, coords, energy_convention="bogus")
-
-
 @pytest.mark.parametrize("convention", ["mean", "per_mode"])
 @pytest.mark.parametrize("spins", [(0, 0), (0, 1)])
 def test_a_pair_whose_rate_bound_overflows_is_rejected_before_any_position(convention, spins):
@@ -348,12 +351,50 @@ def test_a_pair_whose_rate_bound_overflows_is_rejected_before_any_position(conve
     inp = AbsorptionInput((a, b), 0, BOSE)
     for coords in ([], [(0.5,)]):
         with pytest.raises(ParameterError, match="second-order rate bound") as err:
-            evaluate_rates(inp, model, coords, energy_convention=convention)
+            evaluate_rates(inp, model, coords)
         assert err.value.field == "channels"
     # with a 1e10 times smaller element the bound, ~1e299, is finite, and so is the rate
     small = MediumModel(1.0, (MediumChannel("big", 1e140, 1e10, 3.0),))
-    rate = evaluate_rates(inp, small, [(0.5,)], energy_convention=convention).rate_order2
+    batch = evaluate_rates(inp, small, [(0.5,)])
+    rate = batch.rate_order2 if convention == "mean" else batch.rate_order2_per_mode
     assert np.isfinite(rate).all()
+
+
+def test_a_pair_whose_per_mode_rate_bound_alone_overflows_is_rejected():
+    # the channel sits 1e-8 above mode 1's kinetic energy 0.5: clear of
+    # resonance, and of the pair's mean energy 0.25 by 0.25, so the mean
+    # weight is ~4e147 and its bound ~4e295 finite, while mode 1's weight
+    # is ~1e155 and the per-mode bound past the largest float
+    basis = cos_basis()
+    model = MediumModel(1.0, (MediumChannel("near", 1e142, 1e5, 0.5 + 1e-8),))
+    root_half = math.sqrt(0.5)
+    pkt = Wavepacket(basis, (root_half, root_half, 0.0), 0)
+    inp = AbsorptionInput((pkt, pkt), 0, BOSE)
+    far = MediumModel(1.0, (MediumChannel("near", 1e142, 1e5, 3.0),))
+    assert math.isfinite(evaluate_rates(inp, far, []).bound_order2_per_mode)
+    for coords in ([], [(0.5,)]):
+        with pytest.raises(ParameterError, match="second-order rate bound") as err:
+            evaluate_rates(inp, model, coords)
+        assert err.value.field == "channels"
+
+
+def test_a_channel_resonant_with_an_occupied_mode_raises_naming_both():
+    # the pair's mean kinetic energy is 0.25, clear of the channel at 0.5,
+    # but mode 1, occupied, sits exactly on it: the oracle rejects the
+    # input, and so does every closed form, naming the mode and the channel
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
+    model = MediumModel(1.0, (MediumChannel("ch0", 1.0, 1.0, 0.5),))
+    root_half = math.sqrt(0.5)
+    pkt = Wavepacket(basis, (root_half, root_half, 0.0), 0)
+    message = (
+        "energy denominator 0.0 for mode 1 and channel 'ch0' is nan or within 1e-09 of resonance"
+    )
+    for statistics in (BOSE, FERMI):
+        partner = pkt if statistics is BOSE else Wavepacket(basis, (root_half, -root_half, 0.0), 0)
+        inp = AbsorptionInput((pkt, partner), 0, statistics)
+        for coords in ([], [(0.5,)]):
+            with pytest.raises(ResonanceError, match=f"^{message}$"):
+                evaluate_rates(inp, model, coords)
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -22,11 +22,11 @@ from random import Random
 
 import pytest
 
-from fockabs import verify
+from fockabs import perturbation, verify
 from fockabs.cli_io import _cmd_verify, main, parse_config
 from fockabs.fock_core import Statistics
 from fockabs.field_ops import ModeBasis, Wavepacket
-from fockabs.perturbation import evaluate_inputs, evaluate_rates
+from fockabs.perturbation import evaluate_inputs
 from fockabs.verify import TOLERANCE, TrialRecord, _compare, _oracle
 from helpers import at_order1, readme_range32, verify_records
 
@@ -156,38 +156,36 @@ def test_a_trials_records_do_not_depend_on_its_block(seed):
 def test_each_input_is_evaluated_and_checked_once(monkeypatch):
     calls = Counter()
 
-    def count(name):
-        function = getattr(verify, name)
+    def count(module, name):
+        function = getattr(module, name)
 
         def counted(*args, **kwargs):
-            if name.startswith("evaluate_"):
-                convention = args[3] if len(args) > 3 else kwargs.get("energy_convention", "mean")
-                calls[name, convention] += 1
-                if name == "evaluate_inputs":
-                    calls["inputs evaluated"] += len(args[0])
-            else:
-                calls[name] += 1
+            calls[name] += 1
+            if name == "evaluate_inputs":
+                calls["inputs evaluated"] += len(args[0])
             return function(*args, **kwargs)
 
-        monkeypatch.setattr(verify, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     steps = (
-        "evaluate_inputs", "evaluate_rates", "packet_state", "two_particle_state",
+        "evaluate_inputs", "packet_state", "two_particle_state",
         "first_order_amplitude", "second_order_amplitude", "single_absorption_vacuum_overlap",
     )
     for name in steps:
-        count(name)
+        count(verify, name)
+    # verify holds no evaluate_rates, and reaches none through perturbation
+    assert not hasattr(verify, "evaluate_rates")
+    count(perturbation, "evaluate_rates")
     records = verify_records(60, seed=0)
     flagged = sum(r.status == "flagged" for r in records)
     singles = sum(r.packet_kind == "single" for r in records)
     assert not [r.line() for r in records if r.status == "fail"]
     assert flagged and singles
-    # one mean-energy call per trial, of its four inputs, and a per-mode
-    # call for each flagged record alone
+    # one call per trial, of its four inputs, which gives a flagged record's
+    # per-mode rate too
     assert calls == {
-        ("evaluate_inputs", "mean"): 60,
+        "evaluate_inputs": 60,
         "inputs evaluated": 4 * 60,
-        ("evaluate_rates", "per_mode"): flagged,
         "packet_state": 2 * 60,
         "two_particle_state": 2 * 60,
         "first_order_amplitude": 2 * 60,
@@ -240,10 +238,10 @@ def test_compare_passes_every_position_of_a_parsed_config(monkeypatch, text):
     assert len(positions) == 32 and (math.pi,) in positions
 
     def records_at(index, q):
-        # both steps, through whatever ``verify.evaluate_rates`` is now
-        batch = verify.evaluate_rates(config.run, config.medium, [q])
+        # both steps, through whatever ``verify.evaluate_inputs`` is now
+        [batch] = verify.evaluate_inputs([config.run], config.medium, [q])
         oracle = _oracle(config.run, config.medium, q)
-        return _compare(config.run, config.medium, q, batch, oracle, index, 0, "config")
+        return _compare(config.run, batch, oracle, index, 0, "config")
 
     for index, q in enumerate(positions):
         records = records_at(index, q)
@@ -251,37 +249,34 @@ def test_compare_passes_every_position_of_a_parsed_config(monkeypatch, text):
 
     # a closed form that doubles every rate fails wherever the true rate is
     # not zero, so at least everywhere but the node
-    def doubled(*args):
-        batch = evaluate_rates(*args)
-        return batch._replace(rate_order1=2 * batch.rate_order1, rate_order2=2 * batch.rate_order2)
-
-    monkeypatch.setattr(verify, "evaluate_rates", doubled)
+    _patch_closed_forms(monkeypatch, _doubled)
     for index, q in enumerate(positions):
         record = records_at(index, q)[0]
         assert record.status == "fail" or q == (math.pi,), record.line()
 
 
-def _patch_closed_forms(monkeypatch, change, conventions=("mean", "per_mode")):
-    """Make every closed form that verify evaluates under one of ``conventions``,
-    through ``evaluate_inputs`` or ``evaluate_rates`` alike, the batch that
-    ``change`` makes of the true one."""
+def _patch_closed_forms(monkeypatch, change):
+    """Make every closed form that verify evaluates the batch that ``change``
+    makes of the true one."""
 
-    def changed(batch, convention):
-        return change(batch) if convention in conventions else batch
-
-    def inputs(inputs, model, coords, energy_convention="mean"):
-        batches = evaluate_inputs(inputs, model, coords, energy_convention)
-        return [changed(batch, energy_convention) for batch in batches]
-
-    def rates(inp, model, coords, energy_convention="mean"):
-        return changed(evaluate_rates(inp, model, coords, energy_convention), energy_convention)
+    def inputs(inputs, model, coords):
+        return [change(batch) for batch in evaluate_inputs(inputs, model, coords)]
 
     monkeypatch.setattr(verify, "evaluate_inputs", inputs)
-    monkeypatch.setattr(verify, "evaluate_rates", rates)
 
 
 def _doubled_order2(batch):
+    """The batch with its mean-energy pair rate doubled, its per-mode one kept."""
     return batch._replace(rate_order2=2 * batch.rate_order2)
+
+
+def _doubled(batch):
+    """The batch with every rate doubled, under both conventions."""
+    return batch._replace(
+        rate_order1=2 * batch.rate_order1,
+        rate_order2=2 * batch.rate_order2,
+        rate_order2_per_mode=2 * batch.rate_order2_per_mode,
+    )
 
 
 def test_degenerate_support_is_relative_to_the_packet_energies():
@@ -309,9 +304,9 @@ def test_a_wrong_mean_energy_rate_fails_on_sharp_pairs(monkeypatch):
     def bound_order2(record: TrialRecord) -> float:
         # the sharp pair of the record's trial, drawn again
         _, model, _, q, inputs = verify._draw(Random(record.seed), record.statistics)
-        return evaluate_rates(inputs[2], model, [q]).bound_order2
+        return evaluate_inputs([inputs[2]], model, [q])[0].bound_order2
 
-    _patch_closed_forms(monkeypatch, _doubled_order2, conventions=("mean",))
+    _patch_closed_forms(monkeypatch, _doubled_order2)
     # a fermion pair whose orderings cancel has a rate of round-off, and
     # twice round-off is still round-off
     records = [
@@ -432,10 +427,7 @@ def test_the_cli_writes_the_library_report_byte_for_byte(capsys, trials, seed):
 
 
 def test_the_cli_summary_counts_failures_across_blocks(monkeypatch, capsys):
-    def doubled(batch):
-        return batch._replace(rate_order1=2 * batch.rate_order1, rate_order2=2 * batch.rate_order2)
-
-    _patch_closed_forms(monkeypatch, doubled)
+    _patch_closed_forms(monkeypatch, _doubled)
     records = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
     # failures in the last, partial block too
     assert {r.index // _B for r in _failures(records)} == {0, 1, 2}
@@ -445,7 +437,7 @@ def test_the_cli_summary_leaves_flagged_records_out_of_its_maxima(monkeypatch, c
     # a doubled mean-energy pair rate on packets taken as spread in energy
     # flags every sharp pair that the per-mode form matches, with rel=5e-01:
     # the maxima must not see those, only the sharp pairs of zero rate
-    _patch_closed_forms(monkeypatch, _doubled_order2, conventions=("mean",))
+    _patch_closed_forms(monkeypatch, _doubled_order2)
     monkeypatch.setattr(verify, "_degenerate_support", lambda packet: False)
     records = _cli_matches_the_library(capsys, 2 * _B + 3, 0)
     flagged_sharp = [r for r in records if r.status == "flagged" and r.packet_kind == "sharp"]
