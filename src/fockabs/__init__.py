@@ -31,19 +31,17 @@ from .medium import (
     MediumChannel,
     MediumModel,
     ResonanceError,
-    channel_weight,
     efficiency_factor,
 )
 from .perturbation import (
     AbsorptionInput,
     IndistinguishableFermionsError,
     RateBatch,
+    absorption_rate,
     evaluate_inputs,
     evaluate_rates,
     log_log_slope,
     proportionality_exponent,
-    rate_first_order,
-    rate_second_order,
 )
 from .oracle import (
     first_order_amplitude,
@@ -77,9 +75,9 @@ __all__ = [
     "Statistics",
     "TrialRecord",
     "Wavepacket",
+    "absorption_rate",
     "annihilate",
     "apply_packet_creation",
-    "channel_weight",
     "create",
     "efficiency_factor",
     "emit_csv",
@@ -95,8 +93,6 @@ __all__ = [
     "packet_state",
     "parse_config",
     "proportionality_exponent",
-    "rate_first_order",
-    "rate_second_order",
     "record_blocks",
     "run_scan",
     "second_order_amplitude",

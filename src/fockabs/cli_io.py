@@ -720,7 +720,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"{_USAGE}fockabs: error: {exc}\n")
         raise SystemExit(2) from None
     try:
-        code = handler(**values)
+        with warnings.catch_warnings():
+            # one line per warning, without the source file and line that raised it
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            code = handler(**values)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

@@ -124,9 +124,3 @@ def check_resonance(denominator: complex, label: str, mode: int | None = None) -
             f"energy denominator {denominator!r} for {where} is nan or "
             f"within {RESONANCE_THRESHOLD} of resonance"
         )
-
-
-def channel_weight(channel: MediumChannel, denominator: complex) -> complex:
-    """Second-order channel factor element_out * element_in / denominator."""
-    check_resonance(denominator, channel.label)
-    return channel.element_out * channel.element_in / denominator

@@ -57,16 +57,13 @@ def second_order_amplitude(
     q: tuple[float, ...],
     model: MediumModel,
     detector_spin: int,
-    denominator=None,
 ) -> complex:
     """Double-absorption amplitude by intermediate-state enumeration.
 
     Sums over every initial ket, every mode it occupies at the detector spin
     (all the field operator can remove) and every medium channel.  The
     absorber starts in its ground state, at energy 0, so the denominator
-    for each path is (absorbed kinetic energy - channel energy); pass
-    ``denominator(absorbed_energy, channel)`` to override it, e.g. with a
-    constant 1 to check intermediate-state completeness.
+    for each path is (absorbed kinetic energy - channel energy).
     """
     if not model.channels:
         raise ValueError("second-order amplitudes require at least one channel")
@@ -106,11 +103,8 @@ def second_order_amplitude(
                 if cached == 0.0:
                     continue
                 for ch in model.channels:
-                    if denominator is None:
-                        denom = absorbed_energy - ch.energy
-                        check_resonance(denom, ch.label, i)
-                    else:
-                        denom = denominator(absorbed_energy, ch)
+                    denom = absorbed_energy - ch.energy
+                    check_resonance(denom, ch.label, i)
                     total += (
                         ch.element_out
                         * ch.element_in

@@ -22,8 +22,8 @@ one kinetic energy.
 
 Every rate goes through ``evaluate_inputs``, batched over inputs and
 positions, and its ``RateBatch`` is the one result type; ``evaluate_rates``
-is its one-input case, and the scalar functions ``rate_first_order`` and
-``rate_second_order`` return the (mean-energy) rate of its one-row case.
+is its one-input case, and the scalar ``absorption_rate`` returns its
+one-row case's rate at the input's order (for a pair, the mean-energy one).
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ import numpy as np
 
 from .fock_core import ParameterError, Statistics
 from .field_ops import Wavepacket, mean_kinetic_energy, phase_matrix
-from .medium import (
-    RESONANCE_THRESHOLD, MediumModel, channel_weight, check_resonance, efficiency_factor,
-)
+from .medium import RESONANCE_THRESHOLD, MediumModel, check_resonance, efficiency_factor
 
 MIN_FIT_DENSITY = 1e-12
 
@@ -130,21 +128,22 @@ def _channel_sum(packet: Wavepacket, model: MediumModel) -> tuple[complex, list[
     A resonant denominator raises ResonanceError, the mean one first; one at
     E_k names mode k.
     """
-    energy = mean_kinetic_energy(packet)
-    mean = sum([channel_weight(ch, energy - ch.energy) for ch in model.channels])
     # plain Python, with each channel's M_out * M_in formed once: at the 2-4
     # modes of verify's draws a numpy call costs more than the loop
     channels = [(ch.element_out * ch.element_in, ch.energy, ch.label) for ch in model.channels]
-    weighted = []  # its length is the index of the mode at hand
-    for amp, level in zip(packet.amplitudes, packet.basis.kinetic_energies):
+    # the mean energy first, as amplitude 1 at no mode, then each mode k
+    levels = [(None, (1, mean_kinetic_energy(packet)))]
+    levels += enumerate(zip(packet.amplitudes, packet.basis.kinetic_energies))
+    weights = []  # W(E), then W(E_k) of each mode k (0 on unoccupied modes)
+    for mode, (amp, level) in levels:
         weight = 0j
         for product, channel_energy, label in channels if amp else ():
             denominator = level - channel_energy
             if not abs(denominator) >= RESONANCE_THRESHOLD:
-                check_resonance(denominator, label, len(weighted))
+                check_resonance(denominator, label, mode)
             weight += product / denominator
-        weighted.append(amp * weight)
-    return mean, weighted
+        weights.append(weight)
+    return weights[0], [amp * w for amp, w in zip(packet.amplitudes, weights[1:])]
 
 
 def _rate_bounds(
@@ -283,21 +282,12 @@ def evaluate_rates(
     return evaluate_inputs([inp], model, coords)[0]
 
 
-def rate_first_order(
-    packet: Wavepacket, detector_spin: int, q: tuple[float, ...], model: MediumModel
-) -> float:
-    """One-particle absorption rate efficiency * |psi(Q)|^2 at matching spin."""
-    batch = evaluate_rates(AbsorptionInput((packet,), detector_spin), model, [q])
-    return batch.rate_order1.item(0)
-
-
-def rate_second_order(
-    inp: AbsorptionInput, q: tuple[float, ...], model: MediumModel
-) -> float:
-    """Two-particle absorption rate (2 pi / hbar^2)|coupling|^4 |sum of terms|^2."""
-    if len(inp.packets) != 2:
-        raise ValueError("a second-order rate needs a pair of packets, got one")
-    return evaluate_rates(inp, model, [q]).rate_order2.item(0)
+def absorption_rate(inp: AbsorptionInput, model: MediumModel, q: tuple[float, ...]) -> float:
+    """The rate of ``inp`` at position ``q``, at its order: efficiency * |psi(Q)|^2
+    for one packet, the (mean-energy) second-order rate for a pair; row 0 of
+    ``evaluate_rates``."""
+    batch = evaluate_rates(inp, model, [q])
+    return (batch.rate_order1, batch.rate_order2)[len(inp.packets) - 1].item(0)
 
 
 def log_log_slope(densities: list[float], rates: list[float]) -> float:

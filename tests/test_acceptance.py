@@ -19,11 +19,10 @@ from fockabs import (
     SlotKey,
     Statistics,
     Wavepacket,
+    absorption_rate,
     efficiency_factor,
     lowest_mode_numbers,
     proportionality_exponent,
-    rate_first_order,
-    rate_second_order,
     second_order_amplitude,
     single_absorption_vacuum_overlap,
     two_particle_state,
@@ -95,7 +94,7 @@ def test_criterion_2_born_distribution():
         raw /= np.linalg.norm(raw)
         pkt = Wavepacket(basis, tuple(raw), 0)
         total = sum(
-            rate_first_order(pkt, 0, q, model) for q in positions
+            absorption_rate(AbsorptionInput((pkt,), 0), model, q) for q in positions
         ) * weight
         worst = max(worst, abs(total - beta) / beta)
         assert abs(total - beta) / beta < 1e-8
@@ -105,7 +104,7 @@ def test_criterion_2_born_distribution():
     plane = Wavepacket(unit_basis, (1.0,), 0)
     for k in range(25):
         q = unit_basis.position((TWO_PI * k / 25,))
-        assert abs(rate_first_order(plane, 0, q, unit_model) - 1.0) < 1e-12
+        assert abs(absorption_rate(AbsorptionInput((plane,), 0), unit_model, q) - 1.0) < 1e-12
     print(
         f"criterion 2 PASS: Born quadrature matches efficiency over 10 "
         f"packets (worst rel {worst:.2e}); unit plane-wave rate is 1.0 "
@@ -178,7 +177,7 @@ def test_criterion_5_orthogonal_packets_product_law():
             )
             if dens < 1e-12:
                 continue
-            ratios.append(rate_second_order(inp, q, model) / dens)
+            ratios.append(absorption_rate(inp, model, q) / dens)
         spread = (max(ratios) - min(ratios)) / max(ratios)
         spreads.append(spread)
         assert spread < 1e-10
@@ -203,7 +202,7 @@ def test_criterion_6_density_exponents():
     second = proportionality_exponent(inp, model, qs)
     assert abs(second - 2.0) < 1e-6
 
-    rates = [rate_first_order(pkt, 0, q, model) for q in qs]
+    rates = [absorption_rate(AbsorptionInput((pkt,), 0), model, q) for q in qs]
     dens = [abs(position_amplitude(pkt, q)) ** 2 for q in qs]
     first = log_log_slope(dens, rates)
     assert abs(first - 1.0) < 1e-6
@@ -232,12 +231,8 @@ def test_criterion_7_fermion_cancellation():
     assert abs(overlap(f, g) - (1.0 - eps)) < 1e-16
 
     q = basis.position((0.9,))
-    fermi_rate = rate_second_order(
-        AbsorptionInput((f, g), 0, FERMI), q, model
-    )
-    bose_rate = rate_second_order(
-        AbsorptionInput((f, g), 0, BOSE), q, model
-    )
+    fermi_rate = absorption_rate(AbsorptionInput((f, g), 0, FERMI), model, q)
+    bose_rate = absorption_rate(AbsorptionInput((f, g), 0, BOSE), model, q)
     assert bose_rate > 0.0
     assert fermi_rate < 1e-12 * bose_rate
 

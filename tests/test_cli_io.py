@@ -886,6 +886,19 @@ def test_normalization_rules(recwarn):
         parse_config(bad)
 
 
+def test_the_cli_states_a_renormalization_on_one_line(tmp_path, capsys):
+    # the warning's text alone: no source path, line number or line of code
+    off = MINIMAL_ORDER1.replace("[[1.0, 0.0]]", "[[1.00000005, 0.0]]")
+    with pytest.warns(UserWarning) as caught:
+        csv_text = emit_csv(run_scan(parse_config(off)))
+    message = str(caught[0].message)
+    assert message.startswith("packet 'beam': amplitudes renormalized (norm^2 was 1.0000001")
+    path = tmp_path / "off.yaml"
+    path.write_text(off)
+    assert main(["scan", "--config", str(path)]) == 0
+    assert capsys.readouterr() == (csv_text, f"warning: {message}\n")
+
+
 def test_amplitude_count_must_match_modes():
     bad = MINIMAL_ORDER1.replace("[[1.0, 0.0]]", "[[1.0, 0.0], [0.0, 0.0]]")
     with pytest.raises(ConfigError) as err:

@@ -19,12 +19,11 @@ from fockabs import (
     ResonanceError,
     Statistics,
     Wavepacket,
+    absorption_rate,
     evaluate_inputs,
     evaluate_rates,
     lowest_mode_numbers,
     mode_wavefunction,
-    rate_first_order,
-    rate_second_order,
 )
 from fockabs import perturbation
 from fockabs.verify import _draw
@@ -236,10 +235,10 @@ def test_scalar_calls_are_rows_of_one_batch(seed, dim, n_modes, statistics, rows
     rows_alone = [evaluate_rates(inp, model, [q]) for q in positions]
     scalar = {
         "rate_order1": [
-            rate_first_order(inp.packets[0], inp.detector_spin, q, model)
+            absorption_rate(AbsorptionInput((inp.packets[0],), inp.detector_spin), model, q)
             for q in positions
         ],
-        "rate_order2": [rate_second_order(inp, q, model) for q in positions],
+        "rate_order2": [absorption_rate(inp, model, q) for q in positions],
         **{
             key: [getattr(row, key)[0] for row in rows_alone]
             for key in ("terms", "rate_order2_per_mode", "terms_per_mode")

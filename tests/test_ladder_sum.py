@@ -290,7 +290,7 @@ def test_packet_creation_skips_zero_amplitudes():
         assert_same_state(created, all_modes_packet_creation(state, packet))
 
 
-def all_modes_second_order(particle, basis, q, model, detector_spin, denominator=None):
+def all_modes_second_order(particle, basis, q, model, detector_spin):
     """Every ket, every mode of the basis, every channel; the literal loop."""
     vac = vacuum(particle.statistics)
     total = 0.0 + 0.0j
@@ -306,10 +306,7 @@ def all_modes_second_order(particle, basis, q, model, detector_spin, denominator
                 if overlap == 0.0:
                     continue
                 for ch in model.channels:
-                    if denominator is None:
-                        denom = basis.kinetic_energies[i] - ch.energy
-                    else:
-                        denom = denominator(basis.kinetic_energies[i], ch)
+                    denom = basis.kinetic_energies[i] - ch.energy
                     total += ch.element_out * ch.element_in * overlap * first_factor / denom
     return model.coupling**2 * total
 
@@ -320,11 +317,8 @@ def all_modes_second_order(particle, basis, q, model, detector_spin, denominator
     statistics=st.sampled_from([BOSE, FERMI]),
     sharp=st.tuples(st.booleans(), st.booleans(), st.booleans()),
     spins=st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
-    unit_denominator=st.booleans(),
 )
-def test_second_order_equals_all_modes_enumeration(
-    seed, statistics, sharp, spins, unit_denominator
-):
+def test_second_order_equals_all_modes_enumeration(seed, statistics, sharp, spins):
     rng = np.random.default_rng(seed)
     basis = _random_basis(rng)
     model = _random_model(rng, basis)
@@ -348,6 +342,5 @@ def test_second_order_equals_all_modes_enumeration(
     )
     if pair.is_zero():
         return
-    denominator = (lambda energy, ch: 1.0) if unit_denominator else None
-    got = second_order_amplitude(pair, basis, q, model, detector, denominator)
-    assert got == all_modes_second_order(pair, basis, q, model, detector, denominator)
+    got = second_order_amplitude(pair, basis, q, model, detector)
+    assert got == all_modes_second_order(pair, basis, q, model, detector)

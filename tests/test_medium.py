@@ -1,6 +1,8 @@
 """Absorbing-medium model: channels, matrix elements, efficiency factor."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from fockabs import (
     ParameterError,
     ResonanceError,
     Wavepacket,
-    channel_weight,
     efficiency_factor,
     lowest_mode_numbers,
+    mean_kinetic_energy,
 )
+from fockabs.medium import check_resonance
+from fockabs.perturbation import _channel_sum
 
 
 def two_channel_model():
@@ -52,35 +56,65 @@ def test_efficiency_factor_quadratic_in_coupling():
     assert abs(ratio - 4.0) < 1e-12
 
 
-def test_channel_weight_values():
-    ch = MediumChannel("c", 1.0, 1.0, 0.5)
-    assert channel_weight(ch, 2.0) == 0.5
-    dark = MediumChannel("d", 0.0, 3.0, 0.5)
-    assert channel_weight(dark, 2.0) == 0.0
+def _channel_sums(packet, channels):
+    return _channel_sum(packet, MediumModel(0.9 + 0.3j, tuple(channels)))
 
 
-def test_channel_weight_linearity():
-    denom = 1.7
+def literal_weight(channels, energy):
+    return sum([ch.element_out * ch.element_in / (energy - ch.energy) for ch in channels])
+
+
+def test_channel_sum_is_the_literal_sum_over_channels():
+    # the mean weight bit for bit, and each occupied mode's amplitude times its own
+    channels = two_channel_model().channels
+    rng = np.random.default_rng(0)
+    raw = rng.normal(size=3) + 1j * rng.normal(size=3)
+    for amplitudes in ((1.0, 0.0, 0.0), (0.0, 0.6, 0.8j), tuple(raw / np.linalg.norm(raw))):
+        packet = Wavepacket(UNIT_BASIS, amplitudes, 1)
+        mean, weighted = _channel_sums(packet, channels)
+        assert mean == literal_weight(channels, mean_kinetic_energy(packet))
+        energies = UNIT_BASIS.kinetic_energies
+        assert weighted == [a * literal_weight(channels, e) if a else 0j
+                            for a, e in zip(amplitudes, energies)]
+    # mode 2 alone, at energy 2: a unit channel at 0 gives 1/2, a dark one 0
+    basis = ModeBasis([2 * math.pi], [[0], [1], [2]])
+    packet = Wavepacket(basis, (0.0, 0.0, 1.0), 0)
+    assert _channel_sums(packet, [MediumChannel("c", 1.0, 1.0, 0.0)]) == (0.5, [0j, 0j, 0.5])
+    assert _channel_sums(packet, [MediumChannel("d", 0.0, 3.0, 0.0)]) == (0j, [0j, 0j, 0j])
+
+
+def test_channel_sum_is_linear_in_each_element():
+    base = MediumChannel("c", 1.1 - 0.2j, 0.7 + 0.5j, -1.2)
+    packet = Wavepacket(UNIT_BASIS, (0.6, 0.0, 0.8j), 1)
+    mean, weighted = _channel_sums(packet, [base])
     for scale in (2.0, -0.5 + 1.0j):
-        base = MediumChannel("c", 1.1 - 0.2j, 0.7 + 0.5j, 0.0)
-        in_scaled = MediumChannel("c", scale * base.element_in, base.element_out, 0.0)
-        out_scaled = MediumChannel("c", base.element_in, scale * base.element_out, 0.0)
-        want = scale * channel_weight(base, denom)
-        assert abs(channel_weight(in_scaled, denom) - want) < 1e-12
-        assert abs(channel_weight(out_scaled, denom) - want) < 1e-12
+        for element in ("element_in", "element_out"):
+            scaled = dataclasses.replace(base, **{element: scale * getattr(base, element)})
+            got_mean, got = _channel_sums(packet, [scaled])
+            assert abs(got_mean - scale * mean) < 1e-12
+            assert all(abs(g - scale * w) < 1e-12 for g, w in zip(got, weighted))
 
 
-def test_channel_weight_resonance():
-    ch = MediumChannel("c", 1.0, 1.0, 0.5)
-    with pytest.raises(ResonanceError):
-        channel_weight(ch, 0.0)
-    with pytest.raises(ResonanceError):
-        channel_weight(ch, 1e-10)
-    # the error names the channel
-    try:
-        channel_weight(ch, 0.0)
-    except ResonanceError as exc:
-        assert "c" in str(exc)
+def test_a_resonant_channel_names_the_mode_only_off_the_mean():
+    # at the mean energy 0.32; at mode 1's 0.5; at the mean of a packet whose
+    # modes all sit at 0.5, which is checked first; at mode 2's 0.5
+    for amplitudes, energy, where in [
+        ((0.6, 0.8, 0.0), 0.32, "for channel 'res' "),
+        ((0.6, 0.8, 0.0), 0.5 + 1e-10, "for mode 1 and channel 'res' "),
+        ((0.0, 0.6, 0.8), 0.5 - 1e-10, "for channel 'res' "),
+        ((0.6, 0.0, 0.8), 0.5, "for mode 2 and channel 'res' "),
+    ]:
+        channels = [MediumChannel("far", 1.0, 1.0, -3.0), MediumChannel("res", 1.0, 1.0, energy)]
+        with pytest.raises(ResonanceError, match=re.escape(where)):
+            _channel_sums(Wavepacket(UNIT_BASIS, amplitudes, 1), channels)
+
+
+def test_a_nan_channel_denominator_is_rejected():
+    # a finite energy is a MediumChannel invariant; set past it, the gate still holds
+    channel = MediumChannel("c", 1.0, 1.0, 0.5)
+    object.__setattr__(channel, "energy", math.nan)
+    with pytest.raises(ResonanceError, match="nan"):
+        _channel_sums(UNIT_PACKET, [channel])
 
 
 NAN = math.nan
@@ -101,8 +135,8 @@ NON_FINITE_CASES = [
     (lambda: MediumChannel("c", 1.0, complex(0.0, INF), 0.5), "element_out"),
     (lambda: MediumModel(NAN, (UNIT_CHANNEL,)), "coupling"),
     (lambda: MediumModel(1.0, (), first_order_element=INF), "first_order_element"),
-    (lambda: channel_weight(UNIT_CHANNEL, NAN), "nan"),
-    (lambda: channel_weight(UNIT_CHANNEL, complex(NAN, 1.0)), "nan"),
+    (lambda: check_resonance(NAN, "c"), "nan"),
+    (lambda: check_resonance(complex(NAN, 1.0), "c"), "nan"),
     (lambda: ModeBasis([1.0], [[0]], hbar=-INF), "hbar"),
     (lambda: MediumModel(complex(0.0, INF), (UNIT_CHANNEL,)), "coupling"),
     # finite, but past what the rate prefactors can hold

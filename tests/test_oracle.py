@@ -1,5 +1,6 @@
 """Brute-force enumeration oracle and the randomized verification harness."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,13 +14,12 @@ from fockabs import (
     ResonanceError,
     Statistics,
     Wavepacket,
+    absorption_rate,
     field_annihilate,
     first_order_amplitude,
     inner_product,
     lowest_mode_numbers,
     packet_state,
-    rate_first_order,
-    rate_second_order,
     record_blocks,
     second_order_amplitude,
     single_absorption_vacuum_overlap,
@@ -66,7 +66,7 @@ def test_first_order_amplitude_matches_closed_form():
             initial = packet_state(pkt, stats)
             q = basis.position((float(rng.uniform(0, TWO_PI)),))
             amp = first_order_amplitude(initial, basis, q, model, 0)
-            closed = rate_first_order(pkt, 0, q, model)
+            closed = absorption_rate(AbsorptionInput((pkt,), 0), model, q)
             oracle = RATE_PREFACTOR * abs(amp) ** 2
             assert abs(closed - oracle) <= 1e-12 * max(oracle, 1e-300)
 
@@ -161,35 +161,53 @@ def test_sharp_packet_agreement_both_statistics():
         pair = two_particle_state(a, b, stats)
         for _ in range(5):
             q = basis.position((float(rng.uniform(0, TWO_PI)),))
-            closed = rate_second_order(inp, q, model)
+            closed = absorption_rate(inp, model, q)
             amp = second_order_amplitude(pair, basis, q, model, 0)
             oracle = RATE_PREFACTOR * abs(amp) ** 2
             assert abs(closed - oracle) <= 1e-12 * max(oracle, 1e-300)
 
 
 def test_intermediate_enumeration_resolves_identity():
-    # with every denominator forced to 1 the sum telescopes to the direct
-    # double application of the field operator
-    basis = cos_basis()
-    model = safe_model()
+    # every occupied mode is one of v's sign flips, so every path has the same
+    # kinetic energy E; then the channel sum factors out as W(E), and the
+    # intermediate states resolve the identity between the two field operators
     rng = np.random.default_rng(3)
-    for stats in (BOSE, FERMI):
-        a = random_packet(rng, basis, 0)
-        b = random_packet(rng, basis, 0)
-        pair = two_particle_state(a, b, stats)
-        q = basis.position((float(rng.uniform(0, TWO_PI)),))
-        hooked = second_order_amplitude(
-            pair, basis, q, model, 0, denominator=lambda energy, ch: 1.0
+    for dim, stats in itertools.product((1, 2, 3), (BOSE, FERMI) * 8):
+        v = [int(n) for n in rng.integers(1, 3, size=dim)]
+        flips = [list(signs) for signs in itertools.product((1, -1), repeat=dim)]
+        modes = [[s * n for s, n in zip(signs, v)] for signs in flips] + [[0] * dim]
+        basis = ModeBasis(
+            rng.uniform(1.0, 8.0, size=dim).tolist(), modes,
+            hbar=float(rng.uniform(0.5, 2.0)), mass=float(rng.uniform(0.5, 2.0)),
         )
-        dropped_twice = field_annihilate(
-            field_annihilate(pair, basis, q, 0), basis, q, 0
-        )
-        direct = inner_product(vacuum(stats), dropped_twice)
-        element_sum = sum(
-            ch.element_out * ch.element_in for ch in model.channels
-        )
-        want = model.coupling**2 * element_sum * direct
-        assert abs(hooked - want) < 1e-12 * max(abs(want), 1.0)
+        energy = basis.kinetic_energies[0]
+        assert basis.kinetic_energies[:-1] == (energy,) * len(flips)
+        offsets = rng.uniform(0.3, 2.0, size=2) * [1, -1]
+        elements = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        model = MediumModel(complex(*rng.normal(size=2)), tuple(
+            MediumChannel(f"ch{k}", *elements[k], energy + offsets[k]) for k in range(2)
+        ))
+        spin = int(rng.integers(0, 2))
+        packets = []
+        for _ in range(2):
+            raw = np.append(rng.normal(size=len(flips)) + 1j * rng.normal(size=len(flips)), 0)
+            packets.append(Wavepacket(basis, tuple(raw / np.linalg.norm(raw)), spin))
+        pair = two_particle_state(*packets, stats)
+        q = basis.position(rng.uniform(0.0, 8.0, size=dim).tolist())
+        twice = field_annihilate(field_annihilate(pair, basis, q, spin), basis, q, spin)
+        direct = inner_product(vacuum(stats), twice)
+        weight = sum(ch.element_out * ch.element_in / (energy - ch.energy) for ch in model.channels)
+        batch = evaluate_rates(AbsorptionInput(packets, spin, stats), model, [q])
+        prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
+        tolerance = 1e-12 * batch.bound_order2
+        amplitude = second_order_amplitude(pair, basis, q, model, spin)
+        want = model.coupling**2 * weight * direct
+        assert abs(amplitude - want) <= math.sqrt(tolerance / prefactor)
+        rate = prefactor * abs(weight * direct) ** 2
+        assert abs(batch.rate_order2[0] - rate) <= tolerance
+        assert abs(batch.rate_order2_per_mode[0] - rate) <= tolerance
+        if stats is FERMI:  # psi(Q) psi(Q) = 0, by Pauli
+            assert rate <= tolerance
 
 
 def test_rates_independent_of_mode_ordering():
@@ -224,11 +242,11 @@ def test_zero_coupling_zeroes_both_sides():
     )
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     q = basis.position((0.9,))
-    assert rate_first_order(pkt, 0, q, model) == 0.0
+    assert absorption_rate(AbsorptionInput((pkt,), 0), model, q) == 0.0
     initial = packet_state(pkt, BOSE)
     assert first_order_amplitude(initial, basis, q, model, 0) == 0.0
     inp = AbsorptionInput((pkt, pkt), 0, BOSE)
-    assert rate_second_order(inp, q, model) == 0.0
+    assert absorption_rate(inp, model, q) == 0.0
     pair = two_particle_state(pkt, pkt, BOSE)
     assert second_order_amplitude(pair, basis, q, model, 0) == 0.0
 

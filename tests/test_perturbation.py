@@ -16,13 +16,12 @@ from fockabs import (
     ResonanceError,
     Statistics,
     Wavepacket,
+    absorption_rate,
     efficiency_factor,
     evaluate_rates,
     log_log_slope,
     lowest_mode_numbers,
     proportionality_exponent,
-    rate_first_order,
-    rate_second_order,
 )
 from helpers import position_amplitude, uniform_grid
 
@@ -71,7 +70,7 @@ def test_unit_plane_wave_rate_is_one_everywhere():
     rng = np.random.default_rng(0)
     for _ in range(20):
         q = basis.position((float(rng.uniform(0, TWO_PI)),))
-        assert abs(rate_first_order(pkt, 0, q, model) - 1.0) < 1e-12
+        assert abs(absorption_rate(AbsorptionInput((pkt,), 0), model, q) - 1.0) < 1e-12
 
 
 def test_first_order_spin_mismatch_is_zero():
@@ -79,7 +78,7 @@ def test_first_order_spin_mismatch_is_zero():
     model = safe_model()
     pkt = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
     q = basis.position((0.4,))
-    assert rate_first_order(pkt, 1, q, model) == 0.0
+    assert absorption_rate(AbsorptionInput((pkt,), 1), model, q) == 0.0
 
 
 def test_first_order_node_of_cos_packet():
@@ -88,14 +87,14 @@ def test_first_order_node_of_cos_packet():
     w = 1 / math.sqrt(2)
     pkt = Wavepacket(basis, (0.0, w, w), 0)
     node = basis.position((math.pi / 2,))
-    assert rate_first_order(pkt, 0, node, model) < 1e-28
+    assert absorption_rate(AbsorptionInput((pkt,), 0), model, node) < 1e-28
 
 
 def test_first_order_rejects_unknown_detector_spin():
     basis = cos_basis()
     pkt = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
     with pytest.raises(ValueError):
-        rate_first_order(pkt, 5, basis.position((0.0,)), safe_model())
+        absorption_rate(AbsorptionInput((pkt,), 5), safe_model(), basis.position((0.0,)))
 
 
 def test_born_quadrature_integrates_to_efficiency():
@@ -107,7 +106,7 @@ def test_born_quadrature_integrates_to_efficiency():
     for _ in range(10):
         pkt = random_packet(rng, basis)
         total = sum(
-            rate_first_order(pkt, 0, q, model) for q in positions
+            absorption_rate(AbsorptionInput((pkt,), 0), model, q) for q in positions
         ) * weight
         assert abs(total - beta) / beta < 1e-8
 
@@ -209,7 +208,7 @@ def test_same_state_boson_unit_case():
     rng = np.random.default_rng(2)
     for _ in range(5):
         q = basis.position((float(rng.uniform(0, TWO_PI)),))
-        rate = rate_second_order(inp, q, model)
+        rate = absorption_rate(inp, model, q)
         assert abs(rate - 2 / math.pi) < 1e-12
 
 
@@ -221,7 +220,7 @@ def test_rate_matches_terms_assembly():
     b = random_packet(rng, basis)
     inp = AbsorptionInput((a, b), 0, BOSE)
     q = basis.position((1.9,))
-    rate = rate_second_order(inp, q, model)
+    rate = absorption_rate(inp, model, q)
     assembled = (
         2 * math.pi / basis.hbar**2
         * abs(model.coupling) ** 4
@@ -255,7 +254,7 @@ def test_second_order_spin_selection():
             b = random_packet(rng, basis, sb)
             inp = AbsorptionInput((a, b), det, stats)
             q = basis.position((float(rng.uniform(0, TWO_PI)),))
-            rate = rate_second_order(inp, q, model)
+            rate = absorption_rate(inp, model, q)
             if sa == det and sb == det:
                 continue
             assert rate == 0.0
@@ -277,7 +276,7 @@ def test_orthogonal_packets_obey_product_density_law():
             )
             if dens < 1e-12:
                 continue
-            ratios.append(rate_second_order(inp, q, model) / dens)
+            ratios.append(absorption_rate(inp, model, q) / dens)
         assert len(ratios) >= 10
         spread = (max(ratios) - min(ratios)) / max(ratios)
         assert spread < 1e-10
@@ -290,7 +289,7 @@ def test_same_state_boson_quartic_scaling():
     pkt = Wavepacket(basis, (0.0, w, w), 0)
     inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     qs = [basis.position((x,)) for x in (0.3, 0.9, 1.3, 2.2, 2.8)]
-    rates = [rate_second_order(inp, q, model) for q in qs]
+    rates = [absorption_rate(inp, model, q) for q in qs]
     amps = [abs(position_amplitude(pkt, q)) for q in qs]
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
@@ -308,14 +307,12 @@ def test_global_phase_invariance():
     phase = cmath.exp(1.2j)
     a_rot = Wavepacket(basis, tuple(phase * x for x in a.amplitudes), 0)
     q = basis.position((2.6,))
-    w1 = rate_first_order(a, 0, q, model)
-    w1_rot = rate_first_order(a_rot, 0, q, model)
+    w1 = absorption_rate(AbsorptionInput((a,), 0), model, q)
+    w1_rot = absorption_rate(AbsorptionInput((a_rot,), 0), model, q)
     assert abs(w1 - w1_rot) < 1e-12 * max(w1, 1.0)
     for stats in (BOSE, FERMI):
-        w2 = rate_second_order(AbsorptionInput((a, b), 0, stats), q, model)
-        w2_rot = rate_second_order(
-            AbsorptionInput((a_rot, b), 0, stats), q, model
-        )
+        w2 = absorption_rate(AbsorptionInput((a, b), 0, stats), model, q)
+        w2_rot = absorption_rate(AbsorptionInput((a_rot, b), 0, stats), model, q)
         assert abs(w2 - w2_rot) < 1e-12 * max(w2, 1.0)
 
 
@@ -326,7 +323,7 @@ def test_resonant_channel_raises():
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     with pytest.raises(ResonanceError):
-        rate_second_order(inp, basis.position((0.5,)), model)
+        absorption_rate(inp, model, basis.position((0.5,)))
 
 
 def test_resonance_checked_even_when_spins_kill_rate():
@@ -336,7 +333,7 @@ def test_resonance_checked_even_when_spins_kill_rate():
     b = Wavepacket(basis, (0.0, 1.0, 0.0), 1)
     inp = AbsorptionInput((a, b), 0, BOSE)
     with pytest.raises(ResonanceError):
-        rate_second_order(inp, basis.position((0.5,)), model)
+        absorption_rate(inp, model, basis.position((0.5,)))
 
 
 @pytest.mark.parametrize("convention", ["mean", "per_mode"])
@@ -422,18 +419,20 @@ def test_second_order_requires_channels():
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     inp = AbsorptionInput((pkt, pkt), 0, BOSE)
     with pytest.raises(ValueError):
-        rate_second_order(inp, basis.position((0.1,)), model)
+        absorption_rate(inp, model, basis.position((0.1,)))
 
 
-def test_second_order_rejects_a_single_packet():
-    # the packet's first-order rate is nonzero here, so a zero would be silent
+def test_absorption_rate_is_at_the_order_of_its_input():
+    # one packet gives its first-order rate, a pair its second-order one: both nonzero here
     basis = cos_basis()
     model = MediumModel(1.0, (MediumChannel("c", 1.0, 1.0, 3.0),), first_order_element=1.0)
     pkt = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     q = basis.position((0.1,))
-    assert rate_first_order(pkt, 0, q, model) > 0.0
-    with pytest.raises(ValueError, match="needs a pair of packets, got one"):
-        rate_second_order(AbsorptionInput((pkt,), 0), q, model)
+    for packets, field in (((pkt,), "rate_order1"), ((pkt, pkt), "rate_order2")):
+        inp = AbsorptionInput(packets, 0)
+        rate = absorption_rate(inp, model, q)
+        assert type(rate) is float and rate > 0.0
+        assert rate == getattr(evaluate_rates(inp, model, [q]), field)[0]
 
 
 # ----------------------------------------------------------------- exponents
@@ -492,7 +491,7 @@ def test_exponent_one_for_first_order():
     w = 1 / math.sqrt(2)
     pkt = Wavepacket(basis, (0.0, w, w), 0)
     qs = [basis.position((x,)) for x in (0.2, 0.5, 0.8, 1.1, 1.35, 2.1, 2.6, 2.9)]
-    rates = [rate_first_order(pkt, 0, q, model) for q in qs]
+    rates = [absorption_rate(AbsorptionInput((pkt,), 0), model, q) for q in qs]
     dens = [abs(position_amplitude(pkt, q)) ** 2 for q in qs]
     assert abs(log_log_slope(dens, rates) - 1.0) < 1e-6
 
