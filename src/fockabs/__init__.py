@@ -27,12 +27,7 @@ from .field_ops import (
     packet_state,
     two_particle_state,
 )
-from .medium import (
-    MediumChannel,
-    MediumModel,
-    ResonanceError,
-    efficiency_factor,
-)
+from .medium import MediumChannel, MediumModel, ResonanceError
 from .perturbation import (
     AbsorptionInput,
     IndistinguishableFermionsError,
@@ -79,7 +74,6 @@ __all__ = [
     "annihilate",
     "apply_packet_creation",
     "create",
-    "efficiency_factor",
     "emit_csv",
     "evaluate_inputs",
     "evaluate_rates",

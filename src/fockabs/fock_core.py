@@ -160,9 +160,7 @@ def ladder_sum(
     for ket, amp in list(out.items()):
         if not abs(amp) > PRUNE_THRESHOLD:
             del out[ket]
-    result = object.__new__(FockState)
-    result.__dict__.update(statistics=state.statistics, terms=out)
-    return result
+    return _valid_state(state.statistics, out)
 
 
 def create(state: FockState, slot: SlotKey) -> FockState:

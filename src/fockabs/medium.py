@@ -12,12 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .fock_core import ParameterError
-
-if TYPE_CHECKING:
-    from .field_ops import ModeBasis
 
 RESONANCE_THRESHOLD = 1e-9
 
@@ -106,13 +102,6 @@ class MediumModel:
             _check_prefactor("channels", product, self.coupling * default, 2)
             object.__setattr__(self, "first_order_element", default)
             object.__setattr__(self, "_first_order_key", "channels")
-
-
-def efficiency_factor(model: MediumModel, basis: ModeBasis) -> float:
-    """First-order rate prefactor (2 pi / hbar^2) |coupling * element|^2."""
-    return (
-        2.0 * math.pi / basis.hbar**2 * abs(model.coupling * model.first_order_element) ** 2
-    )
 
 
 def check_resonance(denominator: complex, label: str, mode: int | None = None) -> None:

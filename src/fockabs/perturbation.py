@@ -36,7 +36,7 @@ import numpy as np
 
 from .fock_core import ParameterError, Statistics
 from .field_ops import Wavepacket, mean_kinetic_energy, phase_matrix
-from .medium import RESONANCE_THRESHOLD, MediumModel, check_resonance, efficiency_factor
+from .medium import RESONANCE_THRESHOLD, MediumModel, check_resonance
 
 MIN_FIT_DENSITY = 1e-12
 
@@ -94,27 +94,25 @@ class AbsorptionInput:
 class RateBatch(NamedTuple):
     """Closed-form results at many positions: row r of every array is position r.
 
-    ``coords`` are the wrapped positions.  Row r of ``terms`` holds the two
-    ordering amplitudes (packet_b absorbed first, packet_a absorbed first),
-    excluding the coupling constant, so that rate_order2 =
-    (2 pi / hbar^2) |coupling|^4 |sum(terms)|^2, with each packet's channel
-    weight at its mean kinetic energy; ``terms_per_mode`` and
-    ``rate_order2_per_mode`` take each mode's own.  Second-order columns are
+    ``coords`` are the wrapped positions, ``density_a`` and ``density_b``
+    each packet's |psi(Q)|^2.  With P = 2 pi / hbar^2, ``rate_order1`` =
+    P |coupling * first_order_element|^2 ``density_a`` where packet_a's spin
+    is the detector's, and ``rate_order2`` = P |coupling|^4 |T_b + T_a|^2,
+    where T_b (packet_b absorbed first, with the statistics sign) and T_a
+    are the ordering amplitudes, each with the channel weight of the packet
+    absorbed first at its mean kinetic energy; ``rate_order2_per_mode``
+    takes each mode's own.  ``density_b`` and the second-order columns are
     zero for a one-packet input.  ``bound_order1``, ``bound_order2`` and
     ``bound_order2_per_mode`` are finite bounds on the rates at every
     position (0 at second order for one packet).
     """
 
     coords: np.ndarray
-    psi_a: np.ndarray
-    psi_b: np.ndarray
     density_a: np.ndarray
     density_b: np.ndarray
     rate_order1: np.ndarray
     rate_order2: np.ndarray
-    terms: np.ndarray
     rate_order2_per_mode: np.ndarray
-    terms_per_mode: np.ndarray
     bound_order1: float
     bound_order2: float
     bound_order2_per_mode: float
@@ -193,7 +191,7 @@ def evaluate_inputs(
     inputs: Sequence[AbsorptionInput], model: MediumModel,
     coords: Sequence[Sequence[float]] | np.ndarray,
 ) -> list[RateBatch]:
-    """Closed-form amplitudes, densities and rates of each input at every position.
+    """Closed-form densities and rates of each input at every position.
 
     The one or more inputs share one basis, or ValueError.  Both
     second-order orderings carry Kronecker deltas forcing each packet spin
@@ -219,8 +217,9 @@ def evaluate_inputs(
         raise ValueError("inputs live on different bases")
     wrapped = basis.wrap(coords)
     rows = len(wrapped)
-    efficiency = efficiency_factor(model, basis)
-    prefactor = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
+    scale = 2.0 * math.pi / basis.hbar**2
+    efficiency = scale * abs(model.coupling * model.first_order_element) ** 2
+    prefactor = scale * abs(model.coupling) ** 4
     prepared = []  # (input, mode-sum matrices, channel weights, bounds) per input
     for inp in inputs:
         packets = inp.packets
@@ -254,11 +253,10 @@ def evaluate_inputs(
         packets, spin = inp.packets, inp.detector_spin
         density = np.abs(psi) ** 2
         rate_order1 = efficiency * density[:, 0] if packets[0].spin == spin else np.zeros(rows)
-        second = []  # rate and terms with the mean-energy weights, then per-mode
         if not (weights and packets[0].spin == packets[1].spin == spin):
-            for _ in range(2):
-                second += [np.zeros(rows), np.zeros((rows, 2), dtype=complex)]
+            second = [np.zeros(rows), np.zeros(rows)]
         else:
+            second = []  # the rate with the mean-energy weights, then the per-mode one
             # each packet's amplitude with its channel weights, absorbed
             # first: a mean-energy weight is a common factor of its mode sum
             for first in (psi * [mean for mean, _ in weights], per_mode[0]):
@@ -266,10 +264,9 @@ def evaluate_inputs(
                 terms = first[:, ::-1] * psi
                 if inp.statistics is Statistics.FERMI:
                     terms[:, 0] *= -1.0
-                second += [prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2, terms]
+                second.append(prefactor * np.abs(terms[:, 0] + terms[:, 1]) ** 2)
         batches.append(RateBatch(
-            wrapped, psi[:, 0], psi[:, 1], density[:, 0], density[:, 1],
-            rate_order1, *second, *bounds,
+            wrapped, density[:, 0], density[:, 1], rate_order1, *second, *bounds
         ))
     return batches
 
@@ -277,8 +274,8 @@ def evaluate_inputs(
 def evaluate_rates(
     inp: AbsorptionInput, model: MediumModel, coords: Sequence[Sequence[float]] | np.ndarray
 ) -> RateBatch:
-    """Closed-form amplitudes, densities and rates of ``inp`` at every
-    position: ``evaluate_inputs``'s one-input case."""
+    """Closed-form densities and rates of ``inp`` at every position:
+    ``evaluate_inputs``'s one-input case."""
     return evaluate_inputs([inp], model, coords)[0]
 
 

@@ -20,7 +20,6 @@ from fockabs import (
     Statistics,
     Wavepacket,
     absorption_rate,
-    efficiency_factor,
     lowest_mode_numbers,
     proportionality_exponent,
     second_order_amplitude,
@@ -85,7 +84,7 @@ def test_criterion_2_born_distribution():
     """First-order rate integrates to the efficiency factor; plane wave is flat 1.0."""
     basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     model = MediumModel(1.3 - 0.4j, (), first_order_element=0.8 + 0.1j)
-    beta = efficiency_factor(model, basis)
+    beta = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling * model.first_order_element) ** 2
     rng = np.random.default_rng(102)
     positions, weight = uniform_grid(basis, 16)
     worst = 0.0

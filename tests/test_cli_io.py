@@ -1281,13 +1281,11 @@ def test_a_channel_resonant_with_an_occupied_mode_fails_the_scan(tmp_path, capsy
 
 
 def _batch(coords, rate_order1, rate_order2, density_a, density_b) -> RateBatch:
-    """A RateBatch holding the given columns; amplitude columns are zero."""
+    """A RateBatch holding the given columns."""
     coords = np.array(coords, dtype=float)
-    zeros = np.zeros(len(coords), dtype=complex)
     columns = [np.array(c, dtype=float) for c in (density_a, density_b, rate_order1, rate_order2)]
-    terms = np.zeros((len(coords), 2), dtype=complex)
-    # the per-mode columns, which no CSV holds, repeat the mean-energy ones
-    return RateBatch(coords, zeros, zeros, *columns, terms, columns[3], terms, 0.0, 0.0, 0.0)
+    # the per-mode rate, which no CSV holds, repeats the mean-energy one
+    return RateBatch(coords, *columns, columns[3], 0.0, 0.0, 0.0)
 
 
 def test_emit_csv_shapes():

@@ -33,21 +33,18 @@ FERMI = Statistics.FERMI
 TWO_PI = 2 * math.pi
 REL_TOL = 1e-12
 
-# each energy convention's second-order rate and terms in a RateBatch
-SECOND_ORDER_FIELDS = {
-    "mean": ("rate_order2", "terms"),
-    "per_mode": ("rate_order2_per_mode", "terms_per_mode"),
-}
-SECOND_ORDER = [key for fields in SECOND_ORDER_FIELDS.values() for key in fields]
+# each energy convention's second-order rate in a RateBatch
+SECOND_ORDER_FIELDS = {"mean": "rate_order2", "per_mode": "rate_order2_per_mode"}
 
 
 def literal_rows(inp, model, positions):
-    """Rates, amplitudes and terms position by position, mode by mode, with
-    the mean-energy weights and with the per-mode ones."""
+    """Densities and rates position by position, mode by mode, with the
+    mean-energy weights and with the per-mode ones."""
     packets = inp.packets
     pair = len(packets) == 2
     basis = packets[0].basis
-    out = {"psi_a": [], "psi_b": [], "rate_order1": [], **{key: [] for key in SECOND_ORDER}}
+    columns = ["density_a", "density_b", "rate_order1", *SECOND_ORDER_FIELDS.values()]
+    out = {key: [] for key in columns}
     uncancelled = {"mean": [], "per_mode": []}
     prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
     for q in positions:
@@ -56,14 +53,14 @@ def literal_rows(inp, model, positions):
             sum(amp * wave for amp, wave in zip(p.amplitudes, waves))
             for p in packets
         ]
-        out["psi_a"].append(psi[0])
-        out["psi_b"].append(psi[1] if pair else 0.0)
+        out["density_a"].append(abs(psi[0]) ** 2)
+        out["density_b"].append(abs(psi[1]) ** 2 if pair else 0.0)
         rate1 = 0.0
         if packets[0].spin == inp.detector_spin:
             element = model.coupling * model.first_order_element
             rate1 = TWO_PI / basis.hbar**2 * abs(element) ** 2 * abs(psi[0]) ** 2
         out["rate_order1"].append(rate1)
-        for convention, (rate_key, terms_key) in SECOND_ORDER_FIELDS.items():
+        for convention, rate_key in SECOND_ORDER_FIELDS.items():
             terms = [0.0, 0.0]
             if pair and all(p.spin == inp.detector_spin for p in packets):
                 first = []
@@ -84,7 +81,6 @@ def literal_rows(inp, model, positions):
                     first.append(total)
                 sign = 1.0 if inp.statistics is BOSE else -1.0
                 terms = [sign * first[1] * psi[0], first[0] * psi[1]]
-            out[terms_key].append(terms)
             out[rate_key].append(prefactor * abs(sum(terms)) ** 2)
             uncancelled[convention].append(prefactor * (abs(terms[0]) + abs(terms[1])) ** 2)
     reference = {key: np.array(value) for key, value in out.items()}
@@ -100,7 +96,7 @@ def column_scales(columns, uncancelled):
     """
     scales = {key: np.max(np.abs(value), initial=0.0) for key, value in columns.items()}
     for convention, sizes in uncancelled.items():
-        key = SECOND_ORDER_FIELDS[convention][0]
+        key = SECOND_ORDER_FIELDS[convention]
         scales[key] = max(scales[key], np.max(sizes, initial=0.0))
     return scales
 
@@ -239,18 +235,10 @@ def test_scalar_calls_are_rows_of_one_batch(seed, dim, n_modes, statistics, rows
             for q in positions
         ],
         "rate_order2": [absorption_rate(inp, model, q) for q in positions],
-        **{
-            key: [getattr(row, key)[0] for row in rows_alone]
-            for key in ("terms", "rate_order2_per_mode", "terms_per_mode")
-        },
+        "rate_order2_per_mode": [row.rate_order2_per_mode[0] for row in rows_alone],
     }
     scalar = {key: np.array(value) for key, value in scalar.items()}
-    prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
-    uncancelled = {
-        convention: prefactor * np.abs(getattr(batch, terms)).sum(axis=1) ** 2
-        for convention, (_, terms) in SECOND_ORDER_FIELDS.items()
-    }
-    scales = column_scales({key: getattr(batch, key) for key in scalar}, uncancelled)
+    _, scales = literal_rows(inp, model, positions)
     # one-row and many-row BLAS kernels may round the last bit differently
     assert_rows_match(batch, scalar, scales, tol=1e-14)
 
@@ -271,14 +259,15 @@ def test_pair_swap_and_global_phase_symmetries(seed, dim, n_modes, hbar, mass, s
     inp = random_input(rng, basis, 2, statistics)
     coords = random_coords(rng, basis, 4)
     batch = evaluate_rates(inp, model, coords)
-    prefactor = TWO_PI / basis.hbar**2 * abs(model.coupling) ** 4
-    # swapping the pair swaps the orderings, with the exchange sign
+    # rates are compared against their size before the orderings cancel
+    _, scales = literal_rows(inp, model, batch.coords)
+    # swapping the pair swaps the orderings, which leaves the rates under
+    # either exchange sign
     swapped = evaluate_rates(
         AbsorptionInput((inp.packets[1], inp.packets[0]), inp.detector_spin, statistics),
         model,
         coords,
     )
-    sign = 1.0 if statistics is BOSE else -1.0
     # a global phase on either packet is unobservable
     turned = []
     for k, packet in enumerate(inp.packets):
@@ -293,18 +282,11 @@ def test_pair_swap_and_global_phase_symmetries(seed, dim, n_modes, hbar, mass, s
             want, got = getattr(batch, key), getattr(turned[-1], key)
             assert np.all(np.abs(got - want) <= REL_TOL * np.abs(want).max()), key
 
-    for rate_key, terms_key in SECOND_ORDER_FIELDS.values():
-        rate, terms = getattr(batch, rate_key), getattr(batch, terms_key)
-        # rates are compared against their size before the orderings cancel
-        uncancelled = prefactor * np.abs(terms).sum(axis=1) ** 2
-        rate_scale = np.maximum(uncancelled, np.abs(rate))
-        term_scale = np.abs(terms).max(axis=1, keepdims=True)
-        assert np.all(np.abs(getattr(swapped, rate_key) - rate) <= REL_TOL * rate_scale)
-        assert np.all(
-            np.abs(getattr(swapped, terms_key) - sign * terms[:, ::-1]) <= REL_TOL * term_scale
-        )
+    for rate_key in SECOND_ORDER_FIELDS.values():
+        rate, tol = getattr(batch, rate_key), REL_TOL * scales[rate_key]
+        assert np.all(np.abs(getattr(swapped, rate_key) - rate) <= tol)
         for other in turned:
-            assert np.all(np.abs(getattr(other, rate_key) - rate) <= REL_TOL * rate_scale)
+            assert np.all(np.abs(getattr(other, rate_key) - rate) <= tol)
 
 
 def test_per_mode_weights_skip_unoccupied_modes():
@@ -315,8 +297,8 @@ def test_per_mode_weights_skip_unoccupied_modes():
     inp = AbsorptionInput((a, a), 0, BOSE)
     q = basis.position((0.3,))
     batch = evaluate_rates(inp, model, [q])
-    exact, mean = batch.terms_per_mode[0], batch.terms[0]
-    assert all(abs(x - y) <= REL_TOL * abs(y) for x, y in zip(exact, mean))
+    exact, mean = batch.rate_order2_per_mode[0], batch.rate_order2[0]
+    assert mean > 0.0 and abs(exact - mean) <= REL_TOL * mean
     b = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
     with pytest.raises(ResonanceError):
         evaluate_rates(AbsorptionInput((a, b), 0, BOSE), model, [q])
@@ -375,6 +357,27 @@ def test_the_conventions_agree_on_packets_of_one_kinetic_energy(
     assert (gap <= 1e-12 * batch.bound_order2).all()
 
 
+def test_a_batch_holds_nine_columns_each_its_own_array():
+    assert RateBatch._fields == (
+        "coords", "density_a", "density_b", "rate_order1", "rate_order2",
+        "rate_order2_per_mode", "bound_order1", "bound_order2", "bound_order2_per_mode",
+    )
+    basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
+    model = MediumModel(1.0, (MediumChannel("ch", 1.0, 1.0, 3.0),))
+    a = Wavepacket(basis, (0.6, 0.8, 0.0), 0)
+    b = Wavepacket(basis, (0.0, 0.6, 0.8j), 0)
+    other_spin = Wavepacket(basis, (0.0, 0.6, 0.8j), 1)
+    for packets in ((a,), (a, other_spin), (a, b)):
+        batch = evaluate_rates(AbsorptionInput(packets, 0), model, [(0.3,), (1.2,), (4.0,)])
+        arrays = [
+            (name, v) for name, v in zip(RateBatch._fields, batch) if not name.startswith("bound")
+        ]
+        for k, (name, array) in enumerate(arrays):
+            assert isinstance(array, np.ndarray) and len(array) == 3, name
+            for other, other_array in arrays[k + 1:]:
+                assert not np.shares_memory(array, other_array), (len(packets), name, other)
+
+
 def test_an_empty_batch_is_rejected():
     basis = ModeBasis([TWO_PI], lowest_mode_numbers(3))
     model = MediumModel(1.0, (MediumChannel("ch", 1.0, 1.0, 3.0),))
@@ -400,7 +403,7 @@ def test_the_rate_bounds_hold_at_every_position(seed, convention):
     rng = np.random.default_rng(seed)
     basis, model, _, _, inputs = _draw(rng, (BOSE, FERMI)[seed % 2])
     coords = [[rng.uniform(0.0, length) for length in basis.box_lengths] for _ in range(64)]
-    rate_key = SECOND_ORDER_FIELDS[convention][0]
+    rate_key = SECOND_ORDER_FIELDS[convention]
     bound_key = {"mean": "bound_order2", "per_mode": "bound_order2_per_mode"}[convention]
     for inp in inputs:
         batch = evaluate_rates(inp, model, coords)

@@ -17,10 +17,10 @@ from fockabs import (
     Statistics,
     Wavepacket,
     absorption_rate,
-    efficiency_factor,
     evaluate_rates,
     log_log_slope,
     lowest_mode_numbers,
+    mode_wavefunction,
     proportionality_exponent,
 )
 from helpers import position_amplitude, uniform_grid
@@ -100,7 +100,7 @@ def test_first_order_rejects_unknown_detector_spin():
 def test_born_quadrature_integrates_to_efficiency():
     basis = cos_basis()
     model = safe_model()
-    beta = efficiency_factor(model, basis)
+    beta = 2.0 * math.pi / basis.hbar**2 * abs(model.coupling * model.first_order_element) ** 2
     rng = np.random.default_rng(1)
     positions, weight = uniform_grid(basis, 16)
     for _ in range(10):
@@ -212,6 +212,26 @@ def test_same_state_boson_unit_case():
         assert abs(rate - 2 / math.pi) < 1e-12
 
 
+def ordering_amplitudes(inp, model, q):
+    """The two ordering amplitudes (packet_b absorbed first, packet_a absorbed
+    first) at ``q``, without the statistics sign or the coupling: each is the
+    product of both packet amplitudes, summed literally over the modes, and
+    the channel weight of the packet absorbed first at its mean kinetic
+    energy."""
+    basis = inp.packets[0].basis
+    waves = [mode_wavefunction(basis, k, q) for k in range(basis.n_modes)]
+    psi, weight = [], []
+    for packet in inp.packets:
+        psi.append(sum(a * wave for a, wave in zip(packet.amplitudes, waves)))
+        mean = sum(
+            abs(a) ** 2 * energy for a, energy in zip(packet.amplitudes, basis.kinetic_energies)
+        )
+        weight.append(sum(
+            ch.element_out * ch.element_in / (mean - ch.energy) for ch in model.channels
+        ))
+    return weight[1] * psi[1] * psi[0], weight[0] * psi[0] * psi[1]
+
+
 def test_rate_matches_terms_assembly():
     basis = cos_basis()
     model = safe_model()
@@ -224,21 +244,30 @@ def test_rate_matches_terms_assembly():
     assembled = (
         2 * math.pi / basis.hbar**2
         * abs(model.coupling) ** 4
-        * abs(sum(evaluate_rates(inp, model, [q]).terms[0])) ** 2
+        * abs(sum(ordering_amplitudes(inp, model, q))) ** 2
     )
     assert abs(rate - assembled) < 1e-12 * max(rate, 1.0)
 
 
 def test_statistics_flip_negates_partner_first_term():
+    # |T_b + T_a|^2 - |-T_b + T_a|^2 = 4 Re(T_b conj(T_a)): the Fermi sign
+    # negates one ordering against the other, the orderings formed literally
     basis = cos_basis()
     model = safe_model()
-    a = Wavepacket(basis, (0.0, 1.0, 0.0), 0)
-    b = Wavepacket(basis, (1.0, 0.0, 0.0), 0)
+    prefactor = 2 * math.pi / basis.hbar**2 * abs(model.coupling) ** 4
+    rng = np.random.default_rng(5)
+    sharp = (Wavepacket(basis, (0.0, 1.0, 0.0), 0), Wavepacket(basis, (1.0, 0.0, 0.0), 0))
     q = basis.position((0.8,))
-    bose_terms = evaluate_rates(AbsorptionInput((a, b), 0, BOSE), model, [q]).terms[0]
-    fermi_terms = evaluate_rates(AbsorptionInput((a, b), 0, FERMI), model, [q]).terms[0]
-    assert abs(bose_terms[0] + fermi_terms[0]) < 1e-15
-    assert abs(bose_terms[1] - fermi_terms[1]) < 1e-15
+    for a, b in (sharp, orthogonal_pair(rng, basis)):
+        bose, fermi = (
+            evaluate_rates(AbsorptionInput((a, b), 0, stats), model, [q]).rate_order2[0]
+            for stats in (BOSE, FERMI)
+        )
+        t_b, t_a = ordering_amplitudes(AbsorptionInput((a, b), 0, BOSE), model, q)
+        want = 4 * prefactor * (t_b * t_a.conjugate()).real
+        scale = prefactor * (abs(t_b) + abs(t_a)) ** 2
+        assert abs((bose - fermi) - want) < 1e-12 * scale
+        assert abs(bose - prefactor * abs(t_b + t_a) ** 2) < 1e-12 * scale
 
 
 def test_second_order_spin_selection():

@@ -1,6 +1,7 @@
 """The draw stream of ``fockabs verify``, pinned by a golden run, its
 blocks, the command that writes them as they finish and its summary, its
-argument checks, and its comparison routine run on parsed configs.
+argument checks, and its comparison routine run on parsed configs and on
+hand-built inputs that no draw reaches.
 
 ``golden/verify_seed7_trials40.txt`` is the output of
 ``fockabs verify --trials 40 --seed 7``.  A changed draw, statistics kind,
@@ -26,7 +27,8 @@ from fockabs import perturbation, verify
 from fockabs.cli_io import _cmd_verify, main, parse_config
 from fockabs.fock_core import Statistics
 from fockabs.field_ops import ModeBasis, Wavepacket
-from fockabs.perturbation import evaluate_inputs
+from fockabs.medium import MediumChannel, MediumModel
+from fockabs.perturbation import AbsorptionInput, evaluate_inputs
 from fockabs.verify import TOLERANCE, TrialRecord, _compare, _oracle
 from helpers import at_order1, readme_range32, verify_records
 
@@ -315,6 +317,74 @@ def test_a_wrong_mean_energy_rate_fails_on_sharp_pairs(monkeypatch):
     ]
     assert len(records) > 20
     assert not [r.line() for r in records if r.status != "fail"]
+
+
+def _three_channels():
+    # 2D, hbar and mass off 1; kinetic energies 0, 0.26, 0.18 and 0.44
+    basis = ModeBasis([4.4, 5.3], [(0, 0), (1, 0), (0, -1), (1, 1)], hbar=0.7, mass=1.9)
+    channels = (
+        MediumChannel("low", 0.8 - 0.3j, 1.1 + 0.2j, -0.8),
+        MediumChannel("mid", 0.5 + 0.6j, 0.9 - 0.4j, 0.2),
+        MediumChannel("high", 1.2 + 0.1j, 0.3 + 0.7j, 1.6),
+    )
+    model = MediumModel(0.9 + 0.3j, channels, first_order_element=0.6 - 0.5j)
+    return basis, model, [(1.3, 2.9), (3.7, 0.4)]
+
+
+def _defaulted_first_order_element():
+    basis = ModeBasis([5.7], [(0,), (1,), (-2,)], hbar=1.4, mass=0.6)
+    model = MediumModel(1.1 - 0.2j, (MediumChannel("ch", 0.7 + 0.4j, 1.3 - 0.6j, -0.5),))
+    assert model.first_order_element == 0.7 + 0.4j
+    return basis, model, [(0.9,), (4.2,)]
+
+
+def _detector_outside_the_box():
+    # every axis below 0, then every axis at or past its length L
+    lengths = [4.5, 6.2, 5.1]
+    basis = ModeBasis(lengths, [(0, 0, 0), (1, 0, 0), (0, 1, -1), (-1, 1, 1)], 1.3, 0.8)
+    channels = (MediumChannel("a", 0.9, 1.2j, 2.5), MediumChannel("b", 0.4 - 0.8j, 0.7, -1.1))
+    model = MediumModel(0.8 + 0.5j, channels, first_order_element=1.2)
+    positions = [(-1.7, -8.0, -0.3), (lengths[0], 2.4 * lengths[1], lengths[2] + 0.9)]
+    return basis, model, positions
+
+
+def _resonant_unoccupied_mode():
+    # modes 1 and -1 have kinetic energy 0.5, on the channel, and no packet
+    # occupies them; the packets' mean energies are 1.28 and 0.72
+    basis = ModeBasis([2 * math.pi], [(0,), (1,), (-1,), (2,)])
+    energy = basis.kinetic_energies[1]
+    model = MediumModel(0.9 - 0.4j, (MediumChannel("res", 1.1 + 0.3j, 0.6 - 0.2j, energy),))
+    return basis, model, [(0.4,), (5.1,)]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_three_channels, _defaulted_first_order_element, _detector_outside_the_box,
+     _resonant_unoccupied_mode],
+)
+def test_hand_built_inputs_that_no_draw_reaches_match_the_oracle(case):
+    # a spread packet alone, then a spread pair under both statistics, on
+    # modes of different energies, so the pair's mean-energy rate is not the
+    # oracle's; each pair is judged by its per-mode rate instead
+    basis, model, positions = case()
+    a = Wavepacket(basis, (0.6,) + (0.0,) * (basis.n_modes - 2) + (0.8,), 0)
+    b = Wavepacket(basis, (0.8,) + (0.0,) * (basis.n_modes - 2) + (0.6j,), 0)
+    inputs = [
+        AbsorptionInput((a,), 0),
+        AbsorptionInput((a, b), 0, Statistics.BOSE),
+        AbsorptionInput((a, b), 0, Statistics.FERMI),
+    ]
+    for q in positions:
+        for index, (inp, batch) in enumerate(zip(inputs, evaluate_inputs(inputs, model, [q]))):
+            if len(inp.packets) == 2:
+                batch = batch._replace(
+                    rate_order2=batch.rate_order2_per_mode,
+                    bound_order2=batch.bound_order2_per_mode,
+                )
+            records = _compare(inp, batch, _oracle(inp, model, q), index, 0, case.__name__)
+            assert records[0].rate_oracle > 0.0, records[0].line()
+            assert records[0].rel_error <= TOLERANCE, records[0].line()
+            assert [r.status for r in records] == ["ok"] * len(records), q
 
 
 class _RandomOnly:
